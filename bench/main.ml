@@ -17,8 +17,6 @@ module O = Relax_optimizer
 module T = Relax_tuner
 module B = Relax_baseline
 module W = Relax_workloads
-module D = Relax_daemon
-
 
 
 let section title expectation =
@@ -47,20 +45,6 @@ let effective_jobs () =
   match !jobs_flag with
   | Some j -> j
   | None -> Relax_parallel.Pool.default_jobs ()
-
-(* Host self-description stamped into every BENCH_*.json: wall-clock
-   numbers are only comparable between hosts of the same shape, and
-   perfdiff uses this block to decide which gates stay hard (see
-   [Relax_obs.Perfdiff]). *)
-let host_json () =
-  let open Relax_obs.Json in
-  Obj
-    [
-      ("recommended_domain_count", Int (Domain.recommended_domain_count ()));
-      ("ocaml_version", String Sys.ocaml_version);
-      ("os_type", String Sys.os_type);
-      ("word_size", Int Sys.word_size);
-    ]
 
 (* --validate: attach the differential invariant checker to every PTT run;
    any violation anywhere makes the whole harness exit non-zero *)
@@ -632,506 +616,6 @@ let ablation () =
       { o with shrink_configurations = true; transforms_per_iteration = 3 })
 
 (* ------------------------------------------------------------------ *)
-(* Parallel search: jobs sweep                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Node-expansion throughput of the relaxation search at jobs = 1/2/4/8,
-   on the big substrate (SF-1 statistics, 104 generated statements).  The
-   tuning output must be identical across the sweep (the determinism
-   guarantee); the results — wall clock, per-run GC pressure, per-domain
-   busy time and the host shape that makes the numbers interpretable —
-   land in BENCH_parallel.json. *)
-let parallel_sweep () =
-  Printf.printf "\n-- parallel search: jobs sweep (substrate SF-1, 104 stmts) --\n";
-  let cat = W.Substrate.catalog ~sf:1.0 () in
-  let w = W.Substrate.pool ~sf:1.0 () in
-  let budget = db_bytes cat *. 1.3 in
-  let tune_with ?(iters = 60) jobs =
-    let opts =
-      {
-        (T.Tuner.default_options ~mode:T.Tuner.Indexes_only
-           ~space_budget:budget ())
-        with
-        max_iterations = iters;
-        jobs;
-      }
-    in
-    let obs = Relax_obs.Recorder.create () in
-    let g0 = Gc.quick_stat () in
-    let t0 = now () in
-    let r = T.Tuner.tune ~obs cat w opts in
-    let elapsed = now () -. t0 in
-    let g1 = Gc.quick_stat () in
-    let gc =
-      let open Relax_obs.Json in
-      Obj
-        [
-          ("minor_words", Float (g1.minor_words -. g0.minor_words));
-          ("major_words", Float (g1.major_words -. g0.major_words));
-          ("promoted_words", Float (g1.promoted_words -. g0.promoted_words));
-          ( "minor_collections",
-            Int (g1.minor_collections - g0.minor_collections) );
-          ( "major_collections",
-            Int (g1.major_collections - g0.major_collections) );
-        ]
-    in
-    (r, elapsed, Relax_obs.Recorder.snapshot obs, gc)
-  in
-  (* warmup: fill the catalog memos and fault in the code paths so the
-     timed runs all start from the same state *)
-  ignore (tune_with ~iters:8 1);
-  let requested = max 1 (effective_jobs ()) in
-  let sweep =
-    List.sort_uniq Int.compare (1 :: 2 :: 4 :: 8 :: [ requested ])
-  in
-  let runs = List.map (fun j -> (j, tune_with j)) sweep in
-  let r1, e1, m1, _ = List.assoc 1 runs in
-  let fp (r : T.Tuner.result) = Config.fingerprint r.recommended in
-  let identical =
-    List.for_all
-      (fun ( _,
-             ((r, _, m, _) :
-               T.Tuner.result * float * Relax_obs.Metrics.snapshot * _) ) ->
-        fp r = fp r1
-        && r.recommended_cost = r1.recommended_cost
-        && r.frontier = r1.frontier
-        && m.what_if_calls = m1.what_if_calls
-        && m.cache_hits = m1.cache_hits
-        && m.plans_reoptimized = m1.plans_reoptimized
-        && m.plans_patched = m1.plans_patched
-        && m.shortcut_aborts = m1.shortcut_aborts
-        && m.iterations = m1.iterations
-        && m.configurations_evaluated = m1.configurations_evaluated)
-      runs
-  in
-  Printf.printf "%-6s %10s %14s %16s %10s\n" "jobs" "time" "configs eval"
-    "configs/s" "speedup";
-  List.iter
-    (fun (j, (_, e, (m : Relax_obs.Metrics.snapshot), _)) ->
-      Printf.printf "%-6d %9.2fs %14d %16.1f %9.2fx\n" j e
-        m.configurations_evaluated
-        (float_of_int m.configurations_evaluated /. Float.max 1e-9 e)
-        (e1 /. Float.max 1e-9 e))
-    runs;
-  Printf.printf "identical tuning output across jobs: %b\n" identical;
-  (* per-domain busy milliseconds, recovered from the pool.domainN.busy_ms
-     named counters the search records at shutdown *)
-  let domain_busy_ms (m : Relax_obs.Metrics.snapshot) =
-    List.filter_map
-      (fun (k, v) ->
-        match String.split_on_char '.' k with
-        | [ "pool"; dom; "busy_ms" ]
-          when String.length dom > 6 && String.sub dom 0 6 = "domain" ->
-          Option.map
-            (fun i -> (i, v))
-            (int_of_string_opt (String.sub dom 6 (String.length dom - 6)))
-        | _ -> None)
-      m.named_counters
-    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-    |> List.map snd
-  in
-  let json =
-    let open Relax_obs.Json in
-    Obj
-      [
-        ("bench", String "parallel_jobs_sweep");
-        ("workload", String "substrate sf=1 pool 26x4 (104 stmts)");
-        ("budget_bytes", Float budget);
-        ("identical_results", Bool identical);
-        (* environment self-description: a 1-core container showing no
-           speedup is expected, and the numbers below say so *)
-        ("host", host_json ());
-        ("effective_jobs", Int requested);
-        ( "runs",
-          List
-            (List.map
-               (fun ( j,
-                      ((r, e, m, gc) :
-                        T.Tuner.result
-                        * float
-                        * Relax_obs.Metrics.snapshot
-                        * Relax_obs.Json.t) ) ->
-                 Obj
-                   [
-                     ("jobs", Int j);
-                     ("elapsed_s", Float e);
-                     ("configurations_evaluated", Int m.configurations_evaluated);
-                     ( "throughput_configs_per_s",
-                       Float
-                         (float_of_int m.configurations_evaluated
-                         /. Float.max 1e-9 e) );
-                     ("speedup_vs_jobs1", Float (e1 /. Float.max 1e-9 e));
-                     ("recommended_cost", Float r.recommended_cost);
-                     ("recommended_fingerprint", String (fp r));
-                     ("what_if_calls", Int m.what_if_calls);
-                     ("cache_hits", Int m.cache_hits);
-                     ("gc", gc);
-                     ( "busy_ms",
-                       List (List.map (fun v -> Int v) (domain_busy_ms m)) );
-                     ( "latency",
-                       Obj
-                         (List.map
-                            (fun (k, h) ->
-                              (k, Relax_obs.Histogram.to_json h))
-                            m.latency) );
-                   ])
-               runs) );
-      ]
-  in
-  (try
-     Out_channel.with_open_bin "BENCH_parallel.json" (fun oc ->
-         Out_channel.output_string oc (Relax_obs.Json.to_string json);
-         Out_channel.output_char oc '\n');
-     Printf.printf "jobs sweep written to BENCH_parallel.json\n"
-   with Sys_error msg ->
-     Printf.eprintf "cannot write BENCH_parallel.json: %s\n" msg);
-  ignore r1
-
-(* ------------------------------------------------------------------ *)
-(* Frugal costing: what-if budget sweep                                 *)
-(* ------------------------------------------------------------------ *)
-
-(* overridden by --whatif-budget N *)
-let whatif_budget_flag = ref 384
-
-(* The frugal costing tier on a generated 100+-statement workload: the
-   budgeted run must land within epsilon of the unlimited run's
-   recommended cost while spending several times fewer what-if optimizer
-   calls.  The results land in BENCH_frugal.json, diffed by perfdiff in
-   CI with what_if_calls as a hard gate. *)
-let frugal_sweep () =
-  Printf.printf "\n-- frugal costing: what-if budget sweep --\n";
-  let schema = W.Bench_db.tpch_schema ~scale:tpch_scale () in
-  (* 104 statements from 13 templates, re-parameterized as production
-     workloads repeat (the compress_bench recipe, distinct seed) *)
-  let base = W.Generator.workload ~seed:900 schema ~n:13 in
-  let rng = Relax_catalog.Rng.create 901 in
-  let w =
-    List.concat_map
-      (fun rep ->
-        List.map
-          (fun (e : Query.entry) ->
-            { e with qid = Printf.sprintf "%s-r%d" e.qid rep })
-          (if rep = 0 then base else W.Generator.reparameterize schema rng base))
-      (List.init 8 Fun.id)
-  in
-  let cat = schema.catalog in
-  let budget = db_bytes cat *. 1.3 in
-  let call_budget = !whatif_budget_flag in
-  Printf.printf "workload: %d generated statements, whatif budget %d\n"
-    (List.length w) call_budget;
-  let tune_with label whatif_budget =
-    let checker =
-      if !validate_flag then
-        Some
-          (Relax_check.Checker.create cat ~workload:w ~protected:Config.empty
-             ())
-      else None
-    in
-    let opts =
-      {
-        (T.Tuner.default_options ~mode:T.Tuner.Indexes_only
-           ~space_budget:budget ())
-        with
-        (* a long tuning session: exact costing pays optimizer calls per
-           iteration, frugal costing plateaus at the budget — the regime
-           the 100+-statement north star lives in *)
-        max_iterations = 800;
-        jobs = effective_jobs ();
-        whatif_budget;
-        on_iteration = Option.map Relax_check.Checker.hook checker;
-      }
-    in
-    let obs = Relax_obs.Recorder.create () in
-    let t0 = now () in
-    let r = T.Tuner.tune ~obs cat w opts in
-    let elapsed = now () -. t0 in
-    (match checker with
-    | None -> ()
-    | Some c ->
-      let rep = Relax_check.Checker.report c in
-      check_iterations := !check_iterations + rep.iterations_checked;
-      check_violations := !check_violations + List.length rep.violations;
-      if rep.violations <> [] then
-        Printf.printf "  !! differential check (%s): %s\n" label
-          (Fmt.str "%a" Relax_check.Checker.pp_report rep));
-    (label, r, elapsed, Relax_obs.Recorder.snapshot obs)
-  in
-  let exact = tune_with "exact" None in
-  let frugal = tune_with "frugal" (Some call_budget) in
-  let named name (m : Relax_obs.Metrics.snapshot) =
-    Option.value ~default:0 (List.assoc_opt name m.named_counters)
-  in
-  Printf.printf "%-8s %10s %14s %12s %10s %10s %10s\n" "run" "time"
-    "whatif calls" "cost" "accepts" "rejects" "spent";
-  List.iter
-    (fun (label, (r : T.Tuner.result), e, (m : Relax_obs.Metrics.snapshot)) ->
-      Printf.printf "%-8s %9.2fs %14d %12.1f %10d %10d %10d\n" label e
-        m.what_if_calls r.recommended_cost
-        (named "whatif.bound_accepts" m)
-        (named "whatif.bound_rejects" m)
-        (named "whatif.budget_spent" m))
-    [ exact; frugal ];
-  let _, re, _, me = exact and _, rf, _, mf = frugal in
-  let ratio =
-    float_of_int me.what_if_calls /. float_of_int (max 1 mf.what_if_calls)
-  in
-  let cost_gap =
-    Float.abs (rf.recommended_cost -. re.recommended_cost)
-    /. Float.max 1e-9 re.recommended_cost
-  in
-  let eps_equal = cost_gap <= 0.01 in
-  Printf.printf
-    "what-if call reduction: %.1fx   recommended-cost gap: %.4f%% \
-     (epsilon-equal: %b)\n"
-    ratio (100.0 *. cost_gap) eps_equal;
-  let json =
-    let open Relax_obs.Json in
-    let run_json (label, (r : T.Tuner.result), e, (m : Relax_obs.Metrics.snapshot)) =
-      Obj
-        [
-          ("label", String label);
-          ("elapsed_s", Float e);
-          ("configurations_evaluated", Int m.configurations_evaluated);
-          ( "throughput_configs_per_s",
-            Float
-              (float_of_int m.configurations_evaluated /. Float.max 1e-9 e) );
-          ("what_if_calls", Int m.what_if_calls);
-          ("cache_hits", Int m.cache_hits);
-          ("plans_reoptimized", Int m.plans_reoptimized);
-          ("plans_patched", Int m.plans_patched);
-          ("bound_accepts", Int (named "whatif.bound_accepts" m));
-          ("bound_rejects", Int (named "whatif.bound_rejects" m));
-          ("budget_spent", Int (named "whatif.budget_spent" m));
-          ("bound_costed", Int (named "whatif.bound_costed" m));
-          ("point_exact", Int (named "whatif.point_exact" m));
-          ("endgame_spent", Int (named "whatif.endgame_spent" m));
-          ("recommended_cost", Float r.recommended_cost);
-          ("recommended_fingerprint", String (Config.fingerprint r.recommended));
-          ("improvement_pct", Float r.improvement);
-        ]
-    in
-    Obj
-      [
-        ("bench", String "frugal_whatif_budget");
-        ("host", host_json ());
-        ( "workload",
-          String
-            (Printf.sprintf "generated tpch-like, %d statements"
-               (List.length w)) );
-        ("budget_bytes", Float budget);
-        ("whatif_budget", Int call_budget);
-        ("call_reduction", Float ratio);
-        ("recommended_cost_gap", Float cost_gap);
-        ("epsilon_equal_cost", Bool eps_equal);
-        ("runs", List [ run_json exact; run_json frugal ]);
-      ]
-  in
-  try
-    Out_channel.with_open_bin "BENCH_frugal.json" (fun oc ->
-        Out_channel.output_string oc (Relax_obs.Json.to_string json);
-        Out_channel.output_char oc '\n');
-    Printf.printf "frugality sweep written to BENCH_frugal.json\n"
-  with Sys_error msg -> Printf.eprintf "cannot write BENCH_frugal.json: %s\n" msg
-
-(* ------------------------------------------------------------------ *)
-(* Continuous tuning: stream replay                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The daemon replaying the 104-statement generated workload (the
-   frugal_sweep recipe) as a statement stream: warm incremental re-tunes
-   must spend measurably fewer what-if calls than cold from-scratch
-   re-tunes over the same stream, the converged configuration's window
-   cost must be epsilon-equal to a from-scratch tune of the final
-   window, and an injected cost-drift fault must trigger exactly one
-   auto-rollback that restores the previous deployment byte-identically.
-   The results land in BENCH_stream.json. *)
-let stream_bench () =
-  Printf.printf "\n-- continuous tuning: stream replay --\n";
-  let schema = W.Bench_db.tpch_schema ~scale:tpch_scale () in
-  let base = W.Generator.workload ~seed:900 schema ~n:13 in
-  let rng = Relax_catalog.Rng.create 901 in
-  let stream =
-    List.concat_map
-      (fun rep ->
-        List.map
-          (fun (e : Query.entry) ->
-            { e with qid = Printf.sprintf "%s-r%d" e.qid rep })
-          (if rep = 0 then base else W.Generator.reparameterize schema rng base))
-      (List.init 8 Fun.id)
-  in
-  let cat = schema.catalog in
-  let budget = db_bytes cat *. 1.3 in
-  let opts ~warm ~inject =
-    {
-      (D.Daemon.default_options ~space_budget:budget ()) with
-      mode = T.Tuner.Indexes_only;
-      retune_every = 26;
-      min_statements = 13;
-      (* no rotation: the convergence comparison below needs the final
-         window to be exactly the one the last re-tune saw (rotation
-         refreshes representatives right after the tune, which would
-         shift the goalposts); rotation is exercised by the daemon test
-         suite and the CI smoke run *)
-      rotate_every = 0;
-      max_iterations = 300;
-      jobs = effective_jobs ();
-      warm;
-      inject_drift = inject;
-    }
-  in
-  (* replay through the JSONL stream codec, exactly what relaxd reads *)
-  let replay daemon =
-    let trail = ref [] in
-    List.iter
-      (fun e ->
-        match D.Stream.parse_line (D.Stream.line_of_entry e) with
-        | Error msg -> failwith ("stream round-trip: " ^ msg)
-        | Ok e -> (
-          match D.Daemon.ingest daemon e with
-          | None -> ()
-          | Some r -> trail := (r, D.Daemon.deployed_json daemon) :: !trail))
-      stream;
-    (match D.Daemon.finalize daemon with
-    | None -> ()
-    | Some r -> trail := (r, D.Daemon.deployed_json daemon) :: !trail);
-    List.rev !trail
-  in
-  let run label ~warm ~inject =
-    let daemon = D.Daemon.create cat (opts ~warm ~inject) in
-    let t0 = now () in
-    let trail = replay daemon in
-    (label, daemon, trail, now () -. t0)
-  in
-  let report_rejects label trail =
-    List.iter
-      (fun ((r : D.Daemon.retune), _) ->
-        match r.action with
-        | D.Daemon.Rejected reasons ->
-          Printf.printf "  !! %s retune %d rejected: %s\n" label r.ordinal
-            (String.concat "; " reasons)
-        | _ -> ())
-      trail
-  in
-  let _, warm_d, warm_trail, warm_t = run "warm" ~warm:true ~inject:None in
-  report_rejects "warm" warm_trail;
-  let _, _, cold_trail, cold_t = run "cold" ~warm:false ~inject:None in
-  let calls trail =
-    List.map (fun ((r : D.Daemon.retune), _) -> r.what_if_calls) trail
-  in
-  let warm_calls = calls warm_trail and cold_calls = calls cold_trail in
-  let sum = List.fold_left ( + ) 0 in
-  let call_ratio =
-    float_of_int (sum cold_calls) /. float_of_int (max 1 (sum warm_calls))
-  in
-  Printf.printf "retunes: %d   warm calls per retune: [%s]   cold: [%s]\n"
-    (List.length warm_trail)
-    (String.concat ";" (List.map string_of_int warm_calls))
-    (String.concat ";" (List.map string_of_int cold_calls));
-  Printf.printf "warm spends %.1fx fewer what-if calls (%.2fs vs %.2fs)\n"
-    call_ratio warm_t cold_t;
-  (* convergence: the deployment's final-window cost vs a from-scratch
-     tune of the same window *)
-  let final_window = D.Daemon.window_workload warm_d in
-  let scratch =
-    T.Tuner.tune cat final_window
-      {
-        (T.Tuner.default_options ~mode:T.Tuner.Indexes_only
-           ~space_budget:budget ())
-        with
-        max_iterations = 300;
-        jobs = effective_jobs ();
-      }
-  in
-  let daemon_cost =
-    T.Tuner.workload_cost cat (D.Daemon.deployed warm_d) final_window
-  in
-  let cost_gap =
-    Float.abs (daemon_cost -. scratch.recommended_cost)
-    /. Float.max 1e-9 scratch.recommended_cost
-  in
-  let eps_equal = cost_gap <= 0.01 in
-  Printf.printf
-    "final window: daemon cost %.1f vs from-scratch %.1f, gap %.4f%% \
-     (epsilon-equal: %b)\n"
-    daemon_cost scratch.recommended_cost (100.0 *. cost_gap) eps_equal;
-  (* fault injection: drift at retune 3 must fire exactly one rollback
-     restoring the pre-deploy JSON byte-for-byte *)
-  let fault_d = D.Daemon.create cat (opts ~warm:true ~inject:(Some (3, 25.0))) in
-  let initial_json = D.Daemon.deployed_json fault_d in
-  let fault_trail = replay fault_d in
-  let restored_identical =
-    let pre_deploy = ref initial_json and prev = ref initial_json in
-    let ok = ref false in
-    List.iter
-      (fun ((r : D.Daemon.retune), json_after) ->
-        (match r.action with
-        | D.Daemon.Deployed _ -> pre_deploy := !prev
-        | D.Daemon.Rolled_back _ -> ok := String.equal json_after !pre_deploy
-        | D.Daemon.Steady | D.Daemon.Rejected _ -> ());
-        prev := json_after)
-      fault_trail;
-    !ok
-  in
-  let rollback_count = D.Daemon.rollbacks fault_d in
-  Printf.printf
-    "injected drift at retune 3: %d rollback(s), restored byte-identical: %b\n"
-    rollback_count restored_identical;
-  let json =
-    let open Relax_obs.Json in
-    let cycles trail =
-      List
-        (List.map
-           (fun ((r : D.Daemon.retune), _) ->
-             Obj
-               [
-                 ("ordinal", Int r.ordinal);
-                 ( "action",
-                   String
-                     (match r.action with
-                     | D.Daemon.Steady -> "steady"
-                     | D.Daemon.Deployed _ -> "deploy"
-                     | D.Daemon.Rejected _ -> "reject"
-                     | D.Daemon.Rolled_back _ -> "rollback") );
-                 ("what_if_calls", Int r.what_if_calls);
-                 ("cache_hits", Int r.cache_hits);
-                 ("elapsed_s", Float r.elapsed_s);
-               ])
-           trail)
-    in
-    Obj
-      [
-        ("bench", String "daemon_stream_replay");
-        ("host", host_json ());
-        ( "workload",
-          String
-            (Printf.sprintf "generated tpch-like stream, %d statements"
-               (List.length stream)) );
-        ("budget_bytes", Float budget);
-        ("warm_calls", Int (sum warm_calls));
-        ("cold_calls", Int (sum cold_calls));
-        ("call_reduction", Float call_ratio);
-        ("warm_elapsed_s", Float warm_t);
-        ("cold_elapsed_s", Float cold_t);
-        ("daemon_final_window_cost", Float daemon_cost);
-        ("scratch_final_window_cost", Float scratch.recommended_cost);
-        ("final_window_cost_gap", Float cost_gap);
-        ("epsilon_equal_cost", Bool eps_equal);
-        ("injected_rollbacks", Int rollback_count);
-        ("rollback_restored_identical", Bool restored_identical);
-        ("warm_cycles", cycles warm_trail);
-        ("cold_cycles", cycles cold_trail);
-        ("fault_cycles", cycles fault_trail);
-      ]
-  in
-  try
-    Out_channel.with_open_bin "BENCH_stream.json" (fun oc ->
-        Out_channel.output_string oc (Relax_obs.Json.to_string json);
-        Out_channel.output_char oc '\n');
-    Printf.printf "stream replay written to BENCH_stream.json\n"
-  with Sys_error msg -> Printf.eprintf "cannot write BENCH_stream.json: %s\n" msg
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1200,10 +684,7 @@ let micro () =
           | Some [ est ] -> Printf.printf "%-32s %12.1f ns/run\n" name est
           | _ -> ignore name)
         raw_results)
-    tests;
-  parallel_sweep ();
-  (* one `bench micro --json` run refreshes both committed baselines *)
-  frugal_sweep ()
+    tests
 
 (* ------------------------------------------------------------------ *)
 
@@ -1220,8 +701,6 @@ let experiments =
     ("fig9", fig9);
     ("fig10", fig10);
     ("compress", compress_bench);
-    ("frugal", frugal_sweep);
-    ("stream", stream_bench);
     ("validate", validate);
     ("ablation", ablation);
     ("micro", micro);
@@ -1302,14 +781,6 @@ let () =
       Printf.eprintf "--jobs expects a positive integer, got %s\n" s;
       exit 1
   in
-  let set_whatif_budget s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> whatif_budget_flag := n
-    | Some _ | None ->
-      Printf.eprintf "--whatif-budget expects a non-negative integer, got %s\n"
-        s;
-      exit 1
-  in
   let rec parse acc = function
     | [] -> List.rev acc
     | "--json" :: path :: rest ->
@@ -1320,14 +791,6 @@ let () =
       parse acc rest
     | "--validate" :: rest ->
       validate_flag := true;
-      parse acc rest
-    | "--whatif-budget" :: n :: rest ->
-      set_whatif_budget n;
-      parse acc rest
-    | arg :: rest
-      when String.length arg > 16 && String.sub arg 0 16 = "--whatif-budget="
-      ->
-      set_whatif_budget (String.sub arg 16 (String.length arg - 16));
       parse acc rest
     | "--profile" :: rest ->
       profile_flag := Some "bench-profile.json";

@@ -393,14 +393,6 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
     match st.best with Some b -> b.cost | None -> infinity
   in
   let shell = shell_cost_of st config in
-  (* Frugal node gate: only a node that could become the incumbent best —
-     it fits the space budget and a cheap lower bound on its total cost is
-     below the best known cost — is allowed to spend budget on exact
-     re-optimization.  Every other node is costed entirely from bounds,
-     for free: its cost only feeds the pool trajectory, where a sound
-     upper bound is good enough.  (With [shrink_configurations] the gate
-     sees the pre-shrink size, so a node only the shrink makes fit may be
-     bound-costed — a conservative miss, never a wrong best.) *)
   (* Frugal upfront analysis — sequential, on the main domain, so the
      spend schedule is identical at any [jobs].  One pass over the
      workload classifies every query and prices the uncertain ones:
@@ -871,7 +863,10 @@ let rank_candidates st (n : node) : candidate list =
         ( { tr; penalty = 0.0; delta_cost; delta_cost_lo; delta_space },
           (config', affected, ctx, delta_shell) )
   in
-  let raw = List.filter_map Fun.id (Pool.map st.pool score applied) in
+  let raw =
+    List.filter_map Fun.id
+      (Array.to_list (Pool.map_array st.pool score (Array.of_list applied)))
+  in
   (* skyline filtering for update workloads: drop dominated transformations
      (§3.6: a transformation with lower cost increase AND larger space
      saving dominates) *)

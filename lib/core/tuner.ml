@@ -184,29 +184,25 @@ let tune_spanned recorder (catalog : Catalog.t) (workload : Query.workload)
         (e.qid, e.weight *. cost))
       workload
   in
-  (* Frugal runs carry bound-costed plans in their nodes, so the
-     recommended cost is re-derived from per-query what-if costs (through
-     the search's warm cache — only plans the budget skipped are paid
-     for); exact runs read the node's plans directly. *)
+  (* The recommended cost is read off the node's plans, except where a
+     frugal run bound-costed a plan (a pseudo plan): those entries are
+     re-derived from real what-if costs, through the search's warm cache.
+     Exact runs have no pseudo plans, so they read the node directly. *)
   let recommended_entries =
     match outcome.best with
     | None -> base_entries
     | Some n ->
-      if options.whatif_budget = None then entries_of_node n
-      else
-        (* only the entries whose plan the budget skipped need a real
-           what-if cost; the rest are exact on the node already *)
-        List.map2
-          (fun (qid, c) (e : Query.entry) ->
-            let is_pseudo =
-              match e.stmt with
-              | Query.Select _ -> Search.is_pseudo n ~qid:e.qid
-              | Query.Dml _ -> Search.is_pseudo n ~qid:(Query.select_qid e.qid)
-            in
-            if is_pseudo then
-              (qid, e.weight *. O.Whatif.entry_cost outcome.whatif recommended e)
-            else (qid, c))
-          (entries_of_node n) workload
+      List.map2
+        (fun (qid, c) (e : Query.entry) ->
+          let is_pseudo =
+            match e.stmt with
+            | Query.Select _ -> Search.is_pseudo n ~qid:e.qid
+            | Query.Dml _ -> Search.is_pseudo n ~qid:(Query.select_qid e.qid)
+          in
+          if is_pseudo then
+            (qid, e.weight *. O.Whatif.entry_cost outcome.whatif recommended e)
+          else (qid, c))
+        (entries_of_node n) workload
   in
   let recommended_cost =
     List.fold_left (fun acc (_, c) -> acc +. c) 0.0 recommended_entries

@@ -769,7 +769,7 @@ and dispatch st acc (e : Typedtree.expression) head p explicit =
   let apply_loc = loc_of e.exp_loc in
   let head_loc = loc_of head.Typedtree.exp_loc in
   let arg_types = List.map (fun (a : Typedtree.expression) -> a.exp_type) explicit in
-  if path_is p [ "Pool.map"; "Pool.map_array" ] then
+  if path_is p [ "Pool.map_array" ] then
     walk_pool_site st acc apply_loc explicit
   else if path_is p [ "Mutex.protect" ] then walk_protect st acc head_loc explicit
   else if path_is p [ "Mutex.lock"; "Mutex.try_lock" ] then begin

@@ -71,7 +71,7 @@ let marker_findings scope (a : C.analysis) =
           (finding ~rule:"L2"
              ~message:
                "catch-all `with _ ->` swallows every exception, including \
-                the ones Pool.map must re-raise in index order"
+                the ones Pool.map_array must re-raise in index order"
              ~suggestion:
                "match the specific exceptions expected here (or waive with \
                 a reason at a boundary that must not throw)"
@@ -343,7 +343,7 @@ let references_pool_tasks (a : C.analysis) =
          List.exists
            (fun (e : C.raw_edge) ->
              match e.C.re_target with
-             | C.Tkey ("Pool.map" | "Pool.map_array" | "Pool.create") -> true
+             | C.Tkey ("Pool.map_array" | "Pool.create") -> true
              | _ -> false)
            n.C.n_edges)
        a.C.a_nodes

@@ -9,7 +9,7 @@
     - {b L2 exception hygiene}: [try ... with _ ->] catch-alls and
       [with e -> ignore e] handlers.  A swallowed exception inside a pool
       task would break the order-preserving smallest-index-exception
-      contract of [Pool.map].
+      contract of [Pool.map_array].
     - {b L3 costing hygiene}: polymorphic [=], [==], [<>], [!=] or
       [compare] applied (or instantiated) at type [float] inside the
       costing layers, and [int]-truncating [/] inside page/byte arithmetic
@@ -64,5 +64,5 @@ val check_costing :
 
 val references_pool_tasks : Callgraph.analysis -> bool
 (** Does the module submit task closures to [Relax_parallel.Pool]
-    ([Pool.map], [Pool.map_array]) or build a pool ([Pool.create])?
+    ([Pool.map_array]) or build a pool ([Pool.create])?
     Seeds the L1 reachability closure. *)

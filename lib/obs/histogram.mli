@@ -28,8 +28,7 @@ val quantile : snap -> float -> float
     holding rank [ceil (q * count)], capped at the observed maximum;
     [0.] when empty. *)
 
-(** The reporting view: what [--metrics], bench JSON and [perfdiff]
-    consume. *)
+(** The reporting view: what [--metrics] and bench JSON consume. *)
 type summary = {
   h_count : int;
   h_total_s : float;

@@ -2,7 +2,7 @@
     contract.  The implementation is deliberately dependency-free: one
     mutex, two condition variables, a [Queue.t] of closures.
 
-    A [map] call packs each list element into a closure writing its slot
+    A [map_array] call packs each element into a closure writing its slot
     of a results array, enqueues them all, and blocks until a shared
     countdown reaches zero.  Writes of the result slots happen-before the
     caller's reads because both sides go through [lock] (the worker
@@ -88,8 +88,7 @@ let create ~jobs =
   let jobs = max 1 jobs in
   (* an explicit request beyond the hardware is honoured, not clamped —
      but it is worth a warning counter: the extra domains only add
-     scheduling noise, and the bench host-metadata stamp (BENCH_*.json)
-     needs the discrepancy to be visible *)
+     scheduling noise, and a run's metrics should show why *)
   let hw = Domain.recommended_domain_count () in
   if jobs > hw then begin
     Obs.Probe.count "pool.oversubscribed";
@@ -133,14 +132,9 @@ let stats t : stats =
 let reraise_first (errors : exn option array) =
   Array.iter (function Some e -> raise e | None -> ()) errors
 
-let sequential_map t f l =
-  t.n_batches <- t.n_batches + 1;
-  t.n_tasks <- t.n_tasks + List.length l;
-  List.map f l
-
 (* Dispatch [n] slot-writing tasks and block until the countdown drains.
    Writes of the result slots happen-before the caller's reads because
-   both sides go through [lock].  Shared by {!map} and {!map_array}. *)
+   both sides go through [lock]. *)
 let dispatch (type b) t (n : int) (run_slot : int -> b) :
     b option array =
   let results : b option array = Array.make n None in
@@ -170,23 +164,6 @@ let dispatch (type b) t (n : int) (run_slot : int -> b) :
   reraise_first errors;
   results
 
-let map (type a b) t (f : a -> b) (l : a list) : b list =
-  match l with
-  | [] -> []
-  | [ x ] ->
-    t.n_tasks <- t.n_tasks + 1;
-    [ f x ]
-  | l when Array.length t.domains = 0 -> sequential_map t f l
-  | l ->
-    let arr = Array.of_list l in
-    let results = dispatch t (Array.length arr) (fun i -> f arr.(i)) in
-    List.init (Array.length arr) (fun i ->
-        match results.(i) with
-        | Some r -> r
-        | None -> assert false (* no exception and no result is impossible *))
-
-(* the arena-friendly variant: same contract as {!map}, arrays end to
-   end — no per-batch list rebuilding on the hot evaluation path *)
 let map_array (type a b) t (f : a -> b) (arr : a array) : b array =
   let n = Array.length arr in
   if n = 0 then [||]

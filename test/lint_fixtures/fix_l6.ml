@@ -5,12 +5,12 @@
 let total pool xs =
   let acc = ref 0 in
   let sums =
-    Relax_parallel.Pool.map pool (fun x -> acc := !acc + x; x) xs
+    Relax_parallel.Pool.map_array pool (fun x -> acc := !acc + x; x) xs
   in
   ignore sums;
   !acc
 
 let stamped pool xs =
-  Relax_parallel.Pool.map pool
+  Relax_parallel.Pool.map_array pool
     (fun x -> float_of_int x +. Fix_hop.tick ())
     xs

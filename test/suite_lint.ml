@@ -116,7 +116,7 @@ let test_waived () =
     "waived" [ "fix_waived.ml:4:L5" ]
     (List.map key (in_file "fix_waived.ml" r.waived))
 
-(* the Pool.map reference in fix_l1 seeds the reachability closure with
+(* the Pool.map_array reference in fix_l1 seeds the reachability closure with
    that module alone; without it L1 must not fire at all *)
 let test_reachability () =
   let r = Lazy.force fixture_result in
@@ -132,7 +132,7 @@ let test_reachability () =
        r.parallel_reachable)
 
 (* with [assume_parallel] every module counts as pool-reachable, so the
-   same L1 fixture still fires without its Pool.map seed being found *)
+   same L1 fixture still fires without its Pool.map_array seed being found *)
 let test_assume_parallel () =
   let r = Lint.Engine.run { fixture_config with assume_parallel = true } in
   Alcotest.(check (list string))

@@ -27,32 +27,34 @@ let with_pool ~jobs f =
 
 let test_pool_order () =
   with_pool ~jobs:4 @@ fun pool ->
-  let input = List.init 100 Fun.id in
+  let input = Array.init 100 Fun.id in
   (* uneven task durations shuffle completion order; results must still
      come back in input order *)
   let f x =
     if x mod 7 = 0 then Unix.sleepf 0.001;
     x * x
   in
-  Alcotest.(check (list int))
-    "order preserved" (List.map f input) (Pool.map pool f input)
+  Alcotest.(check (array int))
+    "order preserved" (Array.map f input) (Pool.map_array pool f input)
 
 let test_pool_sequential_matches () =
-  let input = List.init 37 (fun i -> i - 5) in
+  let input = Array.init 37 (fun i -> i - 5) in
   let f x = (2 * x) + 1 in
-  let seq = with_pool ~jobs:1 (fun p -> Pool.map p f input) in
-  let par = with_pool ~jobs:4 (fun p -> Pool.map p f input) in
-  Alcotest.(check (list int)) "jobs=1 = jobs=4" seq par
+  let seq = with_pool ~jobs:1 (fun p -> Pool.map_array p f input) in
+  let par = with_pool ~jobs:4 (fun p -> Pool.map_array p f input) in
+  Alcotest.(check (array int)) "jobs=1 = jobs=4" seq par
 
 let test_pool_empty_and_singleton () =
   with_pool ~jobs:4 @@ fun pool ->
-  Alcotest.(check (list int)) "empty" [] (Pool.map pool (fun x -> x) []);
-  Alcotest.(check (list int)) "singleton" [ 9 ] (Pool.map pool (fun x -> x * x) [ 3 ])
+  Alcotest.(check (array int)) "empty" [||] (Pool.map_array pool (fun x -> x) [||]);
+  Alcotest.(check (array int))
+    "singleton" [| 9 |]
+    (Pool.map_array pool (fun x -> x * x) [| 3 |])
 
 let test_pool_exception_smallest_index () =
   with_pool ~jobs:4 @@ fun pool ->
   let f x = if x >= 10 then failwith (Printf.sprintf "boom-%d" x) else x in
-  match Pool.map pool f (List.init 20 Fun.id) with
+  match Pool.map_array pool f (Array.init 20 Fun.id) with
   | _ -> Alcotest.fail "expected an exception"
   | exception Failure msg ->
     (* every failing index raises, the smallest one wins deterministically *)
@@ -60,32 +62,39 @@ let test_pool_exception_smallest_index () =
 
 let test_pool_usable_after_exception () =
   with_pool ~jobs:4 @@ fun pool ->
-  (try ignore (Pool.map pool (fun _ -> failwith "x") [ 1; 2; 3 ])
+  (try ignore (Pool.map_array pool (fun _ -> failwith "x") [| 1; 2; 3 |])
    with Failure _ -> ());
-  Alcotest.(check (list int))
-    "pool still works" [ 2; 4; 6 ]
-    (Pool.map pool (fun x -> 2 * x) [ 1; 2; 3 ])
+  Alcotest.(check (array int))
+    "pool still works" [| 2; 4; 6 |]
+    (Pool.map_array pool (fun x -> 2 * x) [| 1; 2; 3 |])
 
+(* the accounting is the same whether or not worker domains exist *)
 let test_pool_stats () =
-  with_pool ~jobs:4 @@ fun pool ->
-  ignore (Pool.map pool Fun.id (List.init 10 Fun.id));
-  ignore (Pool.map pool Fun.id (List.init 5 Fun.id));
-  ignore (Pool.map pool Fun.id [ 1 ]);
-  (* the singleton fast-path *)
-  let s = Pool.stats pool in
-  Alcotest.(check int) "jobs" 4 s.Pool.pool_jobs;
-  Alcotest.(check int) "tasks" 16 s.Pool.tasks;
-  Alcotest.(check int) "batches" 2 s.Pool.batches
+  List.iter
+    (fun jobs ->
+      with_pool ~jobs @@ fun pool ->
+      ignore (Pool.map_array pool Fun.id [||]);
+      ignore (Pool.map_array pool Fun.id (Array.init 10 Fun.id));
+      ignore (Pool.map_array pool Fun.id (Array.init 5 Fun.id));
+      ignore (Pool.map_array pool Fun.id [| 1 |]);
+      (* the empty input counts nothing, the singleton fast-path one task
+         and no batch *)
+      let s = Pool.stats pool in
+      let label what = Printf.sprintf "%s at jobs=%d" what jobs in
+      Alcotest.(check int) (label "jobs") jobs s.Pool.pool_jobs;
+      Alcotest.(check int) (label "tasks") 16 s.Pool.tasks;
+      Alcotest.(check int) (label "batches") 2 s.Pool.batches)
+    [ 1; 4 ]
 
 let test_pool_shutdown_idempotent () =
   let pool = Pool.create ~jobs:4 in
-  ignore (Pool.map pool Fun.id [ 1; 2; 3 ]);
+  ignore (Pool.map_array pool Fun.id [| 1; 2; 3 |]);
   Pool.shutdown pool;
   Pool.shutdown pool;
   (* after shutdown the pool degrades to the sequential path *)
-  Alcotest.(check (list int))
-    "sequential after shutdown" [ 1; 2; 3 ]
-    (Pool.map pool Fun.id [ 1; 2; 3 ])
+  Alcotest.(check (array int))
+    "sequential after shutdown" [| 1; 2; 3 |]
+    (Pool.map_array pool Fun.id [| 1; 2; 3 |])
 
 (* --- sharded what-if cache ---------------------------------------------- *)
 

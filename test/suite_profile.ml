@@ -1,8 +1,7 @@
 (** Tests for the profiling layer: histogram buckets and quantile
     units, self vs total span time, a qcheck property that span trees
-    stay well-parenthesized per domain, well-formedness of the Chrome
-    trace-event export under a parallel tune, and the perfdiff
-    regression gate that backs the CI perf-smoke job. *)
+    stay well-parenthesized per domain, and well-formedness of the
+    Chrome trace-event export under a parallel tune. *)
 
 module Config = Relax_physical.Config
 module T = Relax_tuner
@@ -339,186 +338,6 @@ let test_chrome_counter_tracks () =
       "pool.queue_depth";
     ]
 
-(* --- perfdiff regression gate ----------------------------------------- *)
-
-let bench_json ?(what_if = 291.0) ?(hits = 80.0) ?(evald = 132.0)
-    ?(elapsed = 6.0) () =
-  J.Obj
-    [
-      ( "runs",
-        J.List
-          [
-            J.Obj
-              [
-                ("jobs", J.Int 1);
-                ("elapsed_s", J.Float elapsed);
-                ("configurations_evaluated", J.Float evald);
-                ("throughput_configs_per_s", J.Float (evald /. elapsed));
-                ("what_if_calls", J.Float what_if);
-                ("cache_hits", J.Float hits);
-              ];
-          ] );
-    ]
-
-let diff ?counter_tol ?time_tol current =
-  Obs.Perfdiff.compare_json ?counter_tol ?time_tol ~baseline:(bench_json ())
-    ~current ()
-
-let test_perfdiff_clean () =
-  match diff (bench_json ()) with
-  | Ok c ->
-    Alcotest.(check int) "no regressions" 0 (List.length c.regressions);
-    Alcotest.(check int) "all metrics compared" 5 (List.length c.lines);
-    Alcotest.(check int) "exit 0" 0 (Obs.Perfdiff.exit_code (Ok c))
-  | Error msg -> Alcotest.failf "unexpected malformed: %s" msg
-
-let test_perfdiff_counter_regression () =
-  (* the acceptance scenario: a 2x what-if-call regression must hard-gate *)
-  match diff (bench_json ~what_if:582.0 ()) with
-  | Ok c ->
-    Alcotest.(check bool) "flagged" true (c.regressions <> []);
-    Alcotest.(check bool) "names the metric" true
-      (List.exists
-         (fun l -> Astring_contains.contains l "what_if_calls")
-         c.regressions);
-    Alcotest.(check bool) "hard" true (c.hard_regressions <> []);
-    Alcotest.(check int) "exit 3" 3 (Obs.Perfdiff.exit_code (Ok c))
-  | Error msg -> Alcotest.failf "unexpected malformed: %s" msg
-
-let frugal_json ?(what_if = 120.0) ?(accepts = 900.0) ?(rejects = 400.0)
-    ?(spent = 64.0) label =
-  J.Obj
-    [
-      ( "runs",
-        J.List
-          [
-            J.Obj
-              [
-                ("label", J.String label);
-                ("elapsed_s", J.Float 3.0);
-                ("configurations_evaluated", J.Float 80.0);
-                ("throughput_configs_per_s", J.Float (80.0 /. 3.0));
-                ("what_if_calls", J.Float what_if);
-                ("cache_hits", J.Float 50.0);
-                ("bound_accepts", J.Float accepts);
-                ("bound_rejects", J.Float rejects);
-                ("budget_spent", J.Float spent);
-              ];
-          ] );
-    ]
-
-let test_perfdiff_labels_and_optional () =
-  (* label-keyed runs (BENCH_frugal.json) match by label, and the
-     frugality counters are compared when both sides carry them *)
-  (match
-     Obs.Perfdiff.compare_json ~baseline:(frugal_json "frugal")
-       ~current:(frugal_json "frugal") ()
-   with
-  | Ok c ->
-    Alcotest.(check int) "8 metrics compared" 8 (List.length c.lines);
-    Alcotest.(check int) "exit 0" 0 (Obs.Perfdiff.exit_code (Ok c))
-  | Error msg -> Alcotest.failf "unexpected malformed: %s" msg);
-  (* soft regression on a frugality counter exits 1, not 3 *)
-  (match
-     Obs.Perfdiff.compare_json ~baseline:(frugal_json "frugal")
-       ~current:(frugal_json ~spent:128.0 "frugal") ()
-   with
-  | Ok c ->
-    Alcotest.(check bool) "budget_spent flagged" true
-      (List.exists
-         (fun l -> Astring_contains.contains l "budget_spent")
-         c.regressions);
-    Alcotest.(check int) "exit 1" 1 (Obs.Perfdiff.exit_code (Ok c))
-  | Error msg -> Alcotest.failf "unexpected malformed: %s" msg);
-  (* a jobs-keyed baseline without frugality counters skips them *)
-  (match diff (bench_json ()) with
-  | Ok c -> Alcotest.(check int) "optional skipped" 5 (List.length c.lines)
-  | Error msg -> Alcotest.failf "unexpected malformed: %s" msg);
-  (* mismatched labels are malformed input *)
-  match
-    Obs.Perfdiff.compare_json ~baseline:(frugal_json "frugal")
-      ~current:(frugal_json "exact") ()
-  with
-  | Error _ as r ->
-    Alcotest.(check int) "label mismatch exits 2" 2 (Obs.Perfdiff.exit_code r)
-  | Ok _ -> Alcotest.fail "label mismatch accepted"
-
-let test_perfdiff_bidirectional () =
-  (* cache hits falling is as bad as calls rising *)
-  (match diff (bench_json ~hits:40.0 ()) with
-  | Ok c ->
-    Alcotest.(check bool) "hit drop flagged" true
-      (List.exists
-         (fun l -> Astring_contains.contains l "cache_hits")
-         c.regressions)
-  | Error msg -> Alcotest.failf "unexpected malformed: %s" msg);
-  (* configurations_evaluated is deterministic: drift either way gates *)
-  match diff (bench_json ~evald:100.0 ()) with
-  | Ok c ->
-    Alcotest.(check bool) "determinism drift flagged" true
-      (List.exists
-         (fun l -> Astring_contains.contains l "configurations_evaluated")
-         c.regressions)
-  | Error msg -> Alcotest.failf "unexpected malformed: %s" msg
-
-let test_perfdiff_time_tolerance () =
-  (* 40% slower stays inside the default 50% wall-clock tolerance ... *)
-  (match diff (bench_json ~elapsed:8.4 ()) with
-  | Ok c ->
-    Alcotest.(check bool) "within tolerance" true
-      (not
-         (List.exists
-            (fun l -> Astring_contains.contains l "elapsed_s")
-            c.regressions))
-  | Error msg -> Alcotest.failf "unexpected malformed: %s" msg);
-  (* ... 2x slower does not *)
-  match diff (bench_json ~elapsed:12.0 ()) with
-  | Ok c ->
-    Alcotest.(check bool) "2x elapsed flagged" true
-      (List.exists
-         (fun l -> Astring_contains.contains l "elapsed_s")
-         c.regressions);
-    (* and a tightened threshold catches the 40% case too *)
-    (match diff ~time_tol:0.2 (bench_json ~elapsed:8.4 ()) with
-    | Ok c ->
-      Alcotest.(check bool) "tight tolerance flags 40%" true
-        (List.exists
-           (fun l -> Astring_contains.contains l "elapsed_s")
-           c.regressions)
-    | Error msg -> Alcotest.failf "unexpected malformed: %s" msg)
-  | Error msg -> Alcotest.failf "unexpected malformed: %s" msg
-
-let test_perfdiff_malformed () =
-  let expect_error what result =
-    match result with
-    | Error _ -> Alcotest.(check int) (what ^ " exits 2") 2
-                   (Obs.Perfdiff.exit_code result)
-    | Ok _ -> Alcotest.failf "%s accepted" what
-  in
-  expect_error "empty object"
-    (Obs.Perfdiff.compare_json ~baseline:(J.Obj []) ~current:(bench_json ()) ());
-  expect_error "runs not a list"
-    (Obs.Perfdiff.compare_json
-       ~baseline:(J.Obj [ ("runs", J.Int 3) ])
-       ~current:(bench_json ()) ());
-  expect_error "empty baseline runs"
-    (Obs.Perfdiff.compare_json
-       ~baseline:(J.Obj [ ("runs", J.List []) ])
-       ~current:(bench_json ()) ());
-  expect_error "missing jobs match"
-    (Obs.Perfdiff.compare_json ~baseline:(bench_json ())
-       ~current:(J.Obj [ ("runs", J.List []) ])
-       ());
-  expect_error "missing metric field"
-    (Obs.Perfdiff.compare_json ~baseline:(bench_json ())
-       ~current:
-         (J.Obj
-            [ ("runs", J.List [ J.Obj [ ("jobs", J.Int 1) ] ]) ])
-       ());
-  expect_error "unreadable file"
-    (Obs.Perfdiff.compare_files ~baseline:"/nonexistent/baseline.json"
-       ~current:"/nonexistent/current.json" ())
-
 let suite =
   [
     Alcotest.test_case "histogram: bucket layout" `Quick test_histogram_buckets;
@@ -537,15 +356,4 @@ let suite =
       test_chrome_thread_tracks;
     Alcotest.test_case "chrome: counter tracks" `Slow
       test_chrome_counter_tracks;
-    Alcotest.test_case "perfdiff: clean baseline" `Quick test_perfdiff_clean;
-    Alcotest.test_case "perfdiff: 2x what-if calls gates" `Quick
-      test_perfdiff_counter_regression;
-    Alcotest.test_case "perfdiff: labels and optional counters" `Quick
-      test_perfdiff_labels_and_optional;
-    Alcotest.test_case "perfdiff: direction handling" `Quick
-      test_perfdiff_bidirectional;
-    Alcotest.test_case "perfdiff: wall-clock tolerance" `Quick
-      test_perfdiff_time_tolerance;
-    Alcotest.test_case "perfdiff: malformed input" `Quick
-      test_perfdiff_malformed;
   ]
