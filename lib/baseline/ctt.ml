@@ -169,17 +169,7 @@ let tune (catalog : Catalog.t) (workload : Query.workload) (opts : options) :
     result =
   let t0 = Relax_obs.Clock.now () in
   let whatif = O.Whatif.create catalog in
-  let selects =
-    List.filter_map
-      (fun (e : Query.entry) ->
-        match e.stmt with
-        | Select q -> Some (e.qid, e.weight, q)
-        | Dml d -> (
-          match Query.split_update d with
-          | Some q, _ -> Some (Query.select_qid e.qid, e.weight, q)
-          | None, _ -> None))
-      workload
-  in
+  let selects = Query.plannable_selects workload in
   let initial_cost = O.Whatif.workload_cost whatif opts.base_config workload in
   let cands = select_candidates whatif catalog opts selects in
   let cands = merge_pass catalog cands in

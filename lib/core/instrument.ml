@@ -159,19 +159,6 @@ type result = {
   passes : int;
 }
 
-(** Select statements to instrument: plain selects plus the select
-    components of update statements (§3.6). *)
-let instrumentable (w : Query.workload) : (string * Query.select_query) list =
-  List.filter_map
-    (fun (e : Query.entry) ->
-      match e.stmt with
-      | Select q -> Some (e.qid, q)
-      | Dml d -> (
-        match Query.split_update d with
-        | Some q, _ -> Some (Query.select_qid e.qid, q)
-        | None, _ -> None))
-    w
-
 (** Compute the optimal configuration for a workload by intercepting all
     index and view requests during optimization (§2).  [base] holds the
     structures that must be present in any configuration.  With
@@ -179,7 +166,7 @@ let instrumentable (w : Query.workload) : (string * Query.select_query) list =
     mode of §4). *)
 let optimal_configuration catalog ~(base : Config.t) ?(views = true)
     ?(max_passes = 4) (w : Query.workload) : result =
-  let queries = instrumentable w in
+  let queries = Query.plannable_selects w in
   let config = ref base in
   let stats : (string, string list ref * string list ref) Hashtbl.t =
     Hashtbl.create 16
@@ -199,7 +186,7 @@ let optimal_configuration catalog ~(base : Config.t) ?(views = true)
     Relax_obs.Probe.count "instrument.passes";
     let added = ref false in
     List.iter
-      (fun (qid, sq) ->
+      (fun (qid, _, sq) ->
         let env = O.Env.make catalog !config in
         let pending_indexes = ref [] and pending_views = ref [] in
         let ireqs, vreqs = get_stat qid in
@@ -245,7 +232,7 @@ let optimal_configuration catalog ~(base : Config.t) ?(views = true)
   done;
   let stats =
     List.map
-      (fun (qid, _) ->
+      (fun (qid, _, _) ->
         let ireqs, vreqs = get_stat qid in
         {
           qid;

@@ -38,9 +38,6 @@ type result = {
   passes : int;
 }
 
-val instrumentable : Query.workload -> (string * Query.select_query) list
-(** Statements to instrument: selects plus select components of updates. *)
-
 val optimal_configuration :
   Relax_catalog.Catalog.t ->
   base:Config.t ->

@@ -16,8 +16,8 @@
       the cheapest configuration with untried transformations (§3.4).
 
     Only queries whose plans used a replaced structure are re-optimized when
-    a configuration is evaluated; with shortcut evaluation, a partial sum
-    already exceeding the best known cost aborts the evaluation (§3.5). *)
+    a configuration is evaluated, and a partial sum already exceeding the
+    best known cost aborts the evaluation (§3.5). *)
 
 module Query = Relax_sql.Query
 module Config = Relax_physical.Config
@@ -86,9 +86,6 @@ type options = {
   max_iterations : int;
   time_budget_s : float option;
   protected : Config.t;  (** the base configuration: never transformed *)
-  shortcut_evaluation : bool;  (** §3.5 *)
-  max_candidates_per_node : int;
-      (** cap on ranked transformations kept per configuration *)
   transforms_per_iteration : int;
       (** §3.5 variant: apply up to this many non-conflicting
           transformations before re-evaluating (1 = the paper's default) *)
@@ -132,8 +129,6 @@ let default_options ~space_budget =
     max_iterations = 400;
     time_budget_s = None;
     protected = Config.empty;
-    shortcut_evaluation = true;
-    max_candidates_per_node = 256;
     transforms_per_iteration = 1;
     shrink_configurations = false;
     selection = Penalty;
@@ -144,14 +139,14 @@ let default_options ~space_budget =
     on_iteration = None;
   }
 
+(* cap on ranked transformations kept per configuration *)
+let max_candidates_per_node = 256
+
 (** A ranked candidate transformation of one configuration. *)
 type candidate = {
   tr : Transform.t;
   penalty : float;
   delta_cost : float;  (** ΔT: upper-bound cost increase *)
-  delta_cost_lo : float;
-      (** ΔT lower bound; equals [delta_cost] outside frugal mode and for
-          candidates the frugal sweep refined to an exact value *)
   delta_space : float;  (** ΔS: space saved *)
 }
 
@@ -180,7 +175,6 @@ type node = {
           bound-substituted (not re-optimized) cost; empty on exact runs *)
   mutable untried : candidate list;  (** sorted by increasing penalty *)
   mutable candidates_ready : bool;
-  mutable pruned : bool;
 }
 
 type prepared = {
@@ -194,22 +188,9 @@ type prepared = {
 }
 
 let prepare (w : Query.workload) : prepared =
-  let selects =
-    List.filter_map
-      (fun (e : Query.entry) ->
-        match e.stmt with
-        | Select q -> Some (e.qid, e.weight, q)
-        | Dml d -> (
-          match Query.split_update d with
-          | Some q, _ -> Some (Query.select_qid e.qid, e.weight, q)
-          | None, _ -> None))
-      w
-  in
+  let selects = Query.plannable_selects w in
   let dmls =
-    List.filter_map
-      (fun (e : Query.entry) ->
-        match e.stmt with Dml d -> Some (e.weight, d) | Select _ -> None)
-      w
+    List.map (fun ((e : Query.entry), d) -> (e.weight, d)) (Query.dml_entries w)
   in
   let selects_arr = Array.of_list selects in
   let slots = Hashtbl.create (Array.length selects_arr) in
@@ -370,6 +351,21 @@ let bound_context ?old_env st ~old_config ~new_config (tr : Transform.t) :
     expands = Transform.adds_structures tr;
   }
 
+(** How one workload slot gets its plan when a configuration is costed. *)
+type decision =
+  | Keep of O.Plan.t
+      (** the parent's plan survives (the §3 re-optimization-avoidance
+          rule); it keeps its pseudo status *)
+  | Reoptimize
+  | Paid  (** re-optimize, one call debited from the frugal ledger *)
+  | Cached of O.Plan.t  (** the exact plan, already in the what-if cache *)
+  | Point of O.Plan.t
+      (** an exact cost without a call: the patched plan provably
+          achieves the removal's lower bound *)
+  | Bound of O.Plan.t
+      (** no call: a valid but possibly suboptimal plan costed from
+          bounds; the slot becomes pseudo *)
+
 (* Fixed width of one parallel (re-)optimization batch.  Deliberately
    independent of [opts.jobs]: the §3.5 abort can only land on a batch
    boundary's sequential fold, so the set of what-if calls made — and with
@@ -378,12 +374,208 @@ let bound_context ?old_env st ~old_config ~new_config (tr : Transform.t) :
    wasted past an abort to one batch. *)
 let eval_batch = 16
 
+exception Over_limit
+
+(** Cost [config] with one decision per workload slot: the plans are
+    produced in [eval_batch]-wide windows on the worker domains, then
+    their weighted costs are folded sequentially in workload order from
+    [from], so the float accumulation and the abort point do not depend
+    on [opts.jobs].  [Paid] slots are debited per window on the main
+    domain, so an abort hands the calls later windows never made back to
+    the ledger.  Returns the plans, the pseudo slots ([Bound] slots plus
+    the [Keep] slots marked in [parent_pseudo]) and the total; raises
+    [Over_limit] as soon as the running total exceeds [limit]. *)
+let cost_plans st config (decisions : decision array) ~parent_pseudo ~from ~limit =
+  let nsel = Array.length decisions in
+  let pseudo = Bitset.create nsel in
+  let total = ref from in
+  let windows = ref [] in
+  let base = ref 0 in
+  while !base < nsel do
+    let window = Array.init (Int.min eval_batch (nsel - !base)) (( + ) !base) in
+    Array.iter
+      (fun slot ->
+        match decisions.(slot) with
+        | Paid -> Option.iter (fun ledger -> Frugal.debit ledger 1) st.frugal
+        | _ -> ())
+      window;
+    let plans =
+      Pool.map_array st.pool
+        (fun slot ->
+          let qid, _, q = st.prepared.selects_arr.(slot) in
+          match decisions.(slot) with
+          | Keep p | Cached p | Point p | Bound p -> p
+          | Reoptimize | Paid -> O.Whatif.plan_select st.whatif config ~qid q)
+        window
+    in
+    Array.iteri
+      (fun k (plan : O.Plan.t) ->
+        let slot = window.(k) in
+        let _, w, _ = st.prepared.selects_arr.(slot) in
+        (match decisions.(slot) with
+        | Reoptimize | Paid | Cached _ -> Obs.Probe.plan_reoptimized ()
+        | Keep _ ->
+          Obs.Probe.plan_patched ();
+          if Bitset.mem parent_pseudo slot then Bitset.add pseudo slot
+        | Point _ ->
+          Obs.Probe.plan_patched ();
+          Obs.Probe.count "whatif.point_exact"
+        | Bound _ ->
+          Obs.Probe.plan_patched ();
+          Obs.Probe.count "whatif.bound_costed";
+          Bitset.add pseudo slot);
+        total := !total +. (w *. plan.cost);
+        if !total > limit then raise Over_limit)
+      plans;
+    windows := plans :: !windows;
+    base := !base + Array.length window
+  done;
+  (Array.concat (List.rev !windows), pseudo, !total)
+
+(* Frugal upfront analysis — sequential, on the main domain, so the
+   spend schedule is identical at any [jobs].  One pass over the
+   workload classifies every query and prices the uncertain ones:
+
+   - unaffected, non-pseudo: the plan survives (free, exact);
+   - warm cache: the exact plan is already known (free, exact);
+   - tier 0: a pure removal whose patched plan costs no more than the
+     surviving plan — the old cost is a sound lower bound (removal
+     shrinks the plan space) and the patched plan achieves it, so the
+     patched plan is optimal (free, exact);
+   - the rest carry a genuine ΔT interval [lo, hi] with [hi] the
+     §3.3.2 patched-plan cost.  The budget goes to the widest weighted
+     intervals first — in practice the index-merge evaluations, whose
+     upper bounds drift an order of magnitude while removal bounds
+     track re-optimization within a percent — and only above a noise
+     floor relative to the parent's cost: paying to collapse a narrow
+     interval cannot move any later decision.
+
+   A pseudo plan is valid but suboptimal, so it is never silently kept:
+   every evaluation gives it a chance to improve — a warm cache entry, a
+   budgeted re-optimization, or at least a re-patch against the current
+   configuration.
+
+   The node gate: only a node that could become the incumbent best —
+   it fits the space budget and the summed interval floor is below the
+   best known cost — may spend at all.  Every other node is costed
+   entirely from bounds: its cost only feeds the pool trajectory,
+   where a sound upper bound is good enough.  (With
+   [shrink_configurations] the gate sees the pre-shrink size, so a
+   node only the shrink makes fit may be bound-costed — a conservative
+   miss, never a wrong best.) *)
+let frugal_decisions st ledger ~(parent : node) ~ctx ~shell ~best_cost config =
+  let decisions = Array.map (fun p -> Keep p) parent.plans in
+  let lo_total = ref shell and hi_total = ref shell in
+  let widths = ref [] in
+  Array.iteri
+    (fun slot (qid, w, q) ->
+      let old_plan = parent.plans.(slot) in
+      let parent_pseudo = Bitset.mem parent.pseudo slot in
+      let affected = Cost_bound.plan_affected ctx old_plan in
+      let advisory_lo () =
+        fst
+          (O.Whatif.cost_interval st.whatif config ~qid
+             ~tables:q.Query.body.tables)
+      in
+      if (not parent_pseudo) && not affected then begin
+        lo_total := !lo_total +. (w *. old_plan.O.Plan.cost);
+        hi_total := !hi_total +. (w *. old_plan.O.Plan.cost)
+      end
+      else begin
+        let lo =
+          if parent_pseudo then advisory_lo ()
+          else
+            Float.max (advisory_lo ())
+              (Cost_bound.query_lower_bound ~order_by:q.Query.order_by ctx
+                 old_plan)
+        in
+        lo_total := !lo_total +. (w *. lo);
+        match
+          O.Whatif.find_cached st.whatif config ~qid
+            ~tables:q.Query.body.tables
+        with
+        | Some p ->
+          hi_total := !hi_total +. (w *. p.O.Plan.cost);
+          decisions.(slot) <- Cached p
+        | None -> (
+          let patched =
+            Cost_bound.patched_plan ~order_by:q.Query.order_by ctx old_plan
+          in
+          match patched with
+          | Some p
+            when (not parent_pseudo)
+                 && (not ctx.Cost_bound.expands)
+                 && Cost_bound.float_leq p.O.Plan.cost old_plan.O.Plan.cost
+            ->
+            hi_total := !hi_total +. (w *. p.O.Plan.cost);
+            decisions.(slot) <- Point p
+          | _ ->
+            (* the base-configuration plan, pre-costed by the anchoring
+               pass, is valid under any configuration: the universal
+               fallback for an unpatchable (removed or merged view) plan *)
+            let base =
+              O.Whatif.find_cached st.whatif st.opts.protected ~qid
+                ~tables:q.Query.body.tables
+            in
+            let hi =
+              match (patched, base) with
+              | Some p, _ -> p.O.Plan.cost
+              | None, Some b -> b.O.Plan.cost
+              | None, None -> old_plan.O.Plan.cost
+            in
+            hi_total := !hi_total +. (w *. hi);
+            (* Unless the budget pays below, store the cheaper of the
+               patched plan — valid under [config], its cost the model's
+               upper bound — and the base plan.  Either way the stored
+               plan is real, so affected-tests and bounds computed from
+               it at later relaxations stay sound; it is merely
+               suboptimal, which the [pseudo] marker records.  With
+               neither (unreachable in practice: the anchoring pass
+               pre-optimized every select) degrade to the surviving
+               plan — sound only as long as nothing relies on its
+               accesses, hence last resort. *)
+            decisions.(slot) <-
+              Bound
+                (match (patched, base) with
+                | Some p, Some b -> if b.cost < p.O.Plan.cost then b else p
+                | Some p, None | None, Some p -> p
+                | None, None -> old_plan);
+            widths := (slot, w *. (hi -. lo)) :: !widths)
+      end)
+    st.prepared.selects_arr;
+  (* contender test: worst-case total within [contender_slack] of the
+     incumbent best.  A node whose upper bound is far above the best
+     cannot be mis-ranked into the recommendation by its bound cost —
+     exactness there buys nothing. *)
+  let spend_ok =
+    config_size st config <= st.opts.space_budget
+    && Cost_bound.float_lt !lo_total best_cost
+    && !hi_total < best_cost *. Frugal.contender_slack
+  in
+  if spend_ok then begin
+    (* widest weighted interval first; ties resolve to workload order
+       (the [widths] list is built in reverse workload order) *)
+    let ranked =
+      List.stable_sort
+        (fun (_, a) (_, b) -> Float.compare b a)
+        (List.rev !widths)
+    in
+    let floor = Frugal.width_floor *. parent.cost in
+    let k = ref (Frugal.remaining ledger) in
+    List.iter
+      (fun (slot, width) ->
+        if !k > 0 && Cost_bound.float_lt floor width then begin
+          decr k;
+          decisions.(slot) <- Paid
+        end)
+      ranked
+  end;
+  decisions
+
 (** Evaluate a fresh configuration obtained by relaxing [parent] with [tr]:
-    re-optimize only the plans the relaxation affected; optionally abort as
-    soon as the running total exceeds the best known cost (§3.5).  Plans
-    are (re-)optimized in fixed-width batches on the worker domains, then
-    folded sequentially in workload order, so the float accumulation and
-    the abort point do not depend on [opts.jobs]. *)
+    re-optimize only the plans the relaxation affected (exact mode) or
+    follow the frugal classification, and abort as soon as the running
+    total exceeds three times the best known cost (§3.5). *)
 let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
     node option =
   (* the context's [Env.make] runs before any parallel work: it may
@@ -393,242 +585,24 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
     match st.best with Some b -> b.cost | None -> infinity
   in
   let shell = shell_cost_of st config in
-  (* Frugal upfront analysis — sequential, on the main domain, so the
-     spend schedule is identical at any [jobs].  One pass over the
-     workload classifies every query and prices the uncertain ones:
-
-     - unaffected, non-pseudo: the plan survives (free, exact);
-     - warm cache: the exact plan is already known (free, exact);
-     - tier 0: a pure removal whose patched plan costs no more than the
-       surviving plan — the old cost is a sound lower bound (removal
-       shrinks the plan space) and the patched plan achieves it, so the
-       patched plan is optimal (free, exact);
-     - the rest carry a genuine ΔT interval [lo, hi] with [hi] the
-       §3.3.2 patched-plan cost.  The budget goes to the widest weighted
-       intervals first — in practice the index-merge evaluations, whose
-       upper bounds drift an order of magnitude while removal bounds
-       track re-optimization within a percent — and only above a noise
-       floor relative to the parent's cost: paying to collapse a narrow
-       interval cannot move any later decision.
-
-     The node gate: only a node that could become the incumbent best —
-     it fits the space budget and the summed interval floor is below the
-     best known cost — may spend at all.  Every other node is costed
-     entirely from bounds: its cost only feeds the pool trajectory,
-     where a sound upper bound is good enough.  (With
-     [shrink_configurations] the gate sees the pre-shrink size, so a
-     node only the shrink makes fit may be bound-costed — a conservative
-     miss, never a wrong best.) *)
-  let nsel = Array.length st.prepared.selects_arr in
-  (* slot-indexed upfront classification; [None] = patch along *)
-  let decisions = Array.make nsel None in
-  (match st.frugal with
-  | None -> ()
-  | Some ledger ->
-    let lo_total = ref shell and hi_total = ref shell in
-    let widths = ref [] in
-    Array.iteri
-      (fun slot (qid, w, q) ->
-        let old_plan = parent.plans.(slot) in
-        let parent_pseudo = Bitset.mem parent.pseudo slot in
-        let affected = Cost_bound.plan_affected ctx old_plan in
-        let advisory_lo () =
-          fst
-            (O.Whatif.cost_interval st.whatif config ~qid
-               ~tables:q.Query.body.tables)
-        in
-        if (not parent_pseudo) && not affected then begin
-          lo_total := !lo_total +. (w *. old_plan.O.Plan.cost);
-          hi_total := !hi_total +. (w *. old_plan.O.Plan.cost)
-        end
-        else begin
-          let lo =
-            if parent_pseudo then advisory_lo ()
-            else
-              Float.max (advisory_lo ())
-                (Cost_bound.query_lower_bound ~order_by:q.Query.order_by ctx
-                   old_plan)
-          in
-          lo_total := !lo_total +. (w *. lo);
-          match
-            O.Whatif.find_cached st.whatif config ~qid
-              ~tables:q.Query.body.tables
-          with
-          | Some p ->
-            hi_total := !hi_total +. (w *. p.O.Plan.cost);
-            decisions.(slot) <- Some (`Cached p)
-          | None -> (
-            let patched =
-              Cost_bound.patched_plan ~order_by:q.Query.order_by ctx old_plan
-            in
-            match patched with
-            | Some p
-              when (not parent_pseudo)
-                   && (not ctx.Cost_bound.expands)
-                   && Cost_bound.float_leq p.O.Plan.cost old_plan.O.Plan.cost
-              ->
-              hi_total := !hi_total +. (w *. p.O.Plan.cost);
-              decisions.(slot) <- Some (`Point p)
-            | _ ->
-              let hi =
-                match patched with
-                | Some p -> p.O.Plan.cost
-                | None -> (
-                  (* unpatchable (removed or merged view): the universal
-                     fallback is the base-configuration plan, pre-costed
-                     by the anchoring pass *)
-                  match
-                    O.Whatif.find_cached st.whatif st.opts.protected ~qid
-                      ~tables:q.Query.body.tables
-                  with
-                  | Some (b : O.Plan.t) -> b.cost
-                  | None -> old_plan.O.Plan.cost)
-              in
-              hi_total := !hi_total +. (w *. hi);
-              decisions.(slot) <- Some (`Bound patched);
-              widths := (slot, w *. (hi -. lo)) :: !widths)
-        end)
-      st.prepared.selects_arr;
-    (* contender test: worst-case total within [contender_slack] of the
-       incumbent best.  A node whose upper bound is far above the best
-       cannot be mis-ranked into the recommendation by its bound cost —
-       exactness there buys nothing. *)
-    let spend_ok =
-      config_size st config <= st.opts.space_budget
-      && Cost_bound.float_lt !lo_total best_cost
-      && !hi_total < best_cost *. Frugal.contender_slack
-    in
-    if spend_ok then begin
-      (* widest weighted interval first; ties resolve to workload order
-         (the [widths] list is built in reverse workload order) *)
-      let ranked =
-        List.stable_sort
-          (fun (_, a) (_, b) -> Float.compare b a)
-          (List.rev !widths)
-      in
-      let floor = Frugal.width_floor *. parent.cost in
-      let k = ref (Frugal.remaining ledger) in
-      List.iter
-        (fun (slot, width) ->
-          if !k > 0 && Cost_bound.float_lt floor width then begin
-            decr k;
-            decisions.(slot) <- Some `Paid
-          end)
-        ranked
-    end);
-  (* unaffected plans survive as-is (the §3 re-optimization-avoidance rule) *)
-  let exception Shortcut in
-  try
-    let total = ref shell in
-    let plans = Array.copy parent.plans in
-    let pseudo = Bitset.create nsel in
-    let base = ref 0 in
-    while !base < nsel do
-      let len = Int.min eval_batch (nsel - !base) in
-      (* Consume the upfront classification — still sequentially on
-         the main domain; the ledger is debited per batch, so a
-         shortcut abort returns the calls later batches never made
-         back to the pool (dynamic reallocation). *)
-      let work =
-        Array.init len (fun k ->
-            let slot = !base + k in
-            let qid, w, q = st.prepared.selects_arr.(slot) in
-            (slot, qid, w, q, parent.plans.(slot)))
-      in
-      for k = 0 to len - 1 do
-        let slot = !base + k in
-        (match st.frugal with
-        | None -> ()
-        | Some ledger -> (
-          (* a pseudo plan is valid but suboptimal, so it is never
-             silently patched along: every evaluation gives it a chance
-             to improve — a warm cache entry, a budgeted
-             re-optimization, or at least a re-patch against the
-             current configuration *)
-          match decisions.(slot) with
-          | Some `Paid ->
-            (* reserve exactly the one optimizer call the worker below
-               will execute *)
-            Frugal.debit ledger 1
-          | _ -> ()))
-      done;
-      let scored =
-        Pool.map_array st.pool
-          (fun (slot, qid, w, q, old_plan) ->
-            let decision =
-              match st.frugal with
-              | None ->
-                if Cost_bound.plan_affected ctx old_plan then `Reoptimize
-                else `Patch
-              | Some _ -> (
-                match decisions.(slot) with
-                | None -> `Patch
-                | Some (`Cached p) -> `Cached p
-                | Some (`Point p) -> `Point p
-                | Some `Paid -> `Reoptimize
-                | Some (`Bound patched) -> `Bound patched)
-            in
-            match decision with
-            | `Patch -> (slot, w, `Patched, old_plan)
-            | `Cached p -> (slot, w, `Reoptimized, p)
-            | `Point p -> (slot, w, `Point_exact, p)
-            | `Reoptimize ->
-              (slot, w, `Reoptimized,
-               O.Whatif.plan_select st.whatif config ~qid q)
-            | `Bound patched ->
-              (* No call: the upfront pass materialized the §3.3.2
-                 patched plan — a valid plan under [config] whose cost
-                 is the model's upper bound.  Keep the cheaper of it
-                 and the query's base-configuration plan (valid under
-                 any configuration).  Either way the stored plan is
-                 real, so affected-tests and bounds computed from it at
-                 later relaxations stay sound; it is merely
-                 suboptimal, which the [pseudo] marker records. *)
-              let base =
-                O.Whatif.find_cached st.whatif st.opts.protected ~qid
-                  ~tables:q.Query.body.tables
-              in
-              let plan =
-                match (patched, base) with
-                | Some p, Some (b : O.Plan.t) ->
-                  if b.cost < p.O.Plan.cost then b else p
-                | Some p, None -> p
-                | None, Some b -> b
-                | None, None ->
-                  (* unreachable in practice: the base-configuration
-                     pass pre-optimized every select.  Degrade to the
-                     surviving plan — sound only as long as nothing
-                     relies on its accesses, hence last resort. *)
-                  old_plan
-              in
-              (slot, w, `Bound_costed, plan))
-          work
-      in
-      Array.iter
-        (fun (slot, w, how, (plan : O.Plan.t)) ->
-          (match how with
-          | `Reoptimized -> Obs.Probe.plan_reoptimized ()
-          | `Patched ->
-            Obs.Probe.plan_patched ();
-            (* a surviving plan inherits its pseudo status *)
-            if Bitset.mem parent.pseudo slot then Bitset.add pseudo slot
-          | `Point_exact ->
-            (* an exact cost obtained without a call: the patched plan
-               provably achieves the removal's lower bound *)
-            Obs.Probe.plan_patched ();
-            Obs.Probe.count "whatif.point_exact"
-          | `Bound_costed ->
-            Obs.Probe.plan_patched ();
-            Obs.Probe.count "whatif.bound_costed";
-            Bitset.add pseudo slot);
-          total := !total +. (w *. plan.cost);
-          if st.opts.shortcut_evaluation && !total > best_cost *. 3.0 then
-            raise Shortcut;
-          plans.(slot) <- plan)
-        scored;
-      base := !base + len
-    done;
-    let select_cost = !total -. shell in
+  let decisions =
+    match st.frugal with
+    | None ->
+      Array.map
+        (fun p -> if Cost_bound.plan_affected ctx p then Reoptimize else Keep p)
+        parent.plans
+    | Some ledger ->
+      frugal_decisions st ledger ~parent ~ctx ~shell ~best_cost config
+  in
+  match
+    cost_plans st config decisions ~parent_pseudo:parent.pseudo ~from:shell
+      ~limit:(best_cost *. 3.0)
+  with
+  | exception Over_limit ->
+    Obs.Probe.shortcut_abort ();
+    None
+  | plans, pseudo, total ->
+    let select_cost = total -. shell in
     (* §3.5 shrinking variant: drop structures no surviving plan uses *)
     let config =
       if not st.opts.shrink_configurations then config
@@ -659,7 +633,7 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
     let size = config_size st config in
     let actual_penalty =
       let d_s = parent.size -. size in
-      let d_t = !total -. parent.cost in
+      let d_t = total -. parent.cost in
       if d_s > 0.0 then d_t /. d_s else d_t
     in
     let node =
@@ -670,7 +644,7 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
         slots = st.prepared.slots;
         select_cost;
         shell_cost = shell;
-        cost = !total;
+        cost = total;
         size;
         parent = Some parent.id;
         via = Some tr;
@@ -678,14 +652,44 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
         pseudo;
         untried = [];
         candidates_ready = false;
-        pruned = false;
       }
     in
     st.next_id <- st.next_id + 1;
     Some node
-  with Shortcut ->
-    Obs.Probe.shortcut_abort ();
-    None
+
+(* A parentless pool node — the root, or the warm-start seed: every plan
+   re-optimized, folded from zero with the shell cost added afterwards. *)
+let parentless_node st config =
+  (* register the configuration's derived-view statistics before the
+     parallel region ([Env.make] mutates the shared catalog memo) *)
+  ignore (O.Env.make st.catalog config);
+  let nsel = Array.length st.prepared.selects_arr in
+  let shell = shell_cost_of st config in
+  let plans, pseudo, select_cost =
+    cost_plans st config
+      (Array.make nsel Reoptimize)
+      ~parent_pseudo:(Bitset.create nsel) ~from:0.0 ~limit:infinity
+  in
+  let node =
+    {
+      id = st.next_id;
+      config;
+      plans;
+      slots = st.prepared.slots;
+      select_cost;
+      shell_cost = shell;
+      cost = select_cost +. shell;
+      size = config_size st config;
+      parent = None;
+      via = None;
+      actual_penalty = 0.0;
+      pseudo;
+      untried = [];
+      candidates_ready = false;
+    }
+  in
+  st.next_id <- st.next_id + 1;
+  node
 
 (* ------------------------------------------------------------------ *)
 (* candidate ranking (§3.4, §3.6)                                      *)
@@ -801,13 +805,38 @@ let rank_candidates st (n : node) : candidate list =
     let _, _, (sq : Query.select_query) = st.prepared.selects_arr.(slot) in
     sq.order_by
   in
-  let frugal_on = st.frugal <> None in
+  (* The one walk over a candidate's affected plans: fold
+     [w × (cost' − cost)] for the (lower, upper) costs [f] gives each
+     affected plan, in workload order, from [init].  Every slot in
+     [affected] uses a structure the transformation removes, so [f]
+     always applies. *)
+  let walk_affected affected ctx ~init f =
+    match ctx with
+    | None -> init
+    | Some ctx ->
+      List.fold_left
+        (fun (lo, hi) (slot, w) ->
+          let plan = n.plans.(slot) in
+          let l, h = f ctx slot plan in
+          ( lo +. (w *. (l -. plan.O.Plan.cost)),
+            hi +. (w *. (h -. plan.O.Plan.cost)) ))
+        init affected
+  in
+  (* the §3.3.2 (lower, upper) ΔT terms of one affected plan; without
+     [lower] the upper bound stands for both *)
+  let bounds ~lower ctx slot plan =
+    let order_by = order_by_of slot in
+    let hi = Cost_bound.query_bound ~order_by ctx plan in
+    ((if lower then Cost_bound.query_lower_bound ~order_by ctx plan else hi), hi)
+  in
   (* Phase 2, parallel: score each applied transformation — incremental
      size (only the structures that changed are re-measured; heaps are
      cheap cached lookups), §3.3.2 cost upper bound (and, in frugal mode,
      the matching lower bound), update-shell delta.  Everything here reads
      shared state through locks ([size_cache], [cbv_cache], the catalog
-     memos pre-filled in phase 1). *)
+     memos pre-filled in phase 1).  A scored candidate carries its ΔT
+     lower bound and what the frugal sweep needs to refine it. *)
+  let lower = Option.is_some st.frugal in
   let score (tr, config', affected, ctx) =
     let removed =
       Index.Set.diff (Config.index_set n.config) (Config.index_set config')
@@ -821,46 +850,19 @@ let rank_candidates st (n : node) : candidate list =
       +. Index.Set.fold (fun i a -> a +. index_size st config' i) added 0.0
     in
     let delta_space = n.size -. size' in
-    let delta_selects, delta_selects_lo =
-      match ctx with
-      | None -> (0.0, 0.0)
-      | Some ctx ->
-        List.fold_left
-          (fun ((hi, lo) as acc) (slot, w) ->
-            let plan = n.plans.(slot) in
-            if Cost_bound.plan_affected ctx plan then begin
-              let order_by = order_by_of slot in
-              let hi =
-                hi
-                +. (w
-                   *. (Cost_bound.query_bound ~order_by ctx plan
-                      -. plan.O.Plan.cost))
-              in
-              let lo =
-                if frugal_on then
-                  lo
-                  +. (w
-                     *. (Cost_bound.query_lower_bound ~order_by ctx plan
-                        -. plan.O.Plan.cost))
-                else hi
-              in
-              (hi, lo)
-            end
-            else acc)
-          (0.0, 0.0) affected
+    let delta_selects_lo, delta_selects =
+      walk_affected affected ctx ~init:(0.0, 0.0) (bounds ~lower)
     in
     let delta_shell =
       if st.prepared.dmls = [] then 0.0
       else shell_cost_of st config' -. n.shell_cost
     in
     let delta_cost = delta_selects +. delta_shell in
-    let delta_cost_lo =
-      if frugal_on then delta_selects_lo +. delta_shell else delta_cost
-    in
     if delta_space <= 0.0 && delta_cost >= 0.0 then None
     else
       Some
-        ( { tr; penalty = 0.0; delta_cost; delta_cost_lo; delta_space },
+        ( { tr; penalty = 0.0; delta_cost; delta_space },
+          delta_selects_lo +. delta_shell,
           (config', affected, ctx, delta_shell) )
   in
   let raw =
@@ -873,8 +875,8 @@ let rank_candidates st (n : node) : candidate list =
   let raw =
     if not st.prepared.has_updates then raw
     else begin
-      let kept = skyline_filter (List.map fst raw) in
-      List.filter (fun (c, _) -> List.memq c kept) raw
+      let kept = skyline_filter (List.map (fun (c, _, _) -> c) raw) in
+      List.filter (fun (c, _, _) -> List.memq c kept) raw
     end
   in
   let over_budget = n.size -. st.opts.space_budget in
@@ -893,36 +895,31 @@ let rank_candidates st (n : node) : candidate list =
   in
   let with_penalty =
     List.map
-      (fun (c, aux) ->
-        ({ c with penalty = penalty_of ~delta_space:c.delta_space c.delta_cost },
-         aux))
+      (fun (c, lo, walk) ->
+        ( { c with penalty = penalty_of ~delta_space:c.delta_space c.delta_cost },
+          lo,
+          walk ))
       raw
   in
   let sorted =
     List.sort
-      (fun (a, _) (b, _) -> Float.compare a.penalty b.penalty)
+      (fun (a, _, _) (b, _, _) -> Float.compare a.penalty b.penalty)
       with_penalty
   in
-  let capped =
-    List.filteri (fun i _ -> i < st.opts.max_candidates_per_node) sorted
-  in
+  let capped = List.filteri (fun i _ -> i < max_candidates_per_node) sorted in
   match st.frugal with
-  | None -> List.map fst capped
+  | None -> List.map (fun (c, _, _) -> c) capped
   | Some ledger ->
     (* The frugal tier.  Decide the ranking from ΔT intervals
-       [delta_cost_lo, delta_cost]; spend budgeted what-if calls only on
-       candidates straddling the decision threshold, widest penalty gap
-       first (see {!Frugal.sweep}).  Runs sequentially on the main domain,
-       so the call sequence — and with it every counter and cache state —
-       is identical whatever [opts.jobs]. *)
-    let tables_of slot =
-      let _, _, (sq : Query.select_query) = st.prepared.selects_arr.(slot) in
-      sq.body.tables
-    in
+       [lo, delta_cost]; spend budgeted what-if calls only on candidates
+       straddling the decision threshold, widest penalty gap first (see
+       {!Frugal.sweep}).  Runs sequentially on the main domain, so the
+       call sequence — and with it every counter and cache state — is
+       identical whatever [opts.jobs]. *)
     let fcands =
       List.map
-        (fun ((c, _) as payload) ->
-          Frugal.cand payload { Frugal.lo = c.delta_cost_lo; hi = c.delta_cost })
+        (fun (c, lo, walk) ->
+          Frugal.cand (c, walk) { Frugal.lo; hi = c.delta_cost })
         capped
     in
     let penalty ~payload ~dt =
@@ -939,25 +936,21 @@ let rank_candidates st (n : node) : candidate list =
        invariant the differential checker enforces. *)
     let tighten (fc : _ Frugal.cand) =
       let _, (config', affected, ctx, delta_shell) = fc.Frugal.payload in
-      match ctx with
-      | None -> ()
-      | Some ctx ->
-        let lo = ref delta_shell in
-        List.iter
-          (fun (slot, w) ->
-            let plan = n.plans.(slot) in
-            if Cost_bound.plan_affected ctx plan then begin
-              let qid, _, _ = st.prepared.selects_arr.(slot) in
-              let alo, _ =
-                O.Whatif.cost_interval st.whatif config' ~qid
-                  ~tables:(tables_of slot)
-              in
-              lo := !lo +. (w *. (alo -. plan.O.Plan.cost))
-            end)
-          affected;
-        fc.Frugal.ival <-
-          Frugal.tighten_with fc.Frugal.ival
-            ~advisory:{ Frugal.lo = !lo; hi = infinity }
+      let lo, _ =
+        walk_affected affected ctx ~init:(delta_shell, delta_shell)
+          (fun _ slot _ ->
+            let qid, _, (sq : Query.select_query) =
+              st.prepared.selects_arr.(slot)
+            in
+            let alo, _ =
+              O.Whatif.cost_interval st.whatif config' ~qid
+                ~tables:sq.body.tables
+            in
+            (alo, alo))
+      in
+      fc.Frugal.ival <-
+        Frugal.tighten_with fc.Frugal.ival
+          ~advisory:{ Frugal.lo; hi = infinity }
     in
     (* refinement: re-optimize the affected queries for real, debiting the
        ledger per optimizer call actually executed (cache hits are free);
@@ -965,43 +958,21 @@ let rank_candidates st (n : node) : candidate list =
        a mixed — but still valid — interval *)
     let refine (fc : _ Frugal.cand) =
       let _, (config', affected, ctx, delta_shell) = fc.Frugal.payload in
-      match ctx with
-      | None -> ()
-      | Some ctx ->
-        let lo = ref delta_shell and hi = ref delta_shell in
-        List.iter
-          (fun (slot, w) ->
-            let plan = n.plans.(slot) in
-            if Cost_bound.plan_affected ctx plan then begin
+      let lo, hi =
+        walk_affected affected ctx ~init:(delta_shell, delta_shell)
+          (fun ctx slot plan ->
+            if Frugal.rank_remaining ledger > 0 then begin
               let qid, _, sq = st.prepared.selects_arr.(slot) in
-              if Frugal.rank_remaining ledger > 0 then begin
-                let calls_before = fst (O.Whatif.stats st.whatif) in
-                let plan' = O.Whatif.plan_select st.whatif config' ~qid sq in
-                Frugal.debit ledger
-                  (fst (O.Whatif.stats st.whatif) - calls_before);
-                let d = w *. (plan'.O.Plan.cost -. plan.O.Plan.cost) in
-                lo := !lo +. d;
-                hi := !hi +. d
-              end
-              else begin
-                let order_by = order_by_of slot in
-                lo :=
-                  !lo
-                  +. (w
-                     *. (Cost_bound.query_lower_bound ~order_by ctx plan
-                        -. plan.O.Plan.cost));
-                hi :=
-                  !hi
-                  +. (w
-                     *. (Cost_bound.query_bound ~order_by ctx plan
-                        -. plan.O.Plan.cost))
-              end
-            end)
-          affected;
-        fc.Frugal.ival <-
-          Frugal.tighten_with
-            { Frugal.lo = !lo; hi = !hi }
-            ~advisory:fc.Frugal.ival
+              let calls_before = fst (O.Whatif.stats st.whatif) in
+              let plan' = O.Whatif.plan_select st.whatif config' ~qid sq in
+              Frugal.debit ledger
+                (fst (O.Whatif.stats st.whatif) - calls_before);
+              (plan'.O.Plan.cost, plan'.O.Plan.cost)
+            end
+            else bounds ~lower:true ctx slot plan)
+      in
+      fc.Frugal.ival <-
+        Frugal.tighten_with { Frugal.lo; hi } ~advisory:fc.Frugal.ival
     in
     Frugal.sweep ledger ~penalty ~tighten ~refine fcands;
     let updated =
@@ -1009,12 +980,7 @@ let rank_candidates st (n : node) : candidate list =
         (fun (fc : _ Frugal.cand) ->
           let c, _ = fc.Frugal.payload in
           let dt = fc.Frugal.ival.Frugal.hi in
-          {
-            c with
-            delta_cost = dt;
-            delta_cost_lo = fc.Frugal.ival.Frugal.lo;
-            penalty = penalty_of ~delta_space:c.delta_space dt;
-          })
+          { c with delta_cost = dt; penalty = penalty_of ~delta_space:c.delta_space dt })
         fcands
     in
     List.stable_sort (fun a b -> Float.compare a.penalty b.penalty) updated
@@ -1031,13 +997,13 @@ let ensure_candidates st n =
 
 let has_untried st n =
   ensure_candidates st n;
-  (not n.pruned) && n.untried <> []
+  n.untried <> []
 
 (* count without forcing lazy candidate computation *)
 let untried_ready_count st =
   List.fold_left
     (fun acc n ->
-      if n.candidates_ready && not n.pruned then acc + List.length n.untried
+      if n.candidates_ready then acc + List.length n.untried
       else acc)
     0 st.nodes
 
@@ -1257,11 +1223,10 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
       started = Obs.Clock.now ();
     }
   in
-  (* register the derived-view statistics of the two configurations the
-     workers will cost before any parallel region ([Env.make] mutates the
-     shared catalog memo on first sight of a view) *)
+  (* register the base configuration's derived-view statistics before any
+     parallel region ([Env.make] mutates the shared catalog memo on first
+     sight of a view) *)
   ignore (O.Env.make catalog opts.protected);
-  ignore (O.Env.make catalog initial);
   (* Frugal runs pre-optimize every select under the protected base
      configuration.  The base configuration is a subset of every
      configuration the search visits, so its plans are valid — and their
@@ -1269,68 +1234,29 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
      fallback when the budget cannot pay for a re-optimization and the
      patched plan drifts loose.  The same cache entries serve the tuner's
      base-configuration report, so the pass costs the run nothing net. *)
-  let nsel = Array.length prepared.selects_arr in
-  (match opts.whatif_budget with
-  | None -> ()
-  | Some _ ->
+  if Option.is_some st.frugal then
     ignore
       (Pool.map_array pool
          (fun (qid, _, q) -> O.Whatif.plan_select whatif opts.protected ~qid q)
-         prepared.selects_arr));
-  (* evaluate a configuration from scratch, in batches on the worker
-     domains, folding costs sequentially in workload order (used for the
-     root and for the warm-start seed) *)
-  let eval_scratch config =
-    let total = ref 0.0 in
-    let batches = ref [] in
-    let base = ref 0 in
-    while !base < nsel do
-      let len = Int.min eval_batch (nsel - !base) in
-      let scored =
-        Pool.map_array pool
-          (fun (qid, _, q) -> O.Whatif.plan_select whatif config ~qid q)
-          (Array.sub prepared.selects_arr !base len)
-      in
-      Array.iteri
-        (fun k (plan : O.Plan.t) ->
-          let _, w, _ = prepared.selects_arr.(!base + k) in
-          total := !total +. (w *. plan.cost))
-        scored;
-      batches := scored :: !batches;
-      base := !base + len
-    done;
-    (Array.concat (List.rev !batches), !total)
-  in
-  let shell = shell_cost_of st initial in
-  let plans, select_cost = eval_scratch initial in
-  let root =
-    {
-      id = 0;
-      config = initial;
-      plans;
-      slots = prepared.slots;
-      select_cost;
-      shell_cost = shell;
-      cost = select_cost +. shell;
-      size = config_size st initial;
-      parent = None;
-      via = None;
-      actual_penalty = 0.0;
-      pseudo = Bitset.create nsel;
-      untried = [];
-      candidates_ready = false;
-      pruned = false;
-    }
-  in
-  st.next_id <- 1;
-  st.nodes <- [ root ];
-  Hashtbl.replace st.by_id root.id root;
-  Hashtbl.replace st.seen (Config.fingerprint initial) ();
+         prepared.selects_arr);
+  (* Admission: every evaluated node joins the pool, and one that fits
+     the budget and beats the incumbent becomes the best. *)
   let best_trace = ref [] in
-  if root.size <= opts.space_budget then begin
-    st.best <- Some root;
-    best_trace := [ (0, root.cost) ]
-  end;
+  let admit ~iteration node =
+    st.nodes <- node :: st.nodes;
+    Hashtbl.replace st.by_id node.id node;
+    let better =
+      node.size <= opts.space_budget
+      && match st.best with None -> true | Some b -> node.cost < b.cost
+    in
+    if better then begin
+      st.best <- Some node;
+      best_trace := (iteration, node.cost) :: !best_trace
+    end
+  in
+  Hashtbl.replace st.seen (Config.fingerprint initial) ();
+  let root = parentless_node st initial in
+  admit ~iteration:0 root;
   (* Warm start: seed the previously deployed configuration as a second
      parentless pool node.  On an incremental re-tune its plans are
      already in the (shared) cache, so the evaluation is nearly free, and
@@ -1342,41 +1268,8 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
   | None -> ()
   | Some cfg when Hashtbl.mem st.seen (Config.fingerprint cfg) -> ()
   | Some cfg ->
-    ignore (O.Env.make catalog cfg);
-    let shell = shell_cost_of st cfg in
-    let plans, select_cost = eval_scratch cfg in
-    let warm =
-      {
-        id = st.next_id;
-        config = cfg;
-        plans;
-        slots = prepared.slots;
-        select_cost;
-        shell_cost = shell;
-        cost = select_cost +. shell;
-        size = config_size st cfg;
-        parent = None;
-        via = None;
-        actual_penalty = 0.0;
-        pseudo = Bitset.create nsel;
-        untried = [];
-        candidates_ready = false;
-        pruned = false;
-      }
-    in
-    st.next_id <- st.next_id + 1;
-    st.nodes <- warm :: st.nodes;
-    Hashtbl.replace st.by_id warm.id warm;
     Hashtbl.replace st.seen (Config.fingerprint cfg) ();
-    if warm.size <= opts.space_budget then begin
-      let better =
-        match st.best with None -> true | Some b -> warm.cost < b.cost
-      in
-      if better then begin
-        st.best <- Some warm;
-        best_trace := (0, warm.cost) :: !best_trace
-      end
-    end);
+    admit ~iteration:0 (parentless_node st cfg));
   let time_ok () =
     match opts.time_budget_s with
     | None -> true
@@ -1424,19 +1317,8 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
                  | None -> ("shortcut", None) (* shortcut-pruned *)
                  | Some node ->
                    Obs.Probe.config_evaluated ();
-                   st.nodes <- node :: st.nodes;
-                   Hashtbl.replace st.by_id node.id node;
+                   admit ~iteration:st.iterations node;
                    last := node;
-                   let fits = node.size <= opts.space_budget in
-                   let better =
-                     match st.best with
-                     | None -> fits
-                     | Some b -> fits && node.cost < b.cost
-                   in
-                   if better then begin
-                     st.best <- Some node;
-                     best_trace := (st.iterations, node.cost) :: !best_trace
-                   end;
                    ("evaluated", Some node)
                end)
            in
@@ -1467,8 +1349,8 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
      may be mis-identified.  Re-cost the cheapest valid configurations
      honestly — pseudo plans only, through the warm cache, cheapest
      first, whole nodes only — spending what is left of the budget, then
-     re-pick the best.  Sequential on the main domain, so the spend
-     sequence (and hence the recommendation) is identical at any
+     re-pick the best.  The ledger is debited on the main domain, so the
+     spend sequence (and hence the recommendation) is identical at any
      [jobs]. *)
   (match st.frugal with
   | None -> ()
@@ -1485,49 +1367,50 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
     let recost (n : node) : node =
       if Bitset.is_empty n.pseudo then n
       else begin
-        let cached = ref [] in
-        Array.iteri
-          (fun slot (qid, w, q) ->
-            if Bitset.mem n.pseudo slot then
-              cached :=
-                ( slot,
-                  qid,
-                  w,
-                  q,
+        let decisions =
+          Array.mapi
+            (fun slot plan ->
+              if not (Bitset.mem n.pseudo slot) then Keep plan
+              else
+                let qid, _, q = st.prepared.selects_arr.(slot) in
+                match
                   O.Whatif.find_cached st.whatif n.config ~qid
-                    ~tables:q.Query.body.tables )
-                :: !cached)
-          st.prepared.selects_arr;
-        let cached = List.rev !cached in
+                    ~tables:q.Query.body.tables
+                with
+                | Some p -> Cached p
+                | None -> Reoptimize)
+            n.plans
+        in
         (* cached plans are free; commit only when the ledger covers
            every miss — partial honesty would spend calls without making
            the node's cost comparable to fully honest ones *)
         let misses =
-          List.length
-            (List.filter (fun (_, _, _, _, p) -> Option.is_none p) cached)
+          Array.fold_left
+            (fun k d -> match d with Reoptimize -> k + 1 | _ -> k)
+            0 decisions
         in
         if misses > Frugal.remaining ledger then n
         else begin
           Frugal.debit ledger misses;
           Obs.Probe.count_n "whatif.endgame_spent" misses;
-          let plans = Array.copy n.plans and delta = ref 0.0 in
-          List.iter
-            (fun (slot, qid, w, q, cp) ->
-              let p =
-                match cp with
-                | Some p -> p
-                | None -> O.Whatif.plan_select st.whatif n.config ~qid q
-              in
-              let old = n.plans.(slot) in
-              delta := !delta +. (w *. (p.O.Plan.cost -. old.O.Plan.cost));
-              plans.(slot) <- p)
-            cached;
+          let plans, pseudo, _ =
+            cost_plans st n.config decisions ~parent_pseudo:n.pseudo
+              ~from:0.0 ~limit:infinity
+          in
+          let delta = ref 0.0 in
+          Array.iteri
+            (fun slot (_, w, _) ->
+              if Bitset.mem n.pseudo slot then
+                delta :=
+                  !delta
+                  +. (w *. (plans.(slot).O.Plan.cost -. n.plans.(slot).O.Plan.cost)))
+            st.prepared.selects_arr;
           {
             n with
             plans;
             select_cost = n.select_cost +. !delta;
             cost = n.cost +. !delta;
-            pseudo = Bitset.create (Array.length st.prepared.selects_arr);
+            pseudo;
           }
         end
       end

@@ -7,8 +7,8 @@
     update workloads, §3.6); line 5 keeps relaxing the last configuration
     until it fits, then revisits the chain at the largest realized penalty,
     then falls back to the cheapest configuration with work left (§3.4).
-    Only queries whose plans used a replaced structure are re-optimized;
-    shortcut evaluation aborts hopeless configurations early (§3.5). *)
+    Only queries whose plans used a replaced structure are re-optimized,
+    and shortcut evaluation aborts hopeless configurations early (§3.5). *)
 
 module Query = Relax_sql.Query
 module Config = Relax_physical.Config
@@ -61,8 +61,6 @@ type options = {
   max_iterations : int;
   time_budget_s : float option;
   protected : Config.t;  (** base configuration: never transformed *)
-  shortcut_evaluation : bool;  (** §3.5 *)
-  max_candidates_per_node : int;
   transforms_per_iteration : int;  (** §3.5 variant; paper default 1 *)
   shrink_configurations : bool;  (** §3.5 variant; default off *)
   selection : selection;
@@ -107,9 +105,6 @@ type candidate = {
   tr : Transform.t;
   penalty : float;
   delta_cost : float;  (** ΔT: upper-bound cost increase *)
-  delta_cost_lo : float;
-      (** ΔT lower bound; equals [delta_cost] outside frugal mode and for
-          candidates the frugal sweep refined to an exact value *)
   delta_space : float;  (** ΔS: space saved *)
 }
 
@@ -136,7 +131,6 @@ type node = {
           bound-substituted (not re-optimized) cost; empty on exact runs *)
   mutable untried : candidate list;
   mutable candidates_ready : bool;
-  mutable pruned : bool;
 }
 
 (** Workload split into optimizable selects (including update select

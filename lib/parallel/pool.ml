@@ -51,6 +51,21 @@ let default_jobs () =
     | Some _ | None -> hw)
   | None -> hw
 
+(* Run one task and account for it in domain slot [i]: its queue wait
+   since [enqueued_at] and its run time (the [pool.task.*] histograms),
+   and the slot's busy time.  Worker domains and the caller's inline path
+   share it, so no run mode is a blind spot. *)
+let run_task t i ~enqueued_at run =
+  let t0 = Obs.Clock.now () in
+  Obs.Probe.observe "pool.task.wait_s" (Float.max 0.0 (t0 -. enqueued_at));
+  let r = run () in
+  let dt = Obs.Clock.elapsed_s ~since:t0 in
+  Obs.Probe.observe "pool.task.run_s" dt;
+  Mutex.lock t.lock;
+  t.busy.(i) <- t.busy.(i) +. dt;
+  Mutex.unlock t.lock;
+  r
+
 let worker t i () =
   (* the ambient recorder was installed before this domain was spawned,
      so the registration lands in the run's Chrome thread-name map *)
@@ -70,15 +85,7 @@ let worker t i () =
       let qlen = Queue.length t.queue in
       Mutex.unlock t.lock;
       Obs.Probe.counter "pool.queue_depth" (float_of_int qlen);
-      let t0 = Obs.Clock.now () in
-      Obs.Probe.observe "pool.task.wait_s"
-        (Float.max 0.0 (t0 -. task.enqueued_at));
-      task.run ();
-      let dt = Obs.Clock.elapsed_s ~since:t0 in
-      Obs.Probe.observe "pool.task.run_s" dt;
-      Mutex.lock t.lock;
-      t.busy.(i) <- t.busy.(i) +. dt;
-      Mutex.unlock t.lock;
+      run_task t i ~enqueued_at:task.enqueued_at task.run;
       loop ()
     end
   in
@@ -166,15 +173,21 @@ let dispatch (type b) t (n : int) (run_slot : int -> b) :
 
 let map_array (type a b) t (f : a -> b) (arr : a array) : b array =
   let n = Array.length arr in
+  (* a single task, or every task without worker domains, runs inline in
+     the caller and is accounted in slot 0 *)
+  let inline () =
+    let enqueued_at = Obs.Clock.now () in
+    Array.map (fun x -> run_task t 0 ~enqueued_at (fun () -> f x)) arr
+  in
   if n = 0 then [||]
   else if n = 1 then begin
     t.n_tasks <- t.n_tasks + 1;
-    [| f arr.(0) |]
+    inline ()
   end
   else if Array.length t.domains = 0 then begin
     t.n_batches <- t.n_batches + 1;
     t.n_tasks <- t.n_tasks + n;
-    Array.map f arr
+    inline ()
   end
   else begin
     let results = dispatch t n (fun i -> f arr.(i)) in

@@ -9,12 +9,14 @@
     a pure speedup, never a behaviour change: at [jobs = 1] no domains
     are spawned and [map_array] degenerates to [Array.map].
 
-    Workers report into the ambient {!Relax_obs} recorder when one is
-    installed: per-task queue-wait and run-time latency histograms
-    ([pool.task.wait_s] / [pool.task.run_s]), a [pool.queue_depth]
-    counter track, and a [pool-workerN] thread name for the Chrome trace
-    export's domain→tid mapping.  All of it no-ops without a recorder,
-    and none of it changes task order or results. *)
+    Every task reports into the ambient {!Relax_obs} recorder when one is
+    installed — on a worker domain or inline in the caller alike:
+    per-task queue-wait and run-time latency histograms
+    ([pool.task.wait_s] / [pool.task.run_s]) and its domain's busy time.
+    Workers add a [pool.queue_depth] counter track and a [pool-workerN]
+    thread name for the Chrome trace export's domain→tid mapping.  All of
+    it no-ops without a recorder, and none of it changes task order or
+    results. *)
 
 type t
 
@@ -51,7 +53,10 @@ type stats = {
   pool_jobs : int;
   tasks : int;  (** tasks executed across all [map_array] calls *)
   batches : int;  (** [map_array] calls of two or more tasks *)
-  busy_s : float array;  (** per-worker-domain busy seconds *)
+  busy_s : float array;
+      (** per-worker-domain busy seconds; slot 0 also counts the tasks
+          run inline by the caller (every task at [jobs = 1], and
+          single-task maps) *)
 }
 
 val stats : t -> stats

@@ -114,11 +114,6 @@ type workload = entry list
 
 let entry ?(weight = 1.0) qid stmt = { qid; weight; stmt }
 
-let select_entries w =
-  List.filter_map
-    (fun e -> match e.stmt with Select q -> Some (e, q) | Dml _ -> None)
-    w
-
 let dml_entries w =
   List.filter_map
     (fun e -> match e.stmt with Dml d -> Some (e, d) | Select _ -> None)
@@ -203,6 +198,20 @@ let split_update (d : dml) : select_query option * dml =
     in
     (Some { body; order_by = [] }, d)
   | Insert _ -> (None, d)
+
+(** The statements the optimizer plans, in workload order: every select,
+    plus the select component of each update (§3.6) under its
+    {!select_qid}.  Inserts have nothing to plan and are skipped. *)
+let plannable_selects (w : workload) : (string * float * select_query) list =
+  List.filter_map
+    (fun e ->
+      match e.stmt with
+      | Select q -> Some (e.qid, e.weight, q)
+      | Dml d -> (
+        match split_update d with
+        | Some q, _ -> Some (select_qid e.qid, e.weight, q)
+        | None, _ -> None))
+    w
 
 (** Columns assigned by an update shell (used to decide which indexes an
     UPDATE maintains: only those containing an assigned column). *)

@@ -73,7 +73,6 @@ type entry = { qid : string; weight : float; stmt : statement }
 type workload = entry list
 
 val entry : ?weight:float -> string -> statement -> entry
-val select_entries : workload -> (entry * select_query) list
 val dml_entries : workload -> (entry * dml) list
 val has_updates : workload -> bool
 val statement_tables : statement -> string list
@@ -98,6 +97,11 @@ val split_update : dml -> select_query option * dml
     shell (§3.6): [UPDATE R SET a=b+1 WHERE a<10] reads as
     [SELECT b+1 FROM R WHERE a<10] plus a shell whose cost is the index
     maintenance.  The select component is [None] for inserts. *)
+
+val plannable_selects : workload -> (string * float * select_query) list
+(** [(qid, weight, select)] for every statement the optimizer plans, in
+    workload order: each select under its own qid, and each update's
+    select component under its {!select_qid}.  Inserts are skipped. *)
 
 val updated_columns : dml -> Column_set.t
 (** Columns assigned by an UPDATE (empty for insert/delete, which maintain

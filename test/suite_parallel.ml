@@ -70,20 +70,27 @@ let test_pool_usable_after_exception () =
 
 (* the accounting is the same whether or not worker domains exist *)
 let test_pool_stats () =
+  let nap x =
+    Unix.sleepf 0.001;
+    x
+  in
   List.iter
     (fun jobs ->
       with_pool ~jobs @@ fun pool ->
-      ignore (Pool.map_array pool Fun.id [||]);
-      ignore (Pool.map_array pool Fun.id (Array.init 10 Fun.id));
-      ignore (Pool.map_array pool Fun.id (Array.init 5 Fun.id));
-      ignore (Pool.map_array pool Fun.id [| 1 |]);
+      ignore (Pool.map_array pool nap [||]);
+      ignore (Pool.map_array pool nap (Array.init 10 Fun.id));
+      ignore (Pool.map_array pool nap (Array.init 5 Fun.id));
+      ignore (Pool.map_array pool nap [| 1 |]);
       (* the empty input counts nothing, the singleton fast-path one task
          and no batch *)
       let s = Pool.stats pool in
       let label what = Printf.sprintf "%s at jobs=%d" what jobs in
       Alcotest.(check int) (label "jobs") jobs s.Pool.pool_jobs;
       Alcotest.(check int) (label "tasks") 16 s.Pool.tasks;
-      Alcotest.(check int) (label "batches") 2 s.Pool.batches)
+      Alcotest.(check int) (label "batches") 2 s.Pool.batches;
+      (* sleeping tasks accrue busy time, inline at jobs=1 too *)
+      if jobs = 1 then
+        Alcotest.(check bool) (label "domain 0 busy") true (s.Pool.busy_s.(0) > 0.0))
     [ 1; 4 ]
 
 let test_pool_shutdown_idempotent () =
@@ -161,7 +168,7 @@ let skyline_naive (raw : T.Search.candidate list) =
 let mk_candidate =
   let tr = T.Transform.Remove_index (Index.on "r" [ "a" ]) in
   fun delta_cost delta_space ->
-    { T.Search.tr; penalty = 0.0; delta_cost; delta_cost_lo = delta_cost; delta_space }
+    { T.Search.tr; penalty = 0.0; delta_cost; delta_space }
 
 let check_skyline msg cands =
   let project (c : T.Search.candidate) = (c.delta_cost, c.delta_space) in

@@ -104,6 +104,30 @@ let test_split_update () =
       (Column_set.mem (c "r" "b") updated)
   | None, _ -> Alcotest.fail "expected a select component"
 
+let test_plannable_selects () =
+  let w =
+    List.map
+      (fun (qid, sql) -> Query.entry qid (Parser.statement sql))
+      [
+        ("q1", "SELECT r.a FROM r WHERE r.a = 1");
+        ("u1", "UPDATE r SET a = b + 1 WHERE a < 10");
+        ("i1", "INSERT INTO r ROWS 100");
+        ("d1", "DELETE FROM r WHERE a < 5");
+      ]
+  in
+  let got = Query.plannable_selects w in
+  (* selects under their own qid, DML select components under
+     [select_qid], inserts (nothing to read) skipped, in workload order *)
+  Alcotest.(check (list string))
+    "qids" [ "q1"; Query.select_qid "u1"; Query.select_qid "d1" ]
+    (List.map (fun (qid, _, _) -> qid) got);
+  match (got, List.nth w 0, List.nth w 1) with
+  | (_, _, sel) :: (_, _, upd) :: _, { stmt = Query.Select q; _ }, { stmt = Query.Dml d; _ } ->
+    Alcotest.(check bool) "select as is" true (sel = q);
+    Alcotest.(check bool) "update component" true
+      (Some upd = fst (Query.split_update d))
+  | _ -> Alcotest.fail "expected a select and an update"
+
 let test_parse_group_order () =
   match
     Parser.statement
@@ -196,6 +220,7 @@ let suite =
     Alcotest.test_case "column equivalence" `Quick test_equiv_classes;
     Alcotest.test_case "parse update" `Quick test_parse_update;
     Alcotest.test_case "split update (§3.6 example)" `Quick test_split_update;
+    Alcotest.test_case "plannable selects" `Quick test_plannable_selects;
     Alcotest.test_case "parse group/order" `Quick test_parse_group_order;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "print/parse round-trip" `Quick test_roundtrip_examples;

@@ -306,6 +306,36 @@ let test_tune_protected_base_preserved () =
   Alcotest.(check bool) "base index kept" true
     (Config.mem_index r.recommended (Index.on "r" ~clustered:true [ "id" ]))
 
+(* A configuration deployed earlier, seeded as the warm start: it fits the
+   budget, so it is a valid incumbent — the recommendation can only be at
+   least as cheap — and the seeded search is as deterministic as a cold
+   one. *)
+let test_tune_warm_seed_incumbent () =
+  let cat = Lazy.force cat in
+  let w = workload_of_strings small_workload in
+  let budget = mb 8.0 in
+  let seed = (tune ~budget ~iters:40 small_workload).recommended in
+  Alcotest.(check bool) "seed fits" true
+    (Config.total_bytes cat seed <= budget);
+  let warm jobs =
+    let opts =
+      T.Tuner.default_options ~mode:T.Tuner.Indexes_only ~space_budget:budget ()
+    in
+    T.Tuner.tune cat w
+      { opts with max_iterations = 5; initial_config = Some seed; jobs }
+  in
+  let r = warm 1 in
+  Alcotest.(check bool) "no worse than the seed" true
+    (T.Cost_bound.float_leq r.recommended_cost (T.Tuner.workload_cost cat seed w));
+  let outputs (r : T.Tuner.result) =
+    ( Config.fingerprint r.recommended,
+      r.recommended_cost,
+      r.frontier,
+      r.best_trace,
+      r.metrics.what_if_calls )
+  in
+  Alcotest.(check bool) "jobs=1 = jobs=2" true (outputs r = outputs (warm 2))
+
 (* --- updates (§3.6) ------------------------------------------------------ *)
 
 let update_workload =
@@ -489,6 +519,8 @@ let suite =
     Alcotest.test_case "tune frontier" `Quick test_tune_frontier_contains_valid_points;
     Alcotest.test_case "tune with views" `Quick test_tune_views_mode;
     Alcotest.test_case "tune preserves base" `Quick test_tune_protected_base_preserved;
+    Alcotest.test_case "tune warm seed is a valid incumbent" `Quick
+      test_tune_warm_seed_incumbent;
     Alcotest.test_case "tune with updates" `Quick test_tune_with_updates;
     Alcotest.test_case "update lower bound" `Quick test_update_lower_bound_not_tight;
     Alcotest.test_case "updates drop expensive indexes" `Quick
