@@ -1,10 +1,11 @@
-(** The system catalog: table definitions plus per-column statistics.
+(** The system catalog: base table definitions plus per-column statistics.
 
     Statistics (row counts, histograms, widths, distinct counts) are all the
     optimizer ever reads — there are no stored rows, matching how what-if
-    tuning tools operate.  Materialized views are "simulated" by adding a
-    derived table whose statistics are synthesized from the base tables
-    ({!add_derived_table}), which is exactly the what-if API of the paper. *)
+    tuning tools operate.  A catalog holds base tables only and is never
+    written after {!create}, so one value is safely shared across domains.
+    Hypothetical views are configuration state: the optimizer's environment
+    answers their statistics from the configuration, not from here. *)
 
 open Relax_sql.Types
 
@@ -42,11 +43,7 @@ type col_stats = {
 
 type t = {
   tables : table_def String_map.t;
-  stats : (string * string, col_stats) Hashtbl.t;
-  derived_memo : (string, table_def) Hashtbl.t;
-      (** derived tables already registered once: their statistics live in
-          [stats] and need not be rebuilt when the same view is simulated
-          again under another configuration *)
+  stats : (string * string, col_stats) Hashtbl.t;  (** filled by [create] only *)
   seed : int;
 }
 
@@ -81,7 +78,7 @@ let create ?(seed = 42) (tables : table_def list) : t =
           Hashtbl.replace stats (t.tname, c.cname) s)
         t.cols)
     tables;
-  { tables = map; stats; derived_memo = Hashtbl.create 32; seed }
+  { tables = map; stats; seed }
 
 let table_names t = String_map.fold (fun k _ acc -> k :: acc) t.tables [] |> List.rev
 
@@ -119,60 +116,25 @@ let row_width t name =
       acc +. (col_stats t (Column.make name c.cname)).width)
     0.0 (table_exn t name).cols
 
-(** Register a derived table (a simulated materialized view) with explicit
-    statistics; returns the extended catalog.  The original catalog is not
-    mutated for table membership, but statistics share the underlying
-    hashtable keyed by (table, column), which is safe because derived table
-    names are unique per view. *)
-let add_derived_table t ~name ~rows ~(cols : (string * col_stats) list) : t =
-  match Hashtbl.find_opt t.derived_memo name with
-  | Some td -> { t with tables = String_map.add name td t.tables }
-  | None ->
-    let cdefs =
-      List.map
-        (fun (cname, (s : col_stats)) ->
-          { cname; ctype = s.stype; dist = Distribution.Uniform (s.min_v, s.max_v) })
-        cols
-    in
-    let td = { tname = name; rows = max 1 (int_of_float rows); cols = cdefs } in
-    List.iter (fun (cname, s) -> Hashtbl.replace t.stats (name, cname) s) cols;
-    Hashtbl.replace t.derived_memo name td;
-    { t with tables = String_map.add name td t.tables }
-
-(** Has this derived table been registered before?  If so its statistics are
-    already available and {!add_derived_table} is O(1). *)
-let known_derived t name = Hashtbl.mem t.derived_memo name
-
-(** Remove a derived table (when a simulated view leaves the configuration). *)
-let remove_table t name =
-  (match find_table t name with
-  | Some td ->
-    List.iter (fun c -> Hashtbl.remove t.stats (name, c.cname)) td.cols
-  | None -> ());
-  { t with tables = String_map.remove name t.tables }
-
 (** A stable digest of the base schema and its statistics inputs: table
     names, row counts, column names/types/distributions and the
-    statistics seed.  Derived tables (simulated views) are excluded —
-    they are configuration state, not schema.  Two catalogs with equal
-    fingerprints synthesize identical statistics, so what-if costs
-    computed against one are valid against the other: the key the
-    persistent what-if cache is guarded by. *)
+    statistics seed.  Two catalogs with equal fingerprints synthesize
+    identical statistics, so what-if costs computed against one are valid
+    against the other: the key the persistent what-if cache is guarded
+    by. *)
 let fingerprint t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "seed=%d;" t.seed);
   String_map.iter
     (fun name (td : table_def) ->
-      if not (Hashtbl.mem t.derived_memo name) then begin
-        Buffer.add_string buf (Printf.sprintf "%s=%d[" name td.rows);
-        List.iter
-          (fun (c : column_def) ->
-            Buffer.add_string buf
-              (Fmt.str "%s:%a:%a;" c.cname pp_data_type c.ctype
-                 Distribution.pp c.dist))
-          td.cols;
-        Buffer.add_string buf "]"
-      end)
+      Buffer.add_string buf (Printf.sprintf "%s=%d[" name td.rows);
+      List.iter
+        (fun (c : column_def) ->
+          Buffer.add_string buf
+            (Fmt.str "%s:%a:%a;" c.cname pp_data_type c.ctype
+               Distribution.pp c.dist))
+        td.cols;
+      Buffer.add_string buf "]")
     t.tables;
   Digest.to_hex (Digest.string (Buffer.contents buf))
 

@@ -1,10 +1,11 @@
-(** The system catalog: table definitions plus per-column statistics.
+(** The system catalog: base table definitions plus per-column statistics.
 
     Statistics (row counts, histograms, widths, distinct counts) are all the
     optimizer ever reads — there are no stored rows, matching how what-if
-    tuning tools operate.  Materialized views are simulated by registering a
-    {e derived table} whose statistics are synthesized from base tables
-    ({!add_derived_table}): the paper's what-if API. *)
+    tuning tools operate.  A catalog holds base tables only and is never
+    written after {!create}, so one value is safely shared across domains.
+    Hypothetical views are configuration state: the optimizer's environment
+    answers their statistics from the configuration, not from here. *)
 
 open Relax_sql.Types
 
@@ -58,27 +59,12 @@ val col_distinct : t -> column -> float
 val col_type : t -> column -> data_type
 val row_width : t -> string -> float
 
-(** {1 Derived tables (simulated views)} *)
-
-val add_derived_table :
-  t -> name:string -> rows:float -> cols:(string * col_stats) list -> t
-(** Register a derived table with explicit statistics; returns the extended
-    catalog (the original is unchanged for membership).  Statistics of a
-    derived table registered once are memoized: re-adding the same name is
-    O(1) and may pass [cols = []]. *)
-
-val known_derived : t -> string -> bool
-(** Has this derived table been registered before? *)
-
-val remove_table : t -> string -> t
-
 (** {1 Identity} *)
 
 val fingerprint : t -> string
 (** A stable hex digest of the base schema and its statistics inputs
     (table names, row counts, column definitions, statistics seed).
-    Derived tables — simulated views, i.e. configuration state — are
-    excluded.  Catalogs with equal fingerprints synthesize identical
+    Catalogs with equal fingerprints synthesize identical
     statistics, so persisted what-if costs keyed by this fingerprint are
     valid across processes. *)
 

@@ -1,8 +1,7 @@
 (** The differential invariant checker.
 
     Attached to a tuning run through
-    {!Relax_tuner.Search.options.on_iteration} (or
-    {!Relax_tuner.Tuner.options.on_iteration}), the checker replays every
+    {!Relax_tuner.Search.options.on_iteration}, the checker replays every
     search iteration against independent oracles:
 
     - {b bound soundness}: the §3.3.2 upper bound

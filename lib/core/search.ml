@@ -81,63 +81,24 @@ type iteration_report = {
       (** (configuration, cost, size) of the evaluated node *)
 }
 
+type mode = Indexes_only | Indexes_and_views
+
+(* documented in the interface *)
 type options = {
-  space_budget : float;  (** B, in bytes *)
+  mode : mode;
+  space_budget : float;
+  base_config : Config.t;
   max_iterations : int;
   time_budget_s : float option;
-  protected : Config.t;  (** the base configuration: never transformed *)
   transforms_per_iteration : int;
-      (** §3.5 variant: apply up to this many non-conflicting
-          transformations before re-evaluating (1 = the paper's default) *)
   shrink_configurations : bool;
-      (** §3.5 variant: drop structures unused by any query after each
-          evaluation (may hurt quality: an unused structure can become
-          useful after other structures are relaxed away) *)
   selection : selection;
   jobs : int;
-      (** worker domains for parallel candidate scoring and plan
-          re-optimization; 1 = fully sequential.  The result is identical
-          whatever the value. *)
   whatif_budget : int option;
-      (** [Some n]: frugal costing — candidate decisions come from ΔT bound
-          intervals, at most [n] what-if optimizer calls are spent (across
-          the whole run) refining straddling candidates, and node
-          evaluation substitutes bound-costed plans for uncached
-          re-optimizations.  [None] (the default): the frugal tier is
-          entirely off and the search behaves exactly as before. *)
-  warm_start : Config.t option;
-      (** a previously deployed configuration to seed into the pool as a
-          second parentless node: it is evaluated up front (cache-warm
-          when [whatif] is reused across re-tunes), becomes the incumbent
-          best if it fits the budget, and so arms shortcut pruning and the
-          frugal contender gate from iteration zero.  The continuous
-          tuner's incremental re-tune entry. *)
+  initial_config : Config.t option;
   whatif : O.Whatif.t option;
-      (** an existing what-if interface to run against instead of a fresh
-          one, sharing its plan cache and advisory bounds across runs.
-          [outcome.optimizer_calls]/[cache_hits] still report this run's
-          deltas. *)
   on_iteration : (iteration_report -> unit) option;
-      (** invoked once per iteration, after evaluation and trace emission,
-          from the main domain (never from workers).  Used by the
-          differential invariant checker. *)
 }
-
-let default_options ~space_budget =
-  {
-    space_budget;
-    max_iterations = 400;
-    time_budget_s = None;
-    protected = Config.empty;
-    transforms_per_iteration = 1;
-    shrink_configurations = false;
-    selection = Penalty;
-    jobs = Pool.default_jobs ();
-    whatif_budget = None;
-    warm_start = None;
-    whatif = None;
-    on_iteration = None;
-  }
 
 (* cap on ranked transformations kept per configuration *)
 let max_candidates_per_node = 256
@@ -318,19 +279,19 @@ let cbv st (v : View.t) =
   | Some c -> c
   | None ->
     let sq = { Query.body = View.definition v; order_by = [] } in
-    let plan = O.Optimizer.optimize st.catalog st.opts.protected sq in
+    let plan = O.Optimizer.optimize st.catalog st.opts.base_config sq in
     Hashtbl.replace st.cbv_cache name plan.cost;
     plan.cost
 
 let estimate_view_rows st (v : View.t) =
-  let env = O.Env.make st.catalog st.opts.protected in
+  let env = O.Env.make st.catalog st.opts.base_config in
   O.Cardinality.spjg env (View.definition v)
 
 (* ------------------------------------------------------------------ *)
 (* node evaluation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let bound_context ?old_env st ~old_config ~new_config (tr : Transform.t) :
+let bound_context st ~old_config ~new_config (tr : Transform.t) :
     Cost_bound.context =
   let view_merge =
     match tr with
@@ -340,10 +301,7 @@ let bound_context ?old_env st ~old_config ~new_config (tr : Transform.t) :
   in
   {
     env' = O.Env.make st.catalog new_config;
-    old_env =
-      (match old_env with
-      | Some e -> e
-      | None -> O.Env.make st.catalog old_config);
+    old_env = O.Env.make st.catalog old_config;
     removed_indexes = Transform.removed_indexes old_config tr;
     removed_views = Transform.removed_views tr;
     view_merge;
@@ -514,7 +472,7 @@ let frugal_decisions st ledger ~(parent : node) ~ctx ~shell ~best_cost config =
                pass, is valid under any configuration: the universal
                fallback for an unpatchable (removed or merged view) plan *)
             let base =
-              O.Whatif.find_cached st.whatif st.opts.protected ~qid
+              O.Whatif.find_cached st.whatif st.opts.base_config ~qid
                 ~tables:q.Query.body.tables
             in
             let hi =
@@ -578,8 +536,6 @@ let frugal_decisions st ledger ~(parent : node) ~ctx ~shell ~best_cost config =
     total exceeds three times the best known cost (§3.5). *)
 let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
     node option =
-  (* the context's [Env.make] runs before any parallel work: it may
-     register derived-view statistics in the shared catalog *)
   let ctx = bound_context st ~old_config:parent.config ~new_config:config tr in
   let best_cost =
     match st.best with Some b -> b.cost | None -> infinity
@@ -609,7 +565,7 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
       else begin
         let used = used_structure_names plans in
         let keep_index i =
-          Config.mem_index st.opts.protected i
+          Config.mem_index st.opts.base_config i
           || Hashtbl.mem used (Index.name i)
           ||
           (* a clustered index is the storage of a used view *)
@@ -623,7 +579,7 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
         List.fold_left
           (fun cfg v ->
             if
-              Config.mem_view st.opts.protected v
+              Config.mem_view st.opts.base_config v
               || Hashtbl.mem used (View.name v)
             then cfg
             else Config.remove_view cfg v)
@@ -660,9 +616,6 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
 (* A parentless pool node — the root, or the warm-start seed: every plan
    re-optimized, folded from zero with the shell cost added afterwards. *)
 let parentless_node st config =
-  (* register the configuration's derived-view statistics before the
-     parallel region ([Env.make] mutates the shared catalog memo) *)
-  ignore (O.Env.make st.catalog config);
   let nsel = Array.length st.prepared.selects_arr in
   let shell = shell_cost_of st config in
   let plans, pseudo, select_cost =
@@ -735,11 +688,10 @@ let skyline_filter (raw : candidate list) : candidate list =
     List.filteri (fun idx _ -> keep.(idx)) raw
 
 let rank_candidates st (n : node) : candidate list =
-  let transforms = Transform.enumerate ~protected:st.opts.protected n.config in
+  let transforms = Transform.enumerate ~protected:st.opts.base_config n.config in
   List.iter
     (fun tr -> Obs.Probe.transform_generated ~kind:(Transform.kind tr))
     transforms;
-  let old_env = O.Env.make st.catalog n.config in
   (* index which queries (by slot) use which structures, so each
      transformation only touches the plans it actually affects *)
   let usage : (string, (int * float) list) Hashtbl.t = Hashtbl.create 64 in
@@ -773,10 +725,9 @@ let rank_candidates st (n : node) : candidate list =
          (fun name -> Option.value ~default:[] (Hashtbl.find_opt usage name))
          names)
   in
-  (* Phase 1, sequential: apply each transformation and build its costing
-     context.  [Env.make] may register derived-view statistics in the
-     shared catalog, so every environment the workers will read is created
-     here, before the parallel phase. *)
+  (* Phase 1, on the main domain: apply each transformation and build its
+     costing context.  Both are pure — an environment is a plain value —
+     so the pool may read every context this phase builds. *)
   let applied =
     List.filter_map
       (fun tr ->
@@ -790,14 +741,8 @@ let rank_candidates st (n : node) : candidate list =
             if affected = [] then None
             else
               Some
-                (bound_context ~old_env st ~old_config:n.config
-                   ~new_config:config' tr)
+                (bound_context st ~old_config:n.config ~new_config:config' tr)
           in
-          (match ctx with
-          | None when st.prepared.dmls <> [] ->
-            (* the parallel shell costing below needs this environment *)
-            ignore (O.Env.make st.catalog config')
-          | _ -> ());
           Some (tr, config', affected, ctx))
       transforms
   in
@@ -1223,10 +1168,6 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
       started = Obs.Clock.now ();
     }
   in
-  (* register the base configuration's derived-view statistics before any
-     parallel region ([Env.make] mutates the shared catalog memo on first
-     sight of a view) *)
-  ignore (O.Env.make catalog opts.protected);
   (* Frugal runs pre-optimize every select under the protected base
      configuration.  The base configuration is a subset of every
      configuration the search visits, so its plans are valid — and their
@@ -1237,7 +1178,7 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
   if Option.is_some st.frugal then
     ignore
       (Pool.map_array pool
-         (fun (qid, _, q) -> O.Whatif.plan_select whatif opts.protected ~qid q)
+         (fun (qid, _, q) -> O.Whatif.plan_select whatif opts.base_config ~qid q)
          prepared.selects_arr);
   (* Admission: every evaluated node joins the pool, and one that fits
      the budget and beats the incumbent becomes the best. *)
@@ -1264,7 +1205,7 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
      frugal contender gate prune against a realistic cost from iteration
      zero — the mechanism behind warm re-tunes spending fewer optimizer
      calls than cold ones. *)
-  (match opts.warm_start with
+  (match opts.initial_config with
   | None -> ()
   | Some cfg when Hashtbl.mem st.seen (Config.fingerprint cfg) -> ()
   | Some cfg ->

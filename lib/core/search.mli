@@ -56,14 +56,29 @@ type iteration_report = {
       (** (configuration, cost, size) of the evaluated node *)
 }
 
+(** Which structures the §2 instrumentation proposes (see {!Tuner.tune}). *)
+type mode = Indexes_only | Indexes_and_views
+
+(** Tuning options, shared by {!run} and {!Tuner.tune}; build them with
+    {!Tuner.default_options}. *)
 type options = {
-  space_budget : float;  (** B, bytes *)
+  mode : mode;
+      (** the structures {!Tuner.tune}'s instrumentation proposes; {!run}
+          relaxes whatever its [~initial] configuration holds *)
+  space_budget : float;  (** B, bytes; [infinity] = unconstrained (§4.1) *)
+  base_config : Config.t;
+      (** constraint-enforcing structures present in every configuration:
+          never transformed *)
   max_iterations : int;
   time_budget_s : float option;
-  protected : Config.t;  (** base configuration: never transformed *)
-  transforms_per_iteration : int;  (** §3.5 variant; paper default 1 *)
-  shrink_configurations : bool;  (** §3.5 variant; default off *)
-  selection : selection;
+  transforms_per_iteration : int;
+      (** §3.5 variant: apply up to this many non-conflicting
+          transformations before re-evaluating (1 = the paper's default) *)
+  shrink_configurations : bool;
+      (** §3.5 variant: drop structures unused by any query after each
+          evaluation (may hurt quality: an unused structure can become
+          useful after other structures are relaxed away); default off *)
+  selection : selection;  (** {!Penalty} is the paper's *)
   jobs : int;
       (** worker domains for parallel candidate scoring and plan
           re-optimization; 1 = fully sequential.  The recommended
@@ -74,17 +89,19 @@ type options = {
           come from ΔT bound intervals, at most [n] what-if optimizer
           calls are spent refining straddling candidates across the whole
           run, and node evaluation substitutes §3.3.2 bound costs for
-          re-optimizations the budget did not cover.  [None] (default):
-          the frugal tier is entirely off and the search behaves exactly
-          as without it.  The frugal sweep runs sequentially on the main
-          domain, so results stay deterministic at any [jobs]. *)
-  warm_start : Config.t option;
-      (** a previously deployed configuration seeded into the pool as a
-          second parentless node: evaluated up front (cache-warm when
-          [whatif] is reused), installed as the incumbent best if it fits,
-          arming shortcut pruning and the frugal contender gate from
+          re-optimizations the budget did not cover; {!Tuner.tune} then
+          re-derives the recommended cost from exact per-query what-if
+          costs.  [None] (default): the frugal tier is entirely off and
+          the search behaves exactly as without it.  The frugal sweep
+          runs sequentially on the main domain, so results stay
+          deterministic at any [jobs]. *)
+  initial_config : Config.t option;
+      (** warm start: a previously deployed configuration seeded into the
+          pool as a second parentless node: evaluated up front (cache-warm
+          when [whatif] is reused), installed as the incumbent best if it
+          fits, arming shortcut pruning and the frugal contender gate from
           iteration zero.  The continuous tuner's incremental re-tune
-          entry.  [None] (default): off. *)
+          entry.  [None] (default): tune from scratch. *)
   whatif : O.Whatif.t option;
       (** an existing what-if interface to run against instead of a fresh
           one, sharing its plan cache and advisory bound store across
@@ -93,13 +110,8 @@ type options = {
   on_iteration : (iteration_report -> unit) option;
       (** invoked once per iteration, after evaluation and trace emission,
           from the main domain (never from workers).  Used by the
-          differential invariant checker. *)
+          differential invariant checker ([Relax_check]). *)
 }
-
-val default_options : space_budget:float -> options
-(** [jobs] defaults to {!Relax_parallel.Pool.default_jobs} ([RELAX_JOBS]
-    or the machine's domain count, capped at 8); [on_iteration] to
-    [None]. *)
 
 type candidate = {
   tr : Transform.t;

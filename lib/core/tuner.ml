@@ -15,44 +15,10 @@ module Config = Relax_physical.Config
 module Catalog = Relax_catalog.Catalog
 module O = Relax_optimizer
 
-type mode = Indexes_only | Indexes_and_views
+type mode = Search.mode = Indexes_only | Indexes_and_views
+type options = Search.options
 
-type options = {
-  mode : mode;
-  space_budget : float;  (** bytes; [infinity] = unconstrained (§4.1) *)
-  base_config : Config.t;
-      (** constraint-enforcing structures present in every configuration *)
-  max_iterations : int;
-  time_budget_s : float option;
-  transforms_per_iteration : int;  (** §3.5 variant; the paper default is 1 *)
-  shrink_configurations : bool;  (** §3.5 variant; default off *)
-  selection : Search.selection;
-      (** transformation-choice strategy; {!Search.Penalty} is the paper's *)
-  jobs : int;
-      (** worker domains for the parallel search; 1 = sequential.  The
-          recommendation is identical whatever the value. *)
-  whatif_budget : int option;
-      (** frugal costing (see {!Search.options.whatif_budget}): cap on the
-          what-if optimizer calls the relaxation ranking may spend;
-          [None] = unlimited (the frugal tier is off).  With a finite
-          budget the recommended cost is re-derived from exact per-query
-          what-if costs after the search, so the reported numbers are
-          honest even when the search ran on bound-costed plans. *)
-  initial_config : Config.t option;
-      (** warm start: a previously deployed configuration seeded into the
-          search pool as an incumbent (see {!Search.options.warm_start}).
-          The continuous tuner's incremental re-tune entry; [None] =
-          tune from scratch. *)
-  whatif : O.Whatif.t option;
-      (** an existing what-if interface to tune through, keeping its plan
-          cache and advisory bounds warm across re-tunes; [None] = a
-          fresh one per call. *)
-  on_iteration : (Search.iteration_report -> unit) option;
-      (** per-iteration hook threaded to {!Search.run}; used by the
-          differential invariant checker ([Relax_check]) *)
-}
-
-let default_options ?(mode = Indexes_and_views) ~space_budget () =
+let default_options ?(mode = Indexes_and_views) ~space_budget () : options =
   {
     mode;
     space_budget;
@@ -61,7 +27,7 @@ let default_options ?(mode = Indexes_and_views) ~space_budget () =
     time_budget_s = None;
     transforms_per_iteration = 1;
     shrink_configurations = false;
-    selection = Search.Penalty;
+    selection = Penalty;
     jobs = Relax_parallel.Pool.default_jobs ();
     whatif_budget = None;
     initial_config = None;
@@ -120,25 +86,9 @@ let tune_spanned recorder (catalog : Catalog.t) (workload : Query.workload)
     Instrument.optimal_configuration catalog ~base:options.base_config ~views
       workload
   in
-  let search_opts =
-    {
-      (Search.default_options ~space_budget:options.space_budget) with
-      max_iterations = options.max_iterations;
-      time_budget_s = options.time_budget_s;
-      protected = options.base_config;
-      transforms_per_iteration = options.transforms_per_iteration;
-      shrink_configurations = options.shrink_configurations;
-      selection = options.selection;
-      jobs = options.jobs;
-      whatif_budget = options.whatif_budget;
-      warm_start = options.initial_config;
-      whatif = options.whatif;
-      on_iteration = options.on_iteration;
-    }
-  in
   let outcome =
     Relax_obs.Recorder.with_span recorder "tuner.search" @@ fun () ->
-    Search.run catalog ~workload ~initial:inst.optimal search_opts
+    Search.run catalog ~workload ~initial:inst.optimal options
   in
   Relax_obs.Recorder.with_span recorder "tuner.report" @@ fun () ->
   (* Every report cost goes through the search's own what-if interface:
@@ -163,7 +113,7 @@ let tune_spanned recorder (catalog : Catalog.t) (workload : Query.workload)
   (* Per-entry weighted costs of a node's configuration, read straight off
      its evaluated plans — no optimizer calls. *)
   let entries_of_node (n : Search.node) =
-    let env = lazy (O.Env.make catalog n.Search.config) in
+    let env = O.Env.make catalog n.Search.config in
     List.map
       (fun (e : Query.entry) ->
         let cost =
@@ -179,7 +129,7 @@ let tune_spanned recorder (catalog : Catalog.t) (workload : Query.workload)
               | None -> 0.0
             in
             select_cost
-            +. O.Update_cost.shell_cost (Lazy.force env) n.Search.config d
+            +. O.Update_cost.shell_cost env n.Search.config d
         in
         (e.qid, e.weight *. cost))
       workload

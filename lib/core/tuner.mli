@@ -5,44 +5,17 @@ module Query = Relax_sql.Query
 module Config = Relax_physical.Config
 module Catalog = Relax_catalog.Catalog
 
-type mode = Indexes_only | Indexes_and_views
+type mode = Search.mode = Indexes_only | Indexes_and_views
 
-type options = {
-  mode : mode;
-  space_budget : float;  (** bytes; [infinity] = unconstrained (§4.1) *)
-  base_config : Config.t;
-      (** constraint-enforcing structures present in every configuration *)
-  max_iterations : int;
-  time_budget_s : float option;
-  transforms_per_iteration : int;  (** §3.5 variant; paper default 1 *)
-  shrink_configurations : bool;  (** §3.5 variant; default off *)
-  selection : Search.selection;  (** {!Search.Penalty} is the paper's *)
-  jobs : int;
-      (** worker domains for the parallel search; 1 = sequential.  The
-          recommendation, costs, frontier and trace event counts are
-          identical whatever the value. *)
-  whatif_budget : int option;
-      (** frugal costing (see {!Search.options.whatif_budget}): cap on the
-          what-if optimizer calls the relaxation ranking may spend;
-          [None] = unlimited (frugal tier off).  With a finite budget
-          [result.recommended_cost] is re-derived from exact per-query
-          what-if costs after the search. *)
-  initial_config : Config.t option;
-      (** warm start: a previously deployed configuration seeded into the
-          search pool as an incumbent (see {!Search.options.warm_start}).
-          The continuous tuner's incremental re-tune entry; [None] = tune
-          from scratch. *)
-  whatif : Relax_optimizer.Whatif.t option;
-      (** an existing what-if interface to tune through, keeping its plan
-          cache and advisory bounds warm across re-tunes; [None] = a
-          fresh one per call. *)
-  on_iteration : (Search.iteration_report -> unit) option;
-      (** per-iteration hook threaded to {!Search.run}; used by the
-          differential invariant checker ([Relax_check]) *)
-}
+type options = Search.options
+(** See {!Search.options}. *)
 
 val default_options : ?mode:mode -> space_budget:float -> unit -> options
-(** [jobs] defaults to {!Relax_parallel.Pool.default_jobs} ([RELAX_JOBS]
+(** The paper's settings: [mode] defaults to [Indexes_and_views]; an empty
+    base configuration, 400 iterations, no time limit, one transformation
+    per iteration, no shrinking, {!Search.Penalty} selection, exact
+    costing, no warm start, a private what-if interface and no hook.
+    [jobs] defaults to {!Relax_parallel.Pool.default_jobs} ([RELAX_JOBS]
     or the machine's domain count, capped at 8). *)
 
 type result = {

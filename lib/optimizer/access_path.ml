@@ -69,9 +69,7 @@ let add_lookup env (plan : Plan.t) ~rel : Plan.t =
   let cost =
     plan.cost +. P.rid_lookup_cost ~rows:plan.rows ~table_pages ~clustered
   in
-  let cols =
-    Column_set.of_list (Relax_catalog.Catalog.columns_of (env : Env.t).cat rel)
-  in
+  let cols = Column_set.of_list (Env.columns_of env rel) in
   mk (Rid_lookup { input = plan; rel }) ~rows:plan.rows ~cost ~order:[]
     ~cols
 
@@ -154,9 +152,7 @@ let index_stats env (i : Index.t) =
   (rows, leaf, float_of_int height)
 
 let available_columns env (i : Index.t) =
-  if i.clustered then
-    Column_set.of_list
-      (Relax_catalog.Catalog.columns_of (env : Env.t).cat (Index.owner i))
+  if i.clustered then Column_set.of_list (Env.columns_of env (Index.owner i))
   else Index.columns i
 
 (* Finish an index access: pre-lookup filter on index columns, rid lookup if
@@ -204,9 +200,7 @@ let heap_candidate env (r : Request.t) : candidate =
   let rel = r.rel in
   let rows = Env.rows env rel in
   let pages = Env.table_pages env rel in
-  let all_cols =
-    Column_set.of_list (Relax_catalog.Catalog.columns_of (env : Env.t).cat rel)
-  in
+  let all_cols = Column_set.of_list (Env.columns_of env rel) in
   let order =
     match Env.clustered_on env rel with
     | Some ci -> List.map (fun c -> (c, Asc)) ci.keys

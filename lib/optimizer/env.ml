@@ -1,9 +1,11 @@
-(** Optimization environment: the catalog extended with the derived tables
-    that simulate the configuration's materialized views.
+(** Optimization environment: the catalog paired with the configuration
+    under which a query is optimized.
 
-    This implements the what-if principle: a hypothetical view becomes
-    visible to the optimizer purely as metadata — a derived table whose
-    column statistics are synthesized from the base tables it projects. *)
+    This implements the what-if principle: a hypothetical view is pure
+    metadata.  Its rows, widths and column statistics are answered on
+    demand from the configuration's view and row estimate, with column
+    statistics synthesized from the base tables the view projects; the
+    catalog is never written. *)
 
 open Relax_sql.Types
 module Catalog = Relax_catalog.Catalog
@@ -11,11 +13,11 @@ module Config = Relax_physical.Config
 module View = Relax_physical.View
 
 type t = {
-  cat : Catalog.t;  (** includes derived view tables *)
+  cat : Catalog.t;
   config : Config.t;
 }
 
-(** Synthesize statistics for one view output column. *)
+(* Synthesize statistics for one view output column. *)
 let stats_for_item cat ~view_rows (it : Relax_sql.Query.select_item) :
     Catalog.col_stats =
   match it with
@@ -63,31 +65,30 @@ let stats_for_item cat ~view_rows (it : Relax_sql.Query.select_item) :
       hist = Histogram_stub.uniform 0.0 1e9;
     }
 
-(** Build the environment for optimizing under [config]. *)
-let make cat (config : Config.t) : t =
-  let cat =
-    List.fold_left
-      (fun cat (v, rows) ->
-        let name = View.name v in
-        let cols =
-          if Catalog.known_derived cat name then []
-            (* statistics already synthesized on a previous simulation *)
-          else
-            List.map
-              (fun (cname, it) -> (cname, stats_for_item cat ~view_rows:rows it))
-              (View.outputs v)
-        in
-        Catalog.add_derived_table cat ~name ~rows ~cols)
-      cat
-      (Config.views_with_rows config)
-  in
-  { cat; config }
+let make cat (config : Config.t) : t = { cat; config }
 
 let rows t rel = Config.relation_rows t.cat t.config rel
 
-let col_stats t (c : column) = Catalog.col_stats t.cat c
+let col_stats_opt t (c : column) =
+  match Catalog.col_stats_opt t.cat c with
+  | Some _ as s -> s
+  | None -> (
+    match Config.find_view t.config c.tbl with
+    | None -> None
+    | Some (v, view_rows) ->
+      Option.map (stats_for_item t.cat ~view_rows) (View.item_of_view_column v c))
 
-let col_stats_opt t (c : column) = Catalog.col_stats_opt t.cat c
+let col_stats t (c : column) =
+  match col_stats_opt t c with
+  | Some s -> s
+  | None ->
+    invalid_arg (Printf.sprintf "Env: no statistics for %s.%s" c.tbl c.col)
+
+(** A relation's columns: a view's outputs, or a base table's columns. *)
+let columns_of t rel =
+  match Config.find_view t.config rel with
+  | Some (v, _) -> List.map (fun (_, it) -> View.column_of_item v it) (View.outputs v)
+  | None -> Catalog.columns_of t.cat rel
 
 let row_width t rel = Config.relation_row_width t.cat t.config rel
 

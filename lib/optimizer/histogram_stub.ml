@@ -1,5 +1,5 @@
-(** Tiny constructors for synthetic histograms attached to derived (view)
-    columns whose true distribution is unknown. *)
+(** Tiny constructors for synthetic histograms attached to view columns
+    whose true distribution is unknown. *)
 
 module Histogram = Relax_catalog.Histogram
 

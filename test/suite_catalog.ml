@@ -57,16 +57,6 @@ let test_catalog_stats () =
   Fixtures.check_float "serial distinct" 100_000.0 stats.distinct;
   Alcotest.(check int) "r columns" 8 (List.length (Catalog.columns_of cat "r"))
 
-let test_catalog_derived_table () =
-  let cat = Fixtures.small_catalog () in
-  let s = Catalog.col_stats cat (Column.make "r" "a") in
-  let cat' =
-    Catalog.add_derived_table cat ~name:"v_x" ~rows:500.0 ~cols:[ ("r_a", s) ]
-  in
-  Alcotest.(check bool) "derived exists" true (Catalog.mem_table cat' "v_x");
-  Fixtures.check_float "derived rows" 500.0 (Catalog.rows cat' "v_x");
-  Alcotest.(check bool) "original unchanged" false (Catalog.mem_table cat "v_x")
-
 (* --- schema DDL ------------------------------------------------------ *)
 
 let schema_src = {|
@@ -167,7 +157,6 @@ let suite =
     Alcotest.test_case "histogram equality" `Quick test_histogram_eq;
     Alcotest.test_case "histogram of values" `Quick test_histogram_of_values;
     Alcotest.test_case "catalog stats" `Quick test_catalog_stats;
-    Alcotest.test_case "derived tables" `Quick test_catalog_derived_table;
     Alcotest.test_case "schema: parse" `Quick test_schema_parse;
     Alcotest.test_case "schema: references" `Quick test_schema_references_sets_range;
     Alcotest.test_case "schema: defaults" `Quick test_schema_default_distribution;

@@ -205,6 +205,43 @@ let test_bounds_fingerprint_mismatch () =
     Alcotest.(check int) "store untouched on refusal" 0
       (O.Whatif.bounds_size other)
 
+(* --- concurrent view costing --------------------------------------------- *)
+
+(* Environments are plain values and the catalog is immutable after
+   [create], so domains may cost view-bearing configurations against a
+   fresh catalog with no setup on the main domain first. *)
+let test_concurrent_view_costing () =
+  let w = W.Tpch.workload_subset [ 1; 3; 6; 10; 14 ] in
+  let inst =
+    T.Instrument.optimal_configuration
+      (W.Tpch.catalog ~scale:0.02 ())
+      ~base:Config.empty ~views:true w
+  in
+  let views = Config.views inst.optimal in
+  Alcotest.(check bool) "optimal configuration holds views" true (views <> []);
+  let selects =
+    List.filter_map
+      (fun (e : Query.entry) ->
+        match e.stmt with Query.Select q -> Some q | Query.Dml _ -> None)
+      w
+  in
+  let plans cat = List.map (O.Optimizer.optimize cat inst.optimal) selects in
+  let costs ps = List.map (fun (p : O.Plan.t) -> p.cost) ps in
+  let sequential = plans (W.Tpch.catalog ~scale:0.02 ()) in
+  Alcotest.(check bool)
+    "some plan reads a view" true
+    (List.exists (fun p -> List.exists (O.Plan.uses_view p) views) sequential);
+  let shared = W.Tpch.catalog ~scale:0.02 () in
+  let domains =
+    List.init 2 (fun _ -> Domain.spawn (fun () -> costs (plans shared)))
+  in
+  List.iteri
+    (fun i d ->
+      Alcotest.(check (list (float 0.0)))
+        (Printf.sprintf "domain %d costs = sequential costs" i)
+        (costs sequential) (Domain.join d))
+    domains
+
 (* --- determinism at scale ----------------------------------------------- *)
 
 let require_domains n =
@@ -281,6 +318,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bounds_roundtrip;
     Alcotest.test_case "whatif: mismatched catalog refused" `Quick
       test_bounds_fingerprint_mismatch;
+    Alcotest.test_case "views: concurrent costing on a fresh catalog" `Quick
+      test_concurrent_view_costing;
     Alcotest.test_case "determinism: substrate pool, jobs=1 vs jobs=max"
       `Slow test_determinism_substrate;
   ]

@@ -313,7 +313,7 @@ let test_metrics_match_legacy_stats () =
   let budget = Config.total_bytes cat inst.optimal *. 0.5 in
   let opts =
     {
-      (T.Search.default_options ~space_budget:budget) with
+      (T.Tuner.default_options ~space_budget:budget ()) with
       max_iterations = 60;
     }
   in

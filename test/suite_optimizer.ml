@@ -131,6 +131,32 @@ let test_view_with_residual_predicate () =
   let p = optimize ~config q in
   Alcotest.(check bool) "view matched with residual" true (O.Plan.uses_view p v)
 
+(* A simulated view is configuration state: the environment answers its
+   columns from the configuration's view and row estimate, and the catalog
+   never learns of it. *)
+let test_views_are_configuration_state () =
+  let cat = Lazy.force cat in
+  let v = view_of "SELECT r.a, COUNT(*) FROM r GROUP BY r.a" in
+  let count_col =
+    View.column_of_item v (Query.Item_agg (Count, None))
+  in
+  let env = O.Env.make cat (with_view ~rows:100.0 v) in
+  Alcotest.(check bool)
+    "catalog has no statistics for the view column" true
+    (Relax_catalog.Catalog.col_stats_opt cat count_col = None);
+  Alcotest.(check bool)
+    "catalog has no view table" false
+    (Relax_catalog.Catalog.mem_table cat (View.name v));
+  Alcotest.(check (list string))
+    "columns_of lists the view outputs"
+    (List.map fst (View.outputs v))
+    (List.map (fun (col : column) -> col.col) (O.Env.columns_of env (View.name v)));
+  let env' = O.Env.make cat (with_view ~rows:10_000.0 v) in
+  Fixtures.check_float "COUNT max_v at 100 rows" 100.0
+    (O.Env.col_stats env count_col).max_v;
+  Fixtures.check_float "COUNT max_v at 10,000 rows" 10_000.0
+    (O.Env.col_stats env' count_col).max_v
+
 let test_view_wrong_tables_no_match () =
   let v = view_of "SELECT r.a FROM r WHERE r.a < 5" in
   let q = "SELECT r.a, s.y FROM r, s WHERE r.sid = s.id" in
@@ -442,6 +468,8 @@ let suite =
     Alcotest.test_case "view: exact match" `Quick test_view_exact_match;
     Alcotest.test_case "view: residual predicate" `Quick
       test_view_with_residual_predicate;
+    Alcotest.test_case "views are configuration state" `Quick
+      test_views_are_configuration_state;
     Alcotest.test_case "view: FROM mismatch" `Quick test_view_wrong_tables_no_match;
     Alcotest.test_case "view: tighter range rejected" `Quick
       test_view_tighter_range_no_match;
