@@ -60,7 +60,7 @@ let load_workload ~db ~scale ~schema_file ~queries ~file ~generate ~seed
   (schema.catalog, workload)
 
 let run db scale schema_file queries file generate seed updates tool mode
-    budget_mb iterations time_s jobs whatif_budget whatif_cache ddl
+    budget_mb iterations time_s jobs whatif_budget ddl
     do_compress explain analyze verbose log_level trace_file
     trace_chrome_file metrics frontier_csv_file check check_jsonl =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -107,26 +107,6 @@ let run db scale schema_file queries file generate seed updates tool mode
           (Relax_check.Checker.create catalog ~workload
              ~protected:Config.empty ())
     in
-    (* a persistent what-if cache: load advisory bounds before the run,
-       save the (possibly grown) store after.  Bounds are advisory — a
-       stale or missing file degrades to a cold store, never to a wrong
-       answer — so load failures warn and continue. *)
-    let whatif =
-      Option.map
-        (fun cache_file ->
-          let w = Relax_optimizer.Whatif.create catalog in
-          (if Sys.file_exists cache_file then
-             match Relax_optimizer.Whatif.load_bounds w ~file:cache_file with
-             | Ok n ->
-               Fmt.pr "what-if cache: loaded %d bound record(s) from %s@." n
-                 cache_file
-             | Error msg ->
-               Fmt.epr
-                 "tune: what-if cache %s not loaded (%s); starting cold@."
-                 cache_file msg);
-          (w, cache_file))
-        whatif_cache
-    in
     let opts =
       {
         (T.Tuner.default_options ~mode ~space_budget:budget ()) with
@@ -134,7 +114,6 @@ let run db scale schema_file queries file generate seed updates tool mode
         time_budget_s = time_s;
         jobs = Option.value jobs ~default:(Relax_parallel.Pool.default_jobs ());
         whatif_budget;
-        whatif = Option.map fst whatif;
         on_iteration =
           Option.map (fun c -> Relax_check.Checker.hook c) checker;
       }
@@ -160,15 +139,6 @@ let run db scale schema_file queries file generate seed updates tool mode
         ~finally:(fun () -> Option.iter Relax_obs.Trace.close sink)
         (fun () -> T.Tuner.tune ~obs catalog workload opts)
     in
-    Option.iter
-      (fun (w, cache_file) ->
-        match Relax_optimizer.Whatif.save_bounds w ~file:cache_file with
-        | Ok n ->
-          Fmt.pr "what-if cache: saved %d bound record(s) to %s@." n
-            cache_file
-        | Error msg ->
-          Fmt.epr "tune: what-if cache %s not saved: %s@." cache_file msg)
-      whatif;
     Option.iter
       (fun path -> Fmt.pr "trace written to %s@." path)
       trace_file;
@@ -388,19 +358,6 @@ let whatif_budget =
            whatif.bound_rejects and whatif.budget_spent counters in \
            --metrics.")
 
-let whatif_cache =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "whatif-cache" ] ~docv:"FILE"
-        ~doc:
-          "Persist the what-if cost bounds across runs (ptt only): load \
-           advisory bound records from \\$(docv) before tuning and save \
-           the grown store back after.  Records are keyed by a catalog \
-           fingerprint, so a file from different statistics is rejected \
-           (with a warning) rather than silently misused; sharing a file \
-           is safe exactly when the catalog fingerprint matches.")
-
 let ddl =
   Arg.(
     value & flag
@@ -526,7 +483,7 @@ let cmd =
     Term.(
       const run $ db $ scale $ schema_file $ queries $ file $ generate
       $ seed $ updates $ tool $ mode $ budget_mb $ iterations $ time_s
-      $ jobs $ whatif_budget $ whatif_cache $ ddl $ do_compress $ explain
+      $ jobs $ whatif_budget $ ddl $ do_compress $ explain
       $ analyze
       $ verbose $ log_level $ trace_file $ trace_chrome_file $ metrics
       $ frontier_csv_file $ check $ check_jsonl)

@@ -240,10 +240,7 @@ let hook t (r : T.Search.iteration_report) =
                 (if bound > 0.0 then actual /. bound else Float.nan);
               (* the frugal tier's lower bound must bracket the same
                  re-optimized cost from below *)
-              let lower =
-                T.Cost_bound.query_lower_bound ~order_by:sq.Query.order_by ctx
-                  plan
-              in
+              let lower = T.Cost_bound.query_lower_bound ctx plan in
               if not (bound_ok t.tol ~bound:actual ~actual:lower) then
                 add "lower_bound_soundness" ~subject:(tr_label ^ " / " ^ qid)
                   ~detail:

@@ -72,8 +72,8 @@ let validate ?(tolerances = Checker.default_tolerances) ?(cost_slack = 0.01)
   then
     fail "space budget: %.0f bytes exceeds budget %.0f" size_bytes space_budget;
   (* independent cost recompute: a fresh what-if interface, so no cached
-     plan or advisory bound of the tuning run is trusted.  [cost_slack]
-     is deliberately looser than [bound_epsilon]: the search's §3 plan
+     plan of the tuning run is trusted.  [cost_slack] is deliberately
+     looser than [bound_epsilon]: the search's §3 plan
      patching carries costs over without full re-optimization, so a
      fraction of a percent of drift against exact recompute is expected —
      the check is after stale-cache/wrong-config mistakes, not float

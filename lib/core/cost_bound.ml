@@ -366,10 +366,9 @@ let patched_plan ?(order_by = []) ctx (plan : O.Plan.t) : O.Plan.t option =
     covering kills a rid-lookup an entire join order was shaped by — and
     the differential checker caught exactly such a case (a per-access
     floor over-estimating the optimum by 27% under an index promotion).
-    Real information tightens the interval instead: the advisory store
-    ({!Relax_optimizer.Whatif.cost_interval}) raises the lower end from
-    {e observed} costs of structure-comparable configurations, which is
-    sound by construction. *)
-let query_lower_bound ?(order_by = []) ctx (plan : O.Plan.t) : float =
-  ignore order_by;
+    Nothing raises it: an expanding relaxation's interval keeps its 0
+    lower end until a budgeted optimizer call collapses it.
+
+    [order_by] is ignored: the bound does not depend on output order. *)
+let query_lower_bound ?order_by:_ ctx (plan : O.Plan.t) : float =
   if not ctx.expands then plan.cost else 0.0

@@ -105,6 +105,7 @@ val query_lower_bound :
     get cheaper.  With replacement structures ([expands = true]) the model
     makes no claim and the bound is 0 — any floor assembled from the old
     plan's operators can be beaten by a restructured plan (order deleting
-    a Sort and flipping the join method at once); the advisory store
-    ({!Relax_optimizer.Whatif.cost_interval}) raises the lower end from
-    observed costs instead, which is sound by construction. *)
+    a Sort and flipping the join method at once), and nothing raises it:
+    an expanding relaxation's interval keeps its 0 lower end until a
+    budgeted optimizer call collapses it.  [order_by] is ignored (the
+    bound does not depend on output order). *)

@@ -25,10 +25,10 @@ let point x = { lo = x; hi = x }
 let width i = i.hi -. i.lo
 let is_point i = Cost_bound.float_leq i.hi i.lo
 
-(* Intersect a checked model interval [a] with advisory information [b]
-   (e.g. memoized costs of structure-comparable configurations).  When the
-   two conflict — empty intersection, the advisory data contradicting the
-   model — the checked interval wins unchanged. *)
+(* Intersect interval [a] with [b], another interval on the same ΔT (a
+   refinement intersects its freshly costed interval with the model
+   bounds).  When the two conflict — empty intersection — [a] wins
+   unchanged. *)
 let tighten_with a ~advisory:b =
   let lo = Float.max a.lo b.lo and hi = Float.min a.hi b.hi in
   if Cost_bound.float_leq lo hi then { lo; hi } else a
@@ -110,17 +110,17 @@ let threshold ~penalty cands =
 
 (** Resolve one node's candidate ranking.  [penalty] must be monotone
     non-decreasing in [dt] (every penalty formula in the search is: ΔT
-    divided by a positive denominator, or ΔT plus a constant).  [tighten]
-    may shrink a candidate's interval for free (advisory store lookups);
-    [refine] collapses it with actual optimizer calls, debiting the ledger
-    through {!debit} and stopping early when {!remaining} hits zero.
+    divided by a positive denominator, or ΔT plus a constant).  [refine]
+    collapses a candidate's interval with actual optimizer calls, debiting
+    the ledger through {!debit} and stopping early when {!remaining} hits
+    zero.
 
     On return every candidate is either decided from bounds (interval
     entirely on one side of the final threshold — counted in
     [bound_accepts]/[bound_rejects]), exactly refined, or left straddling
     because the budget ran dry (ranked by its interval's upper end, the
     non-frugal value). *)
-let sweep t ~penalty ~tighten ~refine (cands : 'a cand list) : unit =
+let sweep t ~penalty ~refine (cands : 'a cand list) : unit =
   let straddling thr =
     List.filter
       (fun c ->
@@ -145,10 +145,7 @@ let sweep t ~penalty ~tighten ~refine (cands : 'a cand list) : unit =
     match widest (straddling thr) with
     | None -> ()
     | Some c ->
-      let before = c.ival in
-      tighten c;
-      if width c.ival < width before then go () (* free progress: re-sweep *)
-      else if rank_remaining t > 0 then begin
+      if rank_remaining t > 0 then begin
         refine c;
         c.refined <- true;
         go ()

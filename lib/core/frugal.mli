@@ -18,9 +18,9 @@ val is_point : interval -> bool
 (** Degenerate up to the {!Cost_bound.float_leq} tolerance. *)
 
 val tighten_with : interval -> advisory:interval -> interval
-(** Intersect a checked model interval with advisory information (e.g.
-    {!Relax_optimizer.Whatif.cost_interval}); on conflict the checked
-    interval wins unchanged. *)
+(** Intersect an interval with another one on the same value (a
+    refinement intersects its freshly costed interval with the model
+    bounds); on conflict (empty intersection) the first wins unchanged. *)
 
 (** One candidate in a sweep: an opaque payload and its mutable ΔT
     interval.  [refined] marks candidates already collapsed by actual
@@ -67,13 +67,11 @@ val debit : t -> int -> unit
 val sweep :
   t ->
   penalty:(payload:'a -> dt:float -> float) ->
-  tighten:('a cand -> unit) ->
   refine:('a cand -> unit) ->
   'a cand list ->
   unit
 (** Resolve one node's candidate ranking.  [penalty] must be monotone
-    non-decreasing in [dt].  [tighten] may shrink an interval for free;
-    [refine] collapses one with optimizer calls, debiting the ledger and
-    stopping early when {!remaining} hits zero.  On return every candidate
-    is decided from bounds, exactly refined, or left straddling because the
-    budget ran dry. *)
+    non-decreasing in [dt].  [refine] collapses an interval with optimizer
+    calls, debiting the ledger and stopping early when {!remaining} hits
+    zero.  On return every candidate is decided from bounds, exactly
+    refined, or left straddling because the budget ran dry. *)

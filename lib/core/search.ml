@@ -430,22 +430,14 @@ let frugal_decisions st ledger ~(parent : node) ~ctx ~shell ~best_cost config =
       let old_plan = parent.plans.(slot) in
       let parent_pseudo = Bitset.mem parent.pseudo slot in
       let affected = Cost_bound.plan_affected ctx old_plan in
-      let advisory_lo () =
-        fst
-          (O.Whatif.cost_interval st.whatif config ~qid
-             ~tables:q.Query.body.tables)
-      in
       if (not parent_pseudo) && not affected then begin
         lo_total := !lo_total +. (w *. old_plan.O.Plan.cost);
         hi_total := !hi_total +. (w *. old_plan.O.Plan.cost)
       end
       else begin
         let lo =
-          if parent_pseudo then advisory_lo ()
-          else
-            Float.max (advisory_lo ())
-              (Cost_bound.query_lower_bound ~order_by:q.Query.order_by ctx
-                 old_plan)
+          if parent_pseudo then 0.0
+          else Cost_bound.query_lower_bound ctx old_plan
         in
         lo_total := !lo_total +. (w *. lo);
         match
@@ -772,14 +764,15 @@ let rank_candidates st (n : node) : candidate list =
   let bounds ~lower ctx slot plan =
     let order_by = order_by_of slot in
     let hi = Cost_bound.query_bound ~order_by ctx plan in
-    ((if lower then Cost_bound.query_lower_bound ~order_by ctx plan else hi), hi)
+    ((if lower then Cost_bound.query_lower_bound ctx plan else hi), hi)
   in
   (* Phase 2, parallel: score each applied transformation — incremental
      size (only the structures that changed are re-measured; heaps are
      cheap cached lookups), §3.3.2 cost upper bound (and, in frugal mode,
-     the matching lower bound), update-shell delta.  Everything here reads
-     shared state through locks ([size_cache], [cbv_cache], the catalog
-     memos pre-filled in phase 1).  A scored candidate carries its ΔT
+     the matching lower bound), update-shell delta.  Each task reads the
+     node's plans, the immutable catalog and the contexts phase 1 built;
+     the only shared mutable state is [size_cache] and [cbv_cache], read
+     and written under their locks.  A scored candidate carries its ΔT
      lower bound and what the frugal sweep needs to refine it. *)
   let lower = Option.is_some st.frugal in
   let score (tr, config', affected, ctx) =
@@ -871,32 +864,6 @@ let rank_candidates st (n : node) : candidate list =
       let (c : candidate), _ = payload in
       penalty_of ~delta_space:c.delta_space dt
     in
-    (* Free tightening: raise the interval's lower end with the advisory
-       floor the what-if layer derives from structure-comparable
-       configurations it already optimized (floors sharpen as budgeted
-       calls land anywhere).  The upper end deliberately stays the model
-       bound: evaluation stores exactly the model's patched plan for
-       un-budgeted queries, so an advisory-lowered upper end could drop
-       below the realized cost and break the realized-≤-predicted
-       invariant the differential checker enforces. *)
-    let tighten (fc : _ Frugal.cand) =
-      let _, (config', affected, ctx, delta_shell) = fc.Frugal.payload in
-      let lo, _ =
-        walk_affected affected ctx ~init:(delta_shell, delta_shell)
-          (fun _ slot _ ->
-            let qid, _, (sq : Query.select_query) =
-              st.prepared.selects_arr.(slot)
-            in
-            let alo, _ =
-              O.Whatif.cost_interval st.whatif config' ~qid
-                ~tables:sq.body.tables
-            in
-            (alo, alo))
-      in
-      fc.Frugal.ival <-
-        Frugal.tighten_with fc.Frugal.ival
-          ~advisory:{ Frugal.lo; hi = infinity }
-    in
     (* refinement: re-optimize the affected queries for real, debiting the
        ledger per optimizer call actually executed (cache hits are free);
        queries the budget could not cover keep their model bounds, leaving
@@ -919,7 +886,7 @@ let rank_candidates st (n : node) : candidate list =
       fc.Frugal.ival <-
         Frugal.tighten_with { Frugal.lo; hi } ~advisory:fc.Frugal.ival
     in
-    Frugal.sweep ledger ~penalty ~tighten ~refine fcands;
+    Frugal.sweep ledger ~penalty ~refine fcands;
     let updated =
       List.map
         (fun (fc : _ Frugal.cand) ->

@@ -104,9 +104,9 @@ type options = {
           entry.  [None] (default): tune from scratch. *)
   whatif : O.Whatif.t option;
       (** an existing what-if interface to run against instead of a fresh
-          one, sharing its plan cache and advisory bound store across
-          runs; [outcome.optimizer_calls]/[cache_hits] still report this
-          run's deltas.  [None] (default): a private interface. *)
+          one, sharing its plan cache across runs;
+          [outcome.optimizer_calls]/[cache_hits] still report this run's
+          deltas.  [None] (default): a private interface. *)
   on_iteration : (iteration_report -> unit) option;
       (** invoked once per iteration, after evaluation and trace emission,
           from the main domain (never from workers).  Used by the

@@ -118,13 +118,20 @@ type t = {
 let bump t name = Obs.Metrics.count (Obs.Recorder.metrics t.recorder) name 1
 let emit t json = Obs.Recorder.emit t.recorder (fun () -> json)
 
+(* Crash-safe: write a sibling [<path>.tmp], fsync it and rename it over
+   [path], so a crash mid-write leaves the previous state file whole.  A
+   leftover [.tmp] is never read; the next persist overwrites it. *)
 let persist t =
   match t.opts.state_path with
   | None -> ()
   | Some path ->
-    Out_channel.with_open_bin path (fun oc ->
+    let tmp = path ^ ".tmp" in
+    Out_channel.with_open_bin tmp (fun oc ->
         Out_channel.output_string oc t.deployed_json;
-        Out_channel.output_char oc '\n')
+        Out_channel.output_char oc '\n';
+        Out_channel.flush oc;
+        Unix.fsync (Unix.descr_of_out_channel oc));
+    Sys.rename tmp path
 
 let load_state path =
   match In_channel.with_open_bin path In_channel.input_all with

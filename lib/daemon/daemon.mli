@@ -2,9 +2,9 @@
     sliding window incrementally, deploy guarded DDL deltas, roll back on
     cost drift.
 
-    One {!t} owns a {!Window.t}, a shared what-if interface (plan cache
-    and advisory bounds stay warm across re-tunes) and the deployed
-    configuration with its durable JSON form.  Every
+    One {!t} owns a {!Window.t}, a shared what-if interface (its plan
+    cache stays warm across re-tunes) and the deployed configuration with
+    its durable JSON form.  Every
     [options.retune_every] ingested statements {!ingest} triggers a
     re-tune:
 
@@ -29,8 +29,10 @@
     affected qids evicted from the shared what-if cache.
 
     Deploys, rollbacks and shutdown persist the deployed configuration's
-    JSON to [options.state_path] when set; {!create} warm-loads it back,
-    so a restarted daemon resumes from the last deployment. *)
+    JSON to [options.state_path] when set, through a fsynced
+    [<state_path>.tmp] renamed over it, so a crash mid-write never
+    truncates the state file; {!create} warm-loads it back, so a
+    restarted daemon resumes from the last deployment. *)
 
 module Query = Relax_sql.Query
 module Config = Relax_physical.Config

@@ -65,5 +65,5 @@ val rotate : t -> rotation
     {!drain_evictions}. *)
 
 val drain_evictions : t -> string list
-(** Qids whose cached optimizer state (plans, advisory bounds) must be
-    evicted, accumulated since the last drain; clears the queue. *)
+(** Qids whose cached plans must be evicted, accumulated since the last
+    drain; clears the queue. *)

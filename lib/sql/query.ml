@@ -150,9 +150,9 @@ let column_equiv (joins : Predicate.join list) : column -> column -> bool =
   fun a b -> Column.equal a b || Column.equal (find a) (find b)
 
 (** The qid under which a DML entry's select component is planned and
-    cached.  Every costing layer (what-if cache keys, advisory bounds,
-    frugal-tier lookups, per-node plan maps) must derive the component qid
-    through this one helper so the caches and bound stores agree. *)
+    cached.  Every costing layer (what-if cache keys, frugal-tier
+    lookups, per-node plan maps) must derive the component qid through
+    this one helper so the caches agree. *)
 let select_qid qid = qid ^ ":select"
 
 (** Inverse of {!select_qid}: the workload entry's qid behind a planning

@@ -84,9 +84,9 @@ val column_equiv : Predicate.join list -> column -> column -> bool
 
 val select_qid : string -> string
 (** The qid under which a DML entry's select component is planned and
-    cached.  All costing layers (what-if cache keys, advisory bounds,
-    frugal-tier lookups, per-node plan maps) derive the component qid
-    through this one helper so caches and bound stores agree. *)
+    cached.  All costing layers (what-if cache keys, frugal-tier
+    lookups, per-node plan maps) derive the component qid through this
+    one helper so the caches agree. *)
 
 val base_qid : string -> string
 (** Inverse of {!select_qid}: the workload entry behind a planning qid,

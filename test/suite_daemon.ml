@@ -3,10 +3,10 @@
     randomized), the decayed sliding window (monotone decay, rotation,
     capacity eviction), the JSONL stream codec, the guardrail verdicts,
     warm-vs-cold re-tune economy, deterministic replay across [--jobs],
-    guardrail auto-rollback with byte-identical restore, the bounded
-    advisory-bounds store, the frugal tier on an update workload, and a
-    spawned [relaxd] process signalled mid-stream (clean SIGTERM exit,
-    well-formed JSONL). *)
+    guardrail auto-rollback with byte-identical restore, crash-safe state
+    writes, per-qid what-if eviction, the frugal tier on an update
+    workload, and a spawned [relaxd] process signalled mid-stream (clean
+    SIGTERM exit, well-formed JSONL). *)
 
 module Query = Relax_sql.Query
 module Index = Relax_physical.Index
@@ -379,29 +379,40 @@ let test_daemon_state_persistence () =
     (Config.fingerprint (D.Daemon.deployed d2));
   Sys.remove path
 
-(* --- the bounded advisory-bounds store ------------------------------------ *)
-
-let test_bounds_store_bounded () =
-  let cat = Lazy.force cat in
-  let whatif = O.Whatif.create cat in
-  let workload = workload_small () in
-  (* hammer one qid with hundreds of distinct configurations: the store
-     must stay within its per-qid cap instead of growing per call *)
-  for i = 0 to 199 do
-    let idx =
-      if i mod 2 = 0 then
-        Index.on "r" [ "b" ] ~suffix:[ List.nth [ "a"; "cc"; "d"; "e"; "id" ] (i mod 5) ]
-      else Index.on "r" [ List.nth [ "a"; "b"; "cc"; "d"; "id" ] (i mod 5) ]
-    in
-    ignore (O.Whatif.workload_cost whatif (Config.of_indexes [ idx ]) workload)
-  done;
-  let size = O.Whatif.bounds_size whatif in
-  Alcotest.(check bool)
-    (Printf.sprintf "bounds store bounded (%d records)" size)
-    true
-    (size > 0 && size <= 32 * 3);
-  O.Whatif.reset_bounds whatif;
-  Alcotest.(check int) "reset drops everything" 0 (O.Whatif.bounds_size whatif)
+let test_daemon_state_crash_safe () =
+  let path = Filename.temp_file "relaxd_state" ".json" in
+  let tmp = path ^ ".tmp" in
+  let valid = Config.of_indexes [ Index.on "r" [ "cc" ] ] in
+  let valid_json = Config_json.to_string valid in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc valid_json);
+  (* the remains of a write that crashed halfway *)
+  Out_channel.with_open_bin tmp (fun oc ->
+      Out_channel.output_string oc
+        (String.sub valid_json 0 (String.length valid_json / 2)));
+  let opts = { (daemon_opts ()) with state_path = Some path } in
+  let d = D.Daemon.create (Lazy.force cat) opts in
+  Alcotest.(check string)
+    "warm-loaded the valid deployment" (Config.fingerprint valid)
+    (Config.fingerprint (D.Daemon.deployed d));
+  let deployed =
+    List.exists
+      (fun e ->
+        match D.Daemon.ingest d e with
+        | Some { action = D.Daemon.Deployed _; _ } -> true
+        | _ -> false)
+      (stream_of_reps 2)
+  in
+  Alcotest.(check bool) "a re-tune deployed" true deployed;
+  let persisted = String.trim (In_channel.with_open_bin path In_channel.input_all) in
+  (match Config_json.of_string persisted with
+  | Ok cfg ->
+    Alcotest.(check string)
+      "state file holds the new deployment"
+      (Config.fingerprint (D.Daemon.deployed d))
+      (Config.fingerprint cfg)
+  | Error msg -> Alcotest.failf "state file does not parse: %s" msg);
+  Alcotest.(check bool) "no temporary left" false (Sys.file_exists tmp);
+  Sys.remove path
 
 let test_whatif_evict () =
   let cat = Lazy.force cat in
@@ -413,7 +424,6 @@ let test_whatif_evict () =
   ignore (O.Whatif.workload_cost whatif Config.empty workload);
   let calls1, _ = O.Whatif.stats whatif in
   Alcotest.(check int) "fully cached" calls0 calls1;
-  Alcotest.(check bool) "bounds recorded" true (O.Whatif.bounds_size whatif > 0);
   (* evicting q1 forces its re-optimization but keeps q2 cached *)
   O.Whatif.evict whatif ~keep:(fun q -> q <> "q1");
   ignore (O.Whatif.workload_cost whatif Config.empty workload);
@@ -447,9 +457,8 @@ let test_frugal_dml_bound_hits () =
   let named name =
     Option.value ~default:0 (List.assoc_opt name m.named_counters)
   in
-  (* the point of the shared select-qid helper: advisory bounds recorded
-     for DML select components are found again, so the frugal tier
-     decides candidates from bounds on an update-heavy workload *)
+  (* the frugal tier decides candidates from bound intervals on an
+     update-heavy workload too *)
   let bound_hits = named "whatif.bound_accepts" + named "whatif.bound_rejects" in
   Alcotest.(check bool)
     (Printf.sprintf "bound decisions on update workload (%d)" bound_hits)
@@ -568,8 +577,8 @@ let suite =
       test_daemon_rollback;
     Alcotest.test_case "daemon: state persistence" `Slow
       test_daemon_state_persistence;
-    Alcotest.test_case "whatif: bounds store stays bounded" `Quick
-      test_bounds_store_bounded;
+    Alcotest.test_case "daemon: crash-safe state file" `Slow
+      test_daemon_state_crash_safe;
     Alcotest.test_case "whatif: per-qid eviction" `Quick test_whatif_evict;
     Alcotest.test_case "frugal: bound hits on update workload" `Quick
       test_frugal_dml_bound_hits;

@@ -43,7 +43,7 @@ let test_sweep_bounds_decide () =
   let t = create ~budget:0 in
   let a = cand "a" { lo = 1.0; hi = 2.0 } in
   let b = cand "b" { lo = 10.0; hi = 20.0 } in
-  sweep t ~penalty ~tighten:(fun _ -> ()) ~refine:(fun _ -> Alcotest.fail "refine with zero budget") [ a; b ];
+  sweep t ~penalty ~refine:(fun _ -> Alcotest.fail "refine with zero budget") [ a; b ];
   Alcotest.(check int) "nothing spent" 0 (spent t);
   Alcotest.(check int) "one bound accept" 1 (bound_accepts t);
   Alcotest.(check int) "one bound reject" 1 (bound_rejects t)
@@ -61,7 +61,7 @@ let test_sweep_refines_widest_first () =
     debit t 1;
     cd.ival <- point (match cd.payload with "a" -> 3.0 | _ -> 4.0)
   in
-  sweep t ~penalty ~tighten:(fun _ -> ()) ~refine [ a; b; c ];
+  sweep t ~penalty ~refine [ a; b; c ];
   Alcotest.(check (list string))
     "widest penalty gap first" [ "a"; "b" ] (List.rev !order);
   Alcotest.(check int) "two calls spent" 2 (spent t);
@@ -84,27 +84,12 @@ let test_sweep_budget_dry () =
     debit t 1;
     cd.ival <- point 7.0
   in
-  sweep t ~penalty ~tighten:(fun _ -> ()) ~refine [ a; b; c ];
+  sweep t ~penalty ~refine [ a; b; c ];
   Alcotest.(check int) "exactly the ranking share spent" 1 (spent t);
   Alcotest.(check bool) "widest refined" true a.refined;
   Alcotest.(check bool) "others left straddling" false (b.refined || c.refined);
   Alcotest.(check int) "straddlers not miscounted" 0
     (bound_accepts t + bound_rejects t)
-
-let test_sweep_free_tighten_progress () =
-  (* a tighten that shrinks the interval re-enters the sweep without
-     consuming budget; here it decides everything on its own *)
-  let open T.Frugal in
-  let t = create ~budget:0 in
-  let a = cand "a" { lo = 0.0; hi = 10.0 } in
-  let b = cand "b" { lo = 4.0; hi = 6.0 } in
-  let tighten cd =
-    if cd.payload = "a" then cd.ival <- tighten_with cd.ival ~advisory:(point 1.0)
-  in
-  sweep t ~penalty ~tighten ~refine:(fun _ -> Alcotest.fail "refine with zero budget") [ a; b ];
-  Alcotest.(check int) "nothing spent" 0 (spent t);
-  Alcotest.(check int) "a accepted from the tightened bound" 1 (bound_accepts t);
-  Alcotest.(check int) "b rejected" 1 (bound_rejects t)
 
 (* --- interval soundness over TPC-H relaxations ----------------------------- *)
 
@@ -168,10 +153,7 @@ let prop_interval_sound_tpch =
             let hi =
               T.Cost_bound.query_bound ~order_by:sq.Query.order_by ctx plan
             in
-            let lo =
-              T.Cost_bound.query_lower_bound ~order_by:sq.Query.order_by ctx
-                plan
-            in
+            let lo = T.Cost_bound.query_lower_bound ctx plan in
             let actual =
               (O.Whatif.plan_select whatif config' ~qid sq).O.Plan.cost
             in
@@ -339,8 +321,6 @@ let suite =
       test_sweep_refines_widest_first;
     Alcotest.test_case "sweep: ranking share bounds spend" `Quick
       test_sweep_budget_dry;
-    Alcotest.test_case "sweep: free tighten progress" `Quick
-      test_sweep_free_tighten_progress;
     QCheck_alcotest.to_alcotest prop_interval_sound_tpch;
     QCheck_alcotest.to_alcotest prop_patched_plan_matches_bound;
     Alcotest.test_case "tune: zero budget" `Slow test_budget_zero;

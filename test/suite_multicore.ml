@@ -1,7 +1,7 @@
 (** Multi-core tests that only mean something on a big substrate: the
     jobs=1 vs jobs=max determinism guarantee on the generated 104-statement
     pool, the substrate generator itself, the pool oversubscription
-    warning counters, and the on-disk what-if bound cache round-trip.
+    warning counters, and concurrent view costing on a fresh catalog.
 
     The determinism-at-scale case needs real parallelism to be a real
     test, so it is gated on [Domain.recommended_domain_count () >= 4] and
@@ -118,93 +118,6 @@ let test_pool_within_hw_no_warning () =
   Alcotest.(check bool) "no oversubscription counter" true
     (List.assoc_opt "pool.oversubscribed" m.Obs.Metrics.named_counters = None)
 
-(* --- on-disk what-if bound cache ---------------------------------------- *)
-
-let with_temp_file f =
-  let file = Filename.temp_file "relax-whatif" ".json" in
-  Fun.protect ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ()) (fun () -> f file)
-
-let probe_queries =
-  [
-    ("m1", [ "r" ], "SELECT r.a, r.b FROM r WHERE r.a = 5");
-    ("m2", [ "r" ], "SELECT r.d FROM r WHERE r.b < 10");
-    ("m3", [ "s" ], "SELECT s.x FROM s WHERE s.x = 3");
-    ("m4", [ "r"; "s" ], "SELECT r.a FROM r, s WHERE r.sid = s.id AND s.x < 50");
-  ]
-
-let probe_configs =
-  [
-    Config.empty;
-    Config.of_indexes [ Index.on "r" [ "a" ] ];
-    Config.of_indexes [ Index.on "r" [ "b"; "d" ]; Index.on "s" [ "x" ] ];
-  ]
-
-(* cost a subset of (query, config) pairs selected by [mask], then
-   save/load through a temp file into a fresh instance on the same
-   catalog and require identical advisory intervals on every probe *)
-let roundtrip_preserves_intervals mask =
-  let cat = Fixtures.small_catalog () in
-  let original = O.Whatif.create cat in
-  List.iteri
-    (fun i (qid, _, sql) ->
-      List.iteri
-        (fun j config ->
-          if mask land (1 lsl ((i * List.length probe_configs) + j)) <> 0 then
-            ignore
-              (O.Whatif.plan_select original config ~qid
-                 (Fixtures.parse_select sql)))
-        probe_configs)
-    probe_queries;
-  with_temp_file @@ fun file ->
-  let saved =
-    match O.Whatif.save_bounds original ~file with
-    | Ok n -> n
-    | Error msg -> QCheck.Test.fail_reportf "save failed: %s" msg
-  in
-  let reloaded = O.Whatif.create cat in
-  (match O.Whatif.load_bounds reloaded ~file with
-  | Ok n ->
-    if n <> saved then
-      QCheck.Test.fail_reportf "saved %d records but loaded %d" saved n
-  | Error msg -> QCheck.Test.fail_reportf "load failed: %s" msg);
-  List.iter
-    (fun (qid, tables, _) ->
-      List.iter
-        (fun config ->
-          let lo1, hi1 = O.Whatif.cost_interval original config ~qid ~tables in
-          let lo2, hi2 = O.Whatif.cost_interval reloaded config ~qid ~tables in
-          if not (lo1 = lo2 && hi1 = hi2) then
-            QCheck.Test.fail_reportf
-              "interval drift for %s under %s: (%g, %g) vs (%g, %g)" qid
-              (Config.fingerprint config) lo1 hi1 lo2 hi2)
-        probe_configs)
-    probe_queries;
-  true
-
-let prop_bounds_roundtrip =
-  QCheck.Test.make ~name:"bound store round-trip preserves cost intervals"
-    ~count:40
-    QCheck.(int_bound ((1 lsl 12) - 1))
-    roundtrip_preserves_intervals
-
-let test_bounds_fingerprint_mismatch () =
-  let cat = Fixtures.small_catalog () in
-  let w = O.Whatif.create cat in
-  ignore
-    (O.Whatif.plan_select w Config.empty ~qid:"m1"
-       (Fixtures.parse_select "SELECT r.a FROM r WHERE r.a = 5"));
-  with_temp_file @@ fun file ->
-  (match O.Whatif.save_bounds w ~file with
-  | Ok n -> Alcotest.(check bool) "saved records" true (n > 0)
-  | Error msg -> Alcotest.fail ("save failed: " ^ msg));
-  (* other statistics, other fingerprint: the file must be refused *)
-  let other = O.Whatif.create (W.Substrate.catalog ~sf:0.1 ()) in
-  match O.Whatif.load_bounds other ~file with
-  | Ok _ -> Alcotest.fail "mismatched catalog fingerprint was accepted"
-  | Error _ ->
-    Alcotest.(check int) "store untouched on refusal" 0
-      (O.Whatif.bounds_size other)
-
 (* --- concurrent view costing --------------------------------------------- *)
 
 (* Environments are plain values and the catalog is immutable after
@@ -315,9 +228,6 @@ let suite =
       test_pool_oversubscription_counters;
     Alcotest.test_case "pool: no warning within hardware" `Quick
       test_pool_within_hw_no_warning;
-    QCheck_alcotest.to_alcotest prop_bounds_roundtrip;
-    Alcotest.test_case "whatif: mismatched catalog refused" `Quick
-      test_bounds_fingerprint_mismatch;
     Alcotest.test_case "views: concurrent costing on a fresh catalog" `Quick
       test_concurrent_view_costing;
     Alcotest.test_case "determinism: substrate pool, jobs=1 vs jobs=max"
