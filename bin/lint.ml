@@ -4,47 +4,30 @@
 
     Exit status is non-zero when any unwaived finding remains, so
     [dune build @lint] doubles as the CI gate.  Findings are printed as
-    human-readable lines and, with [--jsonl] / [--sarif], written as
-    JSONL and SARIF 2.1.0 for the CI artifact and GitHub code scanning.
-    [--effects-dump FILE] writes the solved per-node effect-signature
-    table as JSONL; the analysis is deterministic, so two runs over the
-    same build tree produce byte-identical dumps. *)
+    human-readable lines and, with [--sarif], written as SARIF 2.1.0
+    (waived findings included, marked suppressed) for the CI artifact
+    and GitHub code scanning. *)
 
 let () =
   let root = ref "lib" in
-  let jsonl = ref "" in
   let sarif = ref "" in
-  let effects_dump = ref "" in
   let quiet = ref false in
-  let assume_parallel = ref false in
   let args =
     [
       ("--root", Arg.Set_string root, "DIR directory scanned for .cmt files (default: lib)");
-      ("--jsonl", Arg.Set_string jsonl, "FILE write findings as JSONL");
       ("--sarif", Arg.Set_string sarif, "FILE write findings as SARIF 2.1.0");
-      ( "--effects-dump",
-        Arg.Set_string effects_dump,
-        "FILE write the solved effect-signature table as JSONL" );
       ("--quiet", Arg.Set quiet, " suppress the per-finding text output");
-      ( "--assume-parallel",
-        Arg.Set assume_parallel,
-        " treat every module as pool-reachable (debugging aid)" );
     ]
   in
   Arg.parse args
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "lint [--root DIR] [--jsonl FILE] [--sarif FILE] [--effects-dump FILE]";
+    "lint [--root DIR] [--sarif FILE] [--quiet]";
   (* The cmt files live in the build tree.  Under the [@lint] alias the
      action already runs from [_build/default], so [--root lib] is right
      as given; under [dune exec] from the workspace root it is not, so
      fall back to the build tree this very binary was built in. *)
   let run ~root ~src_root =
-    Relax_lint.Engine.run
-      {
-        (Relax_lint.Engine.default ~root) with
-        src_root;
-        assume_parallel = !assume_parallel;
-      }
+    Relax_lint.Engine.run { (Relax_lint.Engine.default ~root) with src_root }
   in
   let attempted = ref [ !root ] in
   let result =
@@ -70,45 +53,11 @@ let () =
   let module F = Relax_lint.Finding in
   if not !quiet then
     List.iter (fun f -> Fmt.pr "%a@." F.pp f) result.findings;
-  if !jsonl <> "" then begin
-    let oc = open_out !jsonl in
-    List.iter
-      (fun f ->
-        output_string oc (Relax_obs.Json.to_string (F.to_json f));
-        output_char oc '\n')
-      (result.findings @ result.waived);
-    let summary =
-      Relax_obs.Json.Obj
-        [
-          ("event", Relax_obs.Json.String "lint.summary");
-          ("modules", Relax_obs.Json.Int result.modules_checked);
-          ("findings", Relax_obs.Json.Int (List.length result.findings));
-          ("waived", Relax_obs.Json.Int (List.length result.waived));
-          ( "parallel_reachable",
-            Relax_obs.Json.Int (List.length result.parallel_reachable) );
-        ]
-    in
-    output_string oc (Relax_obs.Json.to_string summary);
-    output_char oc '\n';
-    close_out oc
-  end;
   if !sarif <> "" then
     Relax_lint.Sarif.write ~path:!sarif ~findings:result.findings
       ~waived:result.waived;
-  if !effects_dump <> "" then begin
-    let oc = open_out !effects_dump in
-    List.iter
-      (fun row ->
-        output_string oc
-          (Relax_obs.Json.to_string (Relax_lint.Engine.sig_row_to_json row));
-        output_char oc '\n')
-      result.signatures;
-    close_out oc
-  end;
-  Fmt.pr "relax-lint: %d module(s), %d finding(s), %d waived, %d in the \
-          parallel closure@."
+  Fmt.pr "relax-lint: %d module(s), %d finding(s), %d waived@."
     result.modules_checked
     (List.length result.findings)
-    (List.length result.waived)
-    (List.length result.parallel_reachable);
+    (List.length result.waived);
   if result.findings <> [] then exit 1

@@ -4,13 +4,13 @@
    grid is asymmetric around 1.0 on purpose: a ratio just under 1.0 means
    a sound over-estimate (healthy), just over 1.0 means the prediction was
    exceeded — the interesting tail gets finer buckets. *)
-let bounds = [| 0.5; 0.9; 0.99; 1.0; 1.01; 1.1; 2.0; 10.0 |]
+let bounds = [ 0.5; 0.9; 0.99; 1.0; 1.01; 1.1; 2.0; 10.0 ]
 
 let labels =
-  [|
+  [
     "<0.5"; "0.5-0.9"; "0.9-0.99"; "0.99-1.0"; "1.0-1.01"; "1.01-1.1";
     "1.1-2"; "2-10"; ">=10";
-  |]
+  ]
 
 type t = {
   counts : int array;  (** one per label *)
@@ -20,15 +20,14 @@ type t = {
 }
 
 let create () =
-  { counts = Array.make (Array.length labels) 0; non_finite = 0; n = 0; sum = 0.0 }
+  { counts = Array.make (List.length labels) 0; non_finite = 0; n = 0; sum = 0.0 }
 
 let bucket_index r =
-  let rec go i =
-    if i >= Array.length bounds then Array.length bounds
-    else if r < bounds.(i) then i
-    else go (i + 1)
+  let rec go i = function
+    | [] -> i
+    | b :: rest -> if r < b then i else go (i + 1) rest
   in
-  go 0
+  go 0 bounds
 
 let add t r =
   t.n <- t.n + 1;
@@ -44,7 +43,7 @@ let count t = t.n
 let buckets t =
   List.concat
     [
-      Array.to_list (Array.mapi (fun i c -> (labels.(i), c)) t.counts);
+      List.combine labels (Array.to_list t.counts);
       (if t.non_finite > 0 then [ ("non-finite", t.non_finite) ] else []);
     ]
 

@@ -45,7 +45,7 @@ type 'a cand = {
 
 let cand payload ival = { payload; ival; refined = false }
 
-(** The per-tune call ledger and its decision counters. *)
+(** The per-tune call ledger. *)
 type t = {
   budget : int;  (** optimizer calls the frugal run may spend in total *)
   rank_floor : int;
@@ -54,10 +54,6 @@ type t = {
           re-ranking pass, where an exact cost protects a potential
           best-configuration update *)
   mutable spent : int;
-  mutable bound_accepts : int;
-      (** picks decided purely from bound intervals, no call *)
-  mutable bound_rejects : int;
-      (** candidates ruled out purely from bound intervals, no call *)
 }
 
 let create ~budget =
@@ -70,8 +66,6 @@ let create ~budget =
        while evaluation exactness protects best-configuration updates *)
     rank_floor = budget - (budget / 4);
     spent = 0;
-    bound_accepts = 0;
-    bound_rejects = 0;
   }
 
 let remaining t = max 0 (t.budget - t.spent)
@@ -93,8 +87,6 @@ let contender_slack = 2.0
 (* calls the ranking tier may still spend (its share above [rank_floor]) *)
 let rank_remaining t = max 0 (remaining t - t.rank_floor)
 let spent t = t.spent
-let bound_accepts t = t.bound_accepts
-let bound_rejects t = t.bound_rejects
 
 let debit t n =
   if n > 0 then begin
@@ -116,8 +108,8 @@ let threshold ~penalty cands =
     zero.
 
     On return every candidate is either decided from bounds (interval
-    entirely on one side of the final threshold — counted in
-    [bound_accepts]/[bound_rejects]), exactly refined, or left straddling
+    entirely on one side of the final threshold — counted in the
+    [whatif.bound_accepts]/[whatif.bound_rejects] probes), exactly refined, or left straddling
     because the budget ran dry (ranked by its interval's upper end, the
     non-frugal value). *)
 let sweep t ~penalty ~refine (cands : 'a cand list) : unit =
@@ -159,14 +151,8 @@ let sweep t ~penalty ~refine (cands : 'a cand list) : unit =
     (fun c ->
       if not c.refined then
         if Cost_bound.float_leq (penalty ~payload:c.payload ~dt:c.ival.hi) thr
-        then begin
-          t.bound_accepts <- t.bound_accepts + 1;
-          Obs.Probe.count "whatif.bound_accepts"
-        end
+        then Obs.Probe.count "whatif.bound_accepts"
         else if
           Cost_bound.float_leq thr (penalty ~payload:c.payload ~dt:c.ival.lo)
-        then begin
-          t.bound_rejects <- t.bound_rejects + 1;
-          Obs.Probe.count "whatif.bound_rejects"
-        end)
+        then Obs.Probe.count "whatif.bound_rejects")
     cands

@@ -33,7 +33,7 @@ type 'a cand = {
 
 val cand : 'a -> interval -> 'a cand
 
-(** The per-tune call ledger and its decision counters.  [debit] also
+(** The per-tune call ledger.  [debit] also
     feeds the [whatif.budget_spent] metrics counter; bound decisions feed
     [whatif.bound_accepts] / [whatif.bound_rejects]. *)
 type t
@@ -60,8 +60,6 @@ val rank_remaining : t -> int
     one-directional.) *)
 
 val spent : t -> int
-val bound_accepts : t -> int
-val bound_rejects : t -> int
 val debit : t -> int -> unit
 
 val sweep :

@@ -7,21 +7,28 @@ type event =
   | Entry of Query.entry
   | Malformed of { line : string; reason : string }
 
-let parse_line ?(default_weight = 1.0) line =
+(* a weight feeds the window's sums and the cost totals, so it must be a
+   finite, non-negative number; absent means 1.0 *)
+let weight_of j =
+  match Json.member "weight" j with
+  | None -> Ok 1.0
+  | Some v -> (
+    match Json.to_float v with
+    | Some w when Float.is_finite w && w >= 0.0 -> Ok w
+    | Some w ->
+      Error (Printf.sprintf {|"weight" %g is negative or not finite|} w)
+    | None -> Error ({|"weight" must be a number, got |} ^ Json.to_string v))
+
+let parse_line line =
   match Json.of_string line with
   | Error msg -> Error ("bad JSON: " ^ msg)
   | Ok j -> (
-    match Json.member "sql" j with
-    | Some (Json.String sql) -> (
+    match (Json.member "sql" j, weight_of j) with
+    | Some (Json.String sql), Ok weight -> (
       let qid =
         match Json.member "qid" j with
         | Some (Json.String q) -> q
         | _ -> ""
-      in
-      let weight =
-        match Json.member "weight" j with
-        | Some v -> Option.value (Json.to_float v) ~default:default_weight
-        | None -> default_weight
       in
       match Relax_sql.Parser.statement sql with
       | stmt -> Ok { Query.qid; weight; stmt }
@@ -29,8 +36,9 @@ let parse_line ?(default_weight = 1.0) line =
         Error ("SQL parse error: " ^ msg)
       | exception Relax_sql.Lexer.Lex_error (msg, pos) ->
         Error (Printf.sprintf "SQL lex error at %d: %s" pos msg))
-    | Some _ -> Error {|"sql" must be a string|}
-    | None -> Error {|missing "sql" field|})
+    | Some (Json.String _), (Error _ as e) -> e
+    | Some _, _ -> Error {|"sql" must be a string|}
+    | None, _ -> Error {|missing "sql" field|})
 
 let line_of_entry (e : Query.entry) =
   Json.to_string

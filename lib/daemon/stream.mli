@@ -3,9 +3,10 @@
     Each line is an object [{"qid": ..., "sql": ..., "weight": ...}];
     only ["sql"] is required ([qid] defaults to [""] — the window assigns
     its own stable qids anyway — and [weight] to [1.0]).  Blank lines are
-    skipped; malformed lines (bad JSON, missing [sql], SQL that does not
-    parse) surface as {!Malformed} events so the daemon can count and
-    report them without dying. *)
+    skipped; malformed lines (bad JSON, missing [sql], a weight that is
+    not a finite non-negative number, SQL that does not parse) surface as
+    {!Malformed} events so the daemon can count and report them without
+    dying. *)
 
 module Query = Relax_sql.Query
 
@@ -13,7 +14,7 @@ type event =
   | Entry of Query.entry
   | Malformed of { line : string; reason : string }
 
-val parse_line : ?default_weight:float -> string -> (Query.entry, string) result
+val parse_line : string -> (Query.entry, string) result
 
 val line_of_entry : Query.entry -> string
 (** The inverse: one JSONL line whose SQL round-trips through the

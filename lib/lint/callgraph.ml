@@ -15,11 +15,8 @@ type raw_edge = {
 
 type node = {
   n_id : string;
-  n_modname : string;
-  n_source : string;
   n_loc : E.loc;
   n_toplevel : bool;
-  n_pool_closure : bool;
   n_direct : E.direct;
   n_edges : raw_edge list;
   n_key : string option;
@@ -302,7 +299,6 @@ type acc = {
   ac_id : string;
   ac_loc : E.loc;
   ac_toplevel : bool;
-  ac_pool : bool;
   ac_key : string option;
   mutable ac_direct : E.direct;
   mutable ac_edges : raw_edge list; (* reversed *)
@@ -332,13 +328,12 @@ let loc_key (l : Location.t) =
 
 let mark st m = st.markers <- m :: st.markers
 
-let new_acc st ~id ~loc ~toplevel ~pool ~key =
+let new_acc st ~id ~loc ~toplevel ~key =
   let a =
     {
       ac_id = id;
       ac_loc = loc;
       ac_toplevel = toplevel;
-      ac_pool = pool;
       ac_key = key;
       ac_direct = E.direct_empty;
       ac_edges = [];
@@ -571,8 +566,7 @@ let rec walk st acc (e : Typedtree.expression) =
   | Texp_function _ ->
     let id = fresh_sub st acc.ac_id "fn" in
     let sub =
-      new_acc st ~id ~loc:(loc_of e.exp_loc) ~toplevel:false ~pool:false
-        ~key:None
+      new_acc st ~id ~loc:(loc_of e.exp_loc) ~toplevel:false ~key:None
     in
     edge st acc (Tnode id) ~site:(loc_of e.exp_loc) ~argk:E.Arg_none;
     walk_closure st sub e
@@ -705,7 +699,7 @@ and walk_let st acc rf vbs =
           let nid = sub_id st acc.ac_id name.txt in
           let _ =
             new_acc st ~id:nid ~loc:(loc_of vb.vb_loc) ~toplevel:false
-              ~pool:false ~key:None
+              ~key:None
           in
           register st id (B_sub nid)
         | _ ->
@@ -730,7 +724,7 @@ and walk_let st acc rf vbs =
           let nid = sub_id st acc.ac_id name.txt in
           let sub =
             new_acc st ~id:nid ~loc:(loc_of vb.vb_loc) ~toplevel:false
-              ~pool:false ~key:None
+              ~key:None
           in
           walk_closure st sub vb.vb_expr;
           register st id (B_sub nid)
@@ -890,8 +884,7 @@ and walk_pool_site st acc site explicit =
         | Texp_function _ ->
           let id = fresh_sub st acc.ac_id "pool" in
           let sub =
-            new_acc st ~id ~loc:(loc_of a.exp_loc) ~toplevel:false ~pool:true
-              ~key:None
+            new_acc st ~id ~loc:(loc_of a.exp_loc) ~toplevel:false ~key:None
           in
           st.pool_sites <-
             { ps_loc = loc_of a.exp_loc; ps_target = Tnode id } :: st.pool_sites;
@@ -977,7 +970,6 @@ let rec predeclare st ~prefix ~inner (items : Typedtree.structure_item list) =
               let nid = st.st_mod ^ "." ^ prefix ^ name.txt in
               let a =
                 new_acc st ~id:nid ~loc:(loc_of vb.vb_loc) ~toplevel:true
-                  ~pool:false
                   ~key:(Some (inner ^ "." ^ name.txt))
               in
               register st id (B_top nid);
@@ -989,7 +981,7 @@ let rec predeclare st ~prefix ~inner (items : Typedtree.structure_item list) =
               in
               let a =
                 new_acc st ~id:nid ~loc:(loc_of vb.vb_loc) ~toplevel:true
-                  ~pool:false ~key:None
+                  ~key:None
               in
               List.iter
                 (fun id -> register st id (B_top nid))
@@ -1020,7 +1012,7 @@ let rec predeclare st ~prefix ~inner (items : Typedtree.structure_item list) =
         in
         let a =
           new_acc st ~id:nid ~loc:(loc_of item.str_loc) ~toplevel:true
-            ~pool:false ~key:None
+            ~key:None
         in
         Hashtbl.replace st.vb_nodes (loc_key item.str_loc) a
       | Tstr_module mb -> (
@@ -1080,11 +1072,8 @@ let analyze ~modname ~source (str : Typedtree.structure) =
       (fun a ->
         {
           n_id = a.ac_id;
-          n_modname = st.st_mod;
-          n_source = st.st_src;
           n_loc = a.ac_loc;
           n_toplevel = a.ac_toplevel;
-          n_pool_closure = a.ac_pool;
           n_direct = a.ac_direct;
           n_edges = List.rev a.ac_edges;
           n_key = a.ac_key;

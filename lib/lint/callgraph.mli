@@ -36,11 +36,8 @@ type raw_edge = {
 
 type node = {
   n_id : string;
-  n_modname : string;  (** canonical module name, e.g. ["Whatif"] *)
-  n_source : string;
   n_loc : Effects.loc;
   n_toplevel : bool;
-  n_pool_closure : bool;  (** a lambda submitted at a pool site *)
   n_direct : Effects.direct;
   n_edges : raw_edge list;
   n_key : string option;  (** cross-module resolution key *)

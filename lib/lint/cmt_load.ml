@@ -1,7 +1,6 @@
 type modul = {
   modname : string;
   source : string option;
-  imports : string list;
   structure : Typedtree.structure option;
 }
 
@@ -31,7 +30,6 @@ let load path =
       {
         modname = cmt.cmt_modname;
         source = cmt.cmt_sourcefile;
-        imports = List.map fst cmt.cmt_imports;
         structure;
       }
 

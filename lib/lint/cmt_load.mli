@@ -4,14 +4,13 @@
     alias), where dune has already produced a [.cmt] per module under
     [<dir>/.<lib>.objs/byte/].  Reading those back gives the full
     {!Typedtree} with types resolved — no re-typechecking, no load-path
-    setup — plus the import list used for the L1 reachability closure. *)
+    setup. *)
 
 type modul = {
   modname : string;  (** compiled module name, e.g. [Relax_tuner__Search] *)
   source : string option;
       (** source path as recorded by the compiler, workspace-relative
           (e.g. [lib/core/search.ml]); [None] for generated modules *)
-  imports : string list;  (** module names whose interfaces were consulted *)
   structure : Typedtree.structure option;
       (** the implementation; [None] for interface-only or packed cmts *)
 }

@@ -33,7 +33,7 @@
     code) and [sanctioned] (originating inside the observability layer,
     whose domain-safety is established separately — by its own lint
     scope, the TSan job and the single waived clock read).  Rules query
-    the flagged side; the dump shows both. *)
+    the flagged side. *)
 
 type eff =
   | Mutates_shared
@@ -50,7 +50,7 @@ type eff =
 
 val eff_name : eff -> string
 (** Stable kebab-case names ("mutates-shared-state", "reads-clock", ...)
-    used in messages and the [--effects-dump] table. *)
+    used in finding messages. *)
 
 val captured_name : string
 (** The pseudo-effect name shown when a capture set is non-empty:
@@ -148,4 +148,4 @@ val chain :
 
 val names : Set.t -> cap:bool -> string list
 (** Sorted effect names of a set, with [captured_name] appended when
-    [cap]; the dump encoding. *)
+    [cap]. *)

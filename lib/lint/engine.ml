@@ -10,7 +10,6 @@ type config = {
   core_dirs : string list;
   lock_dirs : string list;
   costing_entry_modules : string list;
-  assume_parallel : bool;
 }
 
 let default ~root =
@@ -23,25 +22,13 @@ let default ~root =
     core_dirs = [ "lib/core" ];
     lock_dirs = [ "lib/optimizer"; "lib/parallel" ];
     costing_entry_modules = [ "Cost_bound"; "Size_model"; "Access_path" ];
-    assume_parallel = false;
   }
-
-type sig_row = {
-  sr_node : string;
-  sr_module : string;
-  sr_source : string;
-  sr_toplevel : bool;
-  sr_pool : bool;
-  sr_effects : string list;
-  sr_sanctioned : string list;
-}
 
 type result = {
   findings : Finding.t list;
   waived : Finding.t list;
   modules_checked : int;
-  parallel_reachable : string list;
-  signatures : sig_row list;
+  signatures : E.signature_ E.SMap.t;
 }
 
 let contains ~fragment s =
@@ -53,52 +40,6 @@ let contains ~fragment s =
   go 0
 
 let in_dirs dirs source = List.exists (fun d -> contains ~fragment:d source) dirs
-
-(* ------------------------------------------------------------------ *)
-(* L1 reachability: transitive import closure of the pool-task seeds   *)
-(* ------------------------------------------------------------------ *)
-
-let reachable_modules (mods : (Cmt_load.modul * C.analysis option) list) =
-  let by_name = Hashtbl.create 64 in
-  List.iter
-    (fun ((m : Cmt_load.modul), _) -> Hashtbl.replace by_name m.modname m)
-    mods;
-  let seeds =
-    List.filter_map
-      (fun ((m : Cmt_load.modul), analysis) ->
-        let is_seed =
-          (match m.source with
-          | Some s -> in_dirs [ "lib/parallel" ] s
-          | None -> false)
-          ||
-          match analysis with
-          | Some a -> Rules.references_pool_tasks a
-          | None -> false
-        in
-        if is_seed then Some m else None)
-      mods
-  in
-  let reachable = Hashtbl.create 64 in
-  (* dune's generated wrapped-library alias module imports every sibling
-     of its library; expanding through it would pull a whole library into
-     the closure because one of its modules is. The alias carries no code
-     of its own, so mark it but follow real modules only. *)
-  let is_generated_alias (m : Cmt_load.modul) =
-    match m.source with
-    | Some s -> Filename.check_suffix s ".ml-gen"
-    | None -> true
-  in
-  let rec visit name =
-    if not (Hashtbl.mem reachable name) then begin
-      match Hashtbl.find_opt by_name name with
-      | None -> ()
-      | Some (m : Cmt_load.modul) ->
-        Hashtbl.replace reachable name ();
-        if not (is_generated_alias m) then List.iter visit m.imports
-    end
-  in
-  List.iter (fun (m : Cmt_load.modul) -> visit m.modname) seeds;
-  reachable
 
 (* ------------------------------------------------------------------ *)
 (* graph assembly                                                      *)
@@ -173,88 +114,41 @@ let build_graph (analyses : C.analysis list) =
   let sigs = E.solve ~nodes ~edges in
   { Rules.sigs; node_by_id; resolve }
 
-let signature_rows (analyses : C.analysis list) (g : Rules.graph) =
-  List.concat_map
-    (fun (a : C.analysis) ->
-      List.filter_map
-        (fun (n : C.node) ->
-          match E.SMap.find_opt n.C.n_id g.Rules.sigs with
-          | None -> None
-          | Some s ->
-            Some
-              {
-                sr_node = n.C.n_id;
-                sr_module = n.C.n_modname;
-                sr_source = n.C.n_source;
-                sr_toplevel = n.C.n_toplevel;
-                sr_pool = n.C.n_pool_closure;
-                sr_effects = E.names s.E.s_flagged ~cap:(E.captured s);
-                sr_sanctioned = E.names s.E.s_sanctioned ~cap:false;
-              })
-        a.C.a_nodes)
-    analyses
-  |> List.sort (fun a b -> String.compare a.sr_node b.sr_node)
-
-let sig_row_to_json r =
-  let module J = Relax_obs.Json in
-  J.Obj
-    [
-      ("event", J.String "lint.signature");
-      ("node", J.String r.sr_node);
-      ("module", J.String r.sr_module);
-      ("source", J.String r.sr_source);
-      ("toplevel", J.Bool r.sr_toplevel);
-      ("pool_closure", J.Bool r.sr_pool);
-      ("effects", J.List (List.map (fun e -> J.String e) r.sr_effects));
-      ( "sanctioned",
-        J.List (List.map (fun e -> J.String e) r.sr_sanctioned) );
-    ]
-
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let run config =
-  let mods = Cmt_load.scan ~root:config.root in
-  let pairs =
-    List.map
+  let analyses =
+    List.filter_map
       (fun (m : Cmt_load.modul) ->
         match (m.structure, m.source) with
         | Some str, Some source ->
           let a = C.analyze ~modname:m.modname ~source str in
-          let a =
-            if in_dirs config.obs_dirs source then
-              { a with C.a_nodes = List.map sanctify a.C.a_nodes }
-            else a
-          in
-          (m, Some a)
-        | _ -> (m, None))
-      mods
+          if in_dirs config.obs_dirs source then
+            Some { a with C.a_nodes = List.map sanctify a.C.a_nodes }
+          else Some a
+        | _ -> None)
+      (Cmt_load.scan ~root:config.root)
   in
-  let analyses = List.filter_map snd pairs in
-  let reachable = reachable_modules pairs in
   let graph = build_graph analyses in
-  let all_found = ref [] in
-  let checked = ref 0 in
-  List.iter
-    (fun ((m : Cmt_load.modul), analysis) ->
-      match (analysis, m.source) with
-      | Some a, Some source ->
-        incr checked;
-        let scope =
-          {
-            Rules.parallel_reachable =
-              config.assume_parallel || Hashtbl.mem reachable m.modname;
-            in_obs = in_dirs config.obs_dirs source;
-            in_costing = in_dirs config.costing_dirs source;
-            in_intdiv = in_dirs config.intdiv_dirs source;
-            in_core = in_dirs config.core_dirs source;
-            in_lock = in_dirs config.lock_dirs source;
-          }
-        in
-        all_found := Rules.check_module scope graph a :: !all_found
-      | _ -> ())
-    pairs;
+  let all_found =
+    ref
+      (List.map
+         (fun (a : C.analysis) ->
+           let source = a.C.a_source in
+           let scope =
+             {
+               Rules.in_obs = in_dirs config.obs_dirs source;
+               in_costing = in_dirs config.costing_dirs source;
+               in_intdiv = in_dirs config.intdiv_dirs source;
+               in_core = in_dirs config.core_dirs source;
+               in_lock = in_dirs config.lock_dirs source;
+             }
+           in
+           Rules.check_module scope graph a)
+         analyses)
+  in
   all_found :=
     Rules.check_costing graph ~entry_modules:config.costing_entry_modules
       analyses
@@ -308,9 +202,6 @@ let run config =
   {
     findings = List.sort_uniq Finding.compare !findings;
     waived = List.sort Finding.compare !waived;
-    modules_checked = !checked;
-    parallel_reachable =
-      Hashtbl.fold (fun k () acc -> k :: acc) reachable []
-      |> List.sort String.compare;
-    signatures = signature_rows analyses graph;
+    modules_checked = List.length analyses;
+    signatures = graph.Rules.sigs;
   }

@@ -2,13 +2,11 @@
     solve effect signatures to a fixpoint, scope and run the rules,
     apply waivers, and report the ones that suppress nothing (W0).
 
-    The L1 scope is the transitive import closure of every module that
-    submits task closures to [Relax_parallel.Pool] (plus [lib/parallel]
-    itself): anything such a module can call may execute on a worker
-    domain.  Imports over-approximate calls, which is the safe direction
-    for a race detector.  L6–L8 instead run over the solved call graph,
-    so an effect introduced two call hops away — or smuggled through a
-    captured mutable — still reaches the rule.
+    L1 runs on every scanned module: any of them can be called from a
+    [Relax_parallel.Pool] task and so run on a worker domain.  L6–L8 run
+    over the solved call graph, so an effect introduced two call hops
+    away — or smuggled through a captured mutable — still reaches the
+    rule.
 
     Modules under [obs_dirs] are {e sanctioned}: their direct effects
     move to the sanctioned side of every signature they flow into.  The
@@ -28,8 +26,6 @@ type config = {
   lock_dirs : string list;  (** L8 lock-discipline scope *)
   costing_entry_modules : string list;
       (** canonical module names whose public bindings seed L7 *)
-  assume_parallel : bool;
-      (** treat every module as pool-reachable (fixture testing) *)
 }
 
 val default : root:string -> config
@@ -39,28 +35,12 @@ val default : root:string -> config
     modules = [Cost_bound], [Size_model], [Access_path];
     [src_root = "."]. *)
 
-(** One row of the [--effects-dump] table: a node and its solved
-    signature, with effect sets rendered as sorted name lists. *)
-type sig_row = {
-  sr_node : string;
-  sr_module : string;
-  sr_source : string;
-  sr_toplevel : bool;
-  sr_pool : bool;
-  sr_effects : string list;  (** flagged side, plus the captured pseudo-effect *)
-  sr_sanctioned : string list;
-}
-
 type result = {
   findings : Finding.t list;  (** unwaived, sorted by position *)
   waived : Finding.t list;  (** suppressed by inline waivers *)
   modules_checked : int;
-  parallel_reachable : string list;  (** module names in the L1 closure *)
-  signatures : sig_row list;  (** every node, sorted by node id *)
+  signatures : Effects.signature_ Effects.SMap.t;
+      (** the solved signature of every call-graph node, by node id *)
 }
 
 val run : config -> result
-
-val sig_row_to_json : sig_row -> Relax_obs.Json.t
-(** [{"event":"lint.signature","node":...,"effects":[...],...}] — one
-    line of the effects dump. *)

@@ -10,17 +10,6 @@ type t = {
 let make ~rule ~file ~line ~col ~message ~suggestion =
   { rule; file; line; col; message; suggestion }
 
-let of_loc ~rule ~message ~suggestion (loc : Location.t) =
-  let p = loc.loc_start in
-  {
-    rule;
-    file = p.pos_fname;
-    line = p.pos_lnum;
-    col = p.pos_cnum - p.pos_bol;
-    message;
-    suggestion;
-  }
-
 let compare a b =
   match String.compare a.file b.file with
   | 0 -> (
@@ -31,19 +20,6 @@ let compare a b =
       | c -> c)
     | c -> c)
   | c -> c
-
-let to_json f =
-  let module J = Relax_obs.Json in
-  J.Obj
-    [
-      ("event", J.String "lint.finding");
-      ("rule", J.String f.rule);
-      ("file", J.String f.file);
-      ("line", J.Int f.line);
-      ("col", J.Int f.col);
-      ("message", J.String f.message);
-      ("suggestion", J.String f.suggestion);
-    ]
 
 let pp ppf f =
   Fmt.pf ppf "%s:%d:%d: [%s] %s@.    suggestion: %s" f.file f.line f.col

@@ -1,8 +1,7 @@
 (** One structured lint finding: rule id, position, message, suggestion.
 
-    Findings are emitted both as human-readable text and as JSONL lines
-    (reusing {!Relax_obs.Json}), so CI can keep the machine-readable
-    report as an artifact while the build log stays greppable. *)
+    Findings are printed as human-readable text for the build log and
+    rendered as SARIF ({!Sarif}) for the machine-readable report. *)
 
 type t = {
   rule : string;  (** "L1" .. "L8", or "W0" for stale waivers *)
@@ -23,15 +22,8 @@ val make :
   t
 (** Build a finding from an already-extracted position. *)
 
-val of_loc :
-  rule:string -> message:string -> suggestion:string -> Location.t -> t
-(** Build a finding from a compiler location (start position). *)
-
 val compare : t -> t -> int
 (** Order by file, line, column, rule — the emission order of reports. *)
-
-val to_json : t -> Relax_obs.Json.t
-(** [{"event":"lint.finding","rule":...,"file":...,"line":...,...}] *)
 
 val pp : Format.formatter -> t -> unit
 (** [file:line:col: [rule] message] plus an indented suggestion line. *)

@@ -5,7 +5,6 @@ module E = Effects
 module C = Callgraph
 
 type scope = {
-  parallel_reachable : bool;
   in_obs : bool;
   in_costing : bool;
   in_intdiv : bool;
@@ -40,7 +39,7 @@ let grounded_witness g start src =
   w
 
 (* ------------------------------------------------------------------ *)
-(* L1: module-level mutable state in parallel-reachable modules        *)
+(* L1: module-level mutable state                                     *)
 (* ------------------------------------------------------------------ *)
 
 let l1 (a : C.analysis) =
@@ -49,8 +48,8 @@ let l1 (a : C.analysis) =
       finding ~rule:"L1"
         ~message:
           (Printf.sprintf
-             "module-level mutable %s `%s` in a module reachable from \
-              Relax_parallel.Pool task closures"
+             "module-level mutable %s `%s`; any module's code can run on a \
+              Relax_parallel.Pool worker domain"
              kind name)
         ~suggestion:
           "use Atomic.t, guard every access with a Mutex (and waive with a \
@@ -332,18 +331,5 @@ let check_costing g ~entry_modules (analyses : C.analysis list) =
 (* ------------------------------------------------------------------ *)
 
 let check_module scope g (a : C.analysis) =
-  let l1_findings = if scope.parallel_reachable then l1 a else [] in
-  l1_findings @ marker_findings scope a @ l6 g a
+  l1 a @ marker_findings scope a @ l6 g a
   @ (if scope.in_lock then l8_nested_calls g a else [])
-
-let references_pool_tasks (a : C.analysis) =
-  a.C.a_pool_sites <> []
-  || List.exists
-       (fun (n : C.node) ->
-         List.exists
-           (fun (e : C.raw_edge) ->
-             match e.C.re_target with
-             | C.Tkey ("Pool.map_array" | "Pool.create") -> true
-             | _ -> false)
-           n.C.n_edges)
-       a.C.a_nodes

@@ -4,8 +4,10 @@
 
     - {b L1 domain-safety}: module-level mutable state ([ref], [Hashtbl.t],
       [Buffer.t], [Queue.t], [Stack.t], [array], [bytes], [Random.State.t])
-      in a module reachable from [Relax_parallel.Pool] task closures, unless
-      the binding is an [Atomic.t] or a synchronization primitive.
+      in any scanned module, unless the binding is an [Atomic.t] or a
+      synchronization primitive.  Every module is in scope: anything a
+      [Relax_parallel.Pool] task calls, however indirectly, runs on a
+      worker domain.
     - {b L2 exception hygiene}: [try ... with _ ->] catch-alls and
       [with e -> ignore e] handlers.  A swallowed exception inside a pool
       task would break the order-preserving smallest-index-exception
@@ -35,9 +37,8 @@
       through a call made while a lock is held. *)
 
 (** Which rule scopes apply to the module under analysis (decided by the
-    engine from the module's source path and the reachability closure). *)
+    engine from the module's source path). *)
 type scope = {
-  parallel_reachable : bool;  (** L1 applies *)
   in_obs : bool;  (** L4 exemption (the obs layer reads its own slot) *)
   in_costing : bool;  (** L3 float-comparison scope *)
   in_intdiv : bool;  (** L3 int-division scope *)
@@ -61,8 +62,3 @@ val check_costing :
   graph -> entry_modules:string list -> Callgraph.analysis list -> Finding.t list
 (** L7: whole-program query over the costing entry modules' signatures,
     deduplicated by witness site and effect. *)
-
-val references_pool_tasks : Callgraph.analysis -> bool
-(** Does the module submit task closures to [Relax_parallel.Pool]
-    ([Pool.map_array]) or build a pool ([Pool.create])?
-    Seeds the L1 reachability closure. *)

@@ -4,8 +4,8 @@ let rules =
   [
     ( "L1",
       "error",
-      "Module-level mutable state in a module reachable from \
-       Relax_parallel.Pool task closures." );
+      "Module-level mutable state; any module's code can run on a \
+       Relax_parallel.Pool worker domain." );
     ("L2", "error", "Catch-all or exception-discarding handler.");
     ( "L3",
       "error",

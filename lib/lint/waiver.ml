@@ -65,7 +65,5 @@ let covers t ~rule ~line =
     (fun (l, rules) -> (l = line || l = line - 1) && List.mem rule rules)
     t
 
-let count t = List.length t
-
 let entries t =
   List.sort (fun (a, _) (b, _) -> Int.compare a b) t

@@ -22,9 +22,6 @@ val covers : t -> rule:string -> line:int -> bool
 (** Is a finding of [rule] at [line] covered by a waiver on that line or
     the line above it? *)
 
-val count : t -> int
-(** Number of waiver comments in the file. *)
-
 val entries : t -> (int * string list) list
 (** All waiver comments as [(line, waived rule ids)], sorted by line —
     the input of the W0 stale-waiver check. *)

@@ -24,14 +24,13 @@ exception Signalled of int
 
 let exit_code signal = if signal = Sys.sigint then 130 else 143
 
-let installed = ref false
+let installed = Atomic.make false
 
 (** Install SIGINT and SIGTERM handlers that raise {!Signalled}.  A second
     signal during cleanup terminates the process with the conventional
     128+N code instead of unwinding twice.  Idempotent. *)
 let install () =
-  if not !installed then begin
-    installed := true;
+  if not (Atomic.exchange installed true) then begin
     let fired = ref false in
     let handle signal =
       if !fired then Stdlib.exit (exit_code signal)

@@ -5,8 +5,6 @@ type sink = { emit_line : string -> unit; close_sink : unit -> unit }
 let custom ~emit ?(close = fun () -> ()) () =
   { emit_line = emit; close_sink = close }
 
-let null = custom ~emit:(fun _ -> ()) ()
-
 let file path =
   let oc = open_out path in
   let closed = ref false in

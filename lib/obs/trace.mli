@@ -19,9 +19,6 @@ val custom : emit:(string -> unit) -> ?close:(unit -> unit) -> unit -> sink
 (** Build a sink from callbacks; [emit] receives one rendered line
     (without the trailing newline). *)
 
-val null : sink
-(** Swallows everything. *)
-
 val emit : sink -> Json.t -> unit
 (** Render [json] compactly and hand it to the sink as one line. *)
 

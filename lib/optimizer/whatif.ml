@@ -71,9 +71,6 @@ let create catalog =
 
 let stats t = (Atomic.get t.optimizer_calls, Atomic.get t.cache_hits)
 
-let shard_stats t =
-  Array.map (fun sh -> (Atomic.get sh.hits, Atomic.get sh.misses)) t.shards
-
 let cached_plans t =
   Array.fold_left
     (fun acc sh ->

@@ -24,11 +24,6 @@ val create : Relax_catalog.Catalog.t -> t
 val stats : t -> int * int
 (** (optimizer calls actually executed, cache hits). *)
 
-val shard_stats : t -> (int * int) array
-(** Per-shard (hits, misses); also sampled into the
-    [whatif.cache_hits] / [whatif.cache_misses] counter tracks when the
-    ambient recorder is profiling. *)
-
 val cached_plans : t -> int
 (** Number of distinct plans currently memoized, across all shards. *)
 

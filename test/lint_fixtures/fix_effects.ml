@@ -1,5 +1,5 @@
 (* Effect-inference fixture: nodes whose solved signatures the
-   [suite_effects] dump assertions pin down exactly. *)
+   [suite_effects] signature assertions pin down exactly. *)
 
 let pure_add a b = a + b
 

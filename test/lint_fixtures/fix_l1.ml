@@ -1,6 +1,6 @@
-(* L1 fixture: module-level mutable state in a module that submits task
-   closures to the worker pool (the Pool.map_array reference below seeds the
-   reachability closure with this very module). *)
+(* L1 fixture: module-level mutable state read from a worker-pool task
+   closure.  L1 flags the table whatever the module; the closure only
+   reads it, so L6 stays silent here. *)
 
 let cache = Hashtbl.create 16
 

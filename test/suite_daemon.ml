@@ -193,7 +193,10 @@ let test_stream_parse () =
   bad "not json";
   bad {|{"weight":1.0}|};
   bad {|{"sql":42}|};
-  bad {|{"sql":"SELEKT nonsense"}|}
+  bad {|{"sql":"SELEKT nonsense"}|};
+  bad {|{"sql":"SELECT r.a FROM r","weight":-3}|};
+  bad {|{"sql":"SELECT r.a FROM r","weight":1e400}|};
+  bad {|{"sql":"SELECT r.a FROM r","weight":"x"}|}
 
 let test_stream_roundtrip () =
   let e = entry ~weight:3.25 "q7" select_a in

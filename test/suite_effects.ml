@@ -1,28 +1,21 @@
 (** Tests for the interprocedural effect inference itself (lib/lint):
-    exact solved signatures for fixture nodes as seen through the
-    [--effects-dump] rows, byte-stability of the dump across runs, a
-    qcheck property that inference is monotone under adding a call edge,
-    and the empty-scan exit path of the CLI driver. *)
+    exact solved signatures for fixture nodes as returned by the engine,
+    determinism of the solved signatures across runs, a qcheck property
+    that inference is monotone under adding a call edge, and the
+    empty-scan exit path of the CLI driver. *)
 
 module Lint = Relax_lint
 module E = Lint.Effects
 
-let rows = lazy (Lazy.force Suite_lint.fixture_result).Lint.Engine.signatures
+let sigs = lazy (Lazy.force Suite_lint.fixture_result).Lint.Engine.signatures
 
-let find_row node =
-  match
-    List.find_opt
-      (fun (r : Lint.Engine.sig_row) -> r.sr_node = node)
-      (Lazy.force rows)
-  with
-  | Some r -> r
-  | None -> Alcotest.failf "no signature row for node %s" node
+let effect_names (s : E.signature_) = E.names s.E.s_flagged ~cap:(E.captured s)
 
-let check_sig ?(pool = false) node ~effects =
-  let r = find_row node in
-  Alcotest.(check (list string))
-    (node ^ " effects") effects r.Lint.Engine.sr_effects;
-  Alcotest.(check bool) (node ^ " pool") pool r.Lint.Engine.sr_pool
+let check_sig node ~effects =
+  match E.SMap.find_opt node (Lazy.force sigs) with
+  | Some s ->
+    Alcotest.(check (list string)) (node ^ " effects") effects (effect_names s)
+  | None -> Alcotest.failf "no signature for node %s" node
 
 (* the fixture nodes with signatures known by construction *)
 let test_signatures () =
@@ -35,19 +28,35 @@ let test_signatures () =
   check_sig "Fix_effects.escape.<fn#1>" ~effects:[ "mutates-captured-state" ];
   check_sig "Fix_effects.escape" ~effects:[];
   (* the clock read two hops away lands on the pool closure *)
-  check_sig "Fix_l6.stamped.<pool#1>" ~pool:true ~effects:[ "reads-clock" ];
+  check_sig "Fix_l6.stamped.<pool#1>" ~effects:[ "reads-clock" ];
   check_sig "Fix_l8.publish_good"
     ~effects:[ "acquires-mutex"; "atomic-write"; "mutex-guarded-mutation" ]
 
-(* two fresh engine runs over the same build tree must render the very
-   same dump, byte for byte — CI additionally cmp(1)s the CLI output *)
-let test_dump_stable () =
+(* two fresh engine runs over the same build tree must solve the very
+   same signatures, down to the provenance chain of every effect *)
+let test_signatures_stable () =
   let render () =
-    List.map
-      (fun row -> Relax_obs.Json.to_string (Lint.Engine.sig_row_to_json row))
+    let sigs =
       (Lint.Engine.run Suite_lint.fixture_config).Lint.Engine.signatures
+    in
+    List.map
+      (fun (id, (s : E.signature_)) ->
+        let chain e =
+          let ids, w = E.chain sigs id (`Eff e) in
+          let at =
+            match w with
+            | Some w -> Printf.sprintf " (%s:%d)" w.E.w_loc.file w.E.w_loc.line
+            | None -> ""
+          in
+          String.concat " -> " ids ^ at
+        in
+        String.concat "; "
+          ((id :: effect_names s)
+          @ E.names s.E.s_sanctioned ~cap:false
+          @ List.map chain (E.Set.to_list s.E.s_flagged)))
+      (E.SMap.bindings sigs)
   in
-  Alcotest.(check (list string)) "byte-identical dumps" (render ()) (render ())
+  Alcotest.(check (list string)) "identical signatures" (render ()) (render ())
 
 (* --- qcheck: adding a call edge can only grow signatures -------------- *)
 
@@ -174,7 +183,8 @@ let test_empty_scan () =
 let suite =
   [
     Alcotest.test_case "fixture node signatures" `Quick test_signatures;
-    Alcotest.test_case "effects dump is deterministic" `Quick test_dump_stable;
+    Alcotest.test_case "effects dump is deterministic" `Quick
+      test_signatures_stable;
     QCheck_alcotest.to_alcotest prop_monotone;
     Alcotest.test_case "empty scan exits 2 with roots" `Quick test_empty_scan;
   ]

@@ -36,6 +36,18 @@ let test_tighten_with () =
 
 let penalty ~payload:_ ~dt = dt
 
+let named name (m : Relax_obs.Metrics.snapshot) =
+  Option.value ~default:0 (List.assoc_opt name m.named_counters)
+
+(* run one sweep and return its call-free decisions as the
+   [whatif.bound_accepts] / [whatif.bound_rejects] counters record them *)
+let counted_sweep t ~refine cands =
+  let obs = Relax_obs.Recorder.create () in
+  Relax_obs.Recorder.with_ambient obs (fun () ->
+      T.Frugal.sweep t ~penalty ~refine cands);
+  let m = Relax_obs.Recorder.snapshot obs in
+  (named "whatif.bound_accepts" m, named "whatif.bound_rejects" m)
+
 let test_sweep_bounds_decide () =
   (* intervals entirely on one side of the threshold are decided without a
      single call, even with a zero budget *)
@@ -43,10 +55,14 @@ let test_sweep_bounds_decide () =
   let t = create ~budget:0 in
   let a = cand "a" { lo = 1.0; hi = 2.0 } in
   let b = cand "b" { lo = 10.0; hi = 20.0 } in
-  sweep t ~penalty ~refine:(fun _ -> Alcotest.fail "refine with zero budget") [ a; b ];
+  let accepts, rejects =
+    counted_sweep t
+      ~refine:(fun _ -> Alcotest.fail "refine with zero budget")
+      [ a; b ]
+  in
   Alcotest.(check int) "nothing spent" 0 (spent t);
-  Alcotest.(check int) "one bound accept" 1 (bound_accepts t);
-  Alcotest.(check int) "one bound reject" 1 (bound_rejects t)
+  Alcotest.(check int) "one bound accept" 1 accepts;
+  Alcotest.(check int) "one bound reject" 1 rejects
 
 let test_sweep_refines_widest_first () =
   let open T.Frugal in
@@ -61,14 +77,14 @@ let test_sweep_refines_widest_first () =
     debit t 1;
     cd.ival <- point (match cd.payload with "a" -> 3.0 | _ -> 4.0)
   in
-  sweep t ~penalty ~refine [ a; b; c ];
+  let accepts, rejects = counted_sweep t ~refine [ a; b; c ] in
   Alcotest.(check (list string))
     "widest penalty gap first" [ "a"; "b" ] (List.rev !order);
   Alcotest.(check int) "two calls spent" 2 (spent t);
   (* after refinement the threshold is 3.0 (a's exact value); c's whole
      interval sits above it *)
-  Alcotest.(check int) "c rejected from bounds" 1 (bound_rejects t);
-  Alcotest.(check int) "no bound accepts" 0 (bound_accepts t)
+  Alcotest.(check int) "c rejected from bounds" 1 rejects;
+  Alcotest.(check int) "no bound accepts" 0 accepts
 
 let test_sweep_budget_dry () =
   (* the ranking tier only gets a quarter of the budget; once that share is
@@ -84,12 +100,11 @@ let test_sweep_budget_dry () =
     debit t 1;
     cd.ival <- point 7.0
   in
-  sweep t ~penalty ~refine [ a; b; c ];
+  let accepts, rejects = counted_sweep t ~refine [ a; b; c ] in
   Alcotest.(check int) "exactly the ranking share spent" 1 (spent t);
   Alcotest.(check bool) "widest refined" true a.refined;
   Alcotest.(check bool) "others left straddling" false (b.refined || c.refined);
-  Alcotest.(check int) "straddlers not miscounted" 0
-    (bound_accepts t + bound_rejects t)
+  Alcotest.(check int) "straddlers not miscounted" 0 (accepts + rejects)
 
 (* --- interval soundness over TPC-H relaxations ----------------------------- *)
 
@@ -200,9 +215,6 @@ let prop_patched_plan_matches_bound =
       end)
 
 (* --- end-to-end budgeted tuning runs --------------------------------------- *)
-
-let named name (m : Relax_obs.Metrics.snapshot) =
-  Option.value ~default:0 (List.assoc_opt name m.named_counters)
 
 let tune_tpch ?(nums = [ 1; 3; 6 ]) ?(iters = 40) ?(jobs = 1) ~whatif_budget ()
     =

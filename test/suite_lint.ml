@@ -1,8 +1,9 @@
 (** Tests for the relax-lint static-analysis pass (lib/lint): each
     fixture module under [test/lint_fixtures/] seeds exactly one rule,
     the clean fixture seeds none, the waived fixture's finding is
-    suppressed by its inline comment — and the shipped [lib/] tree
-    itself lints clean under the repository configuration. *)
+    suppressed by its inline comment, the SARIF report carries every
+    finding — and the shipped [lib/] tree itself lints clean under the
+    repository configuration. *)
 
 module Lint = Relax_lint
 
@@ -32,7 +33,6 @@ let fixture_config : Lint.Engine.config =
     core_dirs = [ "lint_fixtures" ];
     lock_dirs = [ "lint_fixtures" ];
     costing_entry_modules = [ "Fix_l7" ];
-    assume_parallel = false;
   }
 
 let fixture_result = lazy (Lint.Engine.run fixture_config)
@@ -116,29 +116,6 @@ let test_waived () =
     "waived" [ "fix_waived.ml:4:L5" ]
     (List.map key (in_file "fix_waived.ml" r.waived))
 
-(* the Pool.map_array reference in fix_l1 seeds the reachability closure with
-   that module alone; without it L1 must not fire at all *)
-let test_reachability () =
-  let r = Lazy.force fixture_result in
-  Alcotest.(check bool)
-    "fix_l1 in closure" true
-    (List.exists
-       (fun m -> Filename.check_suffix m "Fix_l1")
-       r.parallel_reachable);
-  Alcotest.(check bool)
-    "fix_l5 not in closure" false
-    (List.exists
-       (fun m -> Filename.check_suffix m "Fix_l5")
-       r.parallel_reachable)
-
-(* with [assume_parallel] every module counts as pool-reachable, so the
-   same L1 fixture still fires without its Pool.map_array seed being found *)
-let test_assume_parallel () =
-  let r = Lint.Engine.run { fixture_config with assume_parallel = true } in
-  Alcotest.(check (list string))
-    "fix_l1.ml" [ "fix_l1.ml:5:L1" ]
-    (List.map key (in_file "fix_l1.ml" r.findings))
-
 (* the acceptance gate: the shipped library tree has no unwaived
    findings under the repository scopes *)
 let test_repo_clean () =
@@ -154,30 +131,70 @@ let test_repo_clean () =
     (List.map (fun (f : Lint.Finding.t) -> key f) r.findings);
   Alcotest.(check bool) "modules loaded" true (r.modules_checked > 50)
 
-let test_finding_json () =
-  let f =
-    Lint.Finding.
-      {
-        rule = "L3";
-        file = "lib/core/search.ml";
-        line = 42;
-        col = 7;
-        message = "m";
-        suggestion = "s";
-      }
+(* SARIF is the one machine-readable report: one result per finding,
+   then one per waived finding marked as suppressed in source, with
+   1-based columns and every rule id declared by the driver *)
+let test_sarif () =
+  let module J = Relax_obs.Json in
+  let r = Lazy.force fixture_result in
+  let doc =
+    match
+      J.of_string
+        (J.to_string
+           (Lint.Sarif.to_json ~findings:r.findings ~waived:r.waived))
+    with
+    | Ok doc -> doc
+    | Error msg -> Alcotest.failf "SARIF does not reparse: %s" msg
   in
-  match Relax_obs.Json.of_string (Relax_obs.Json.to_string (Lint.Finding.to_json f)) with
-  | Error msg -> Alcotest.failf "reparse failed: %s" msg
-  | Ok (Relax_obs.Json.Obj fields) ->
-    let str k =
-      match List.assoc_opt k fields with
-      | Some (Relax_obs.Json.String s) -> s
-      | _ -> Alcotest.failf "missing string field %s" k
-    in
-    Alcotest.(check string) "event" "lint.finding" (str "event");
-    Alcotest.(check string) "rule" "L3" (str "rule");
-    Alcotest.(check string) "file" "lib/core/search.ml" (str "file")
-  | Ok _ -> Alcotest.fail "expected an object"
+  let get k v =
+    match J.member k v with
+    | Some x -> x
+    | None -> Alcotest.failf "SARIF: missing field %s" k
+  in
+  let list = function J.List l -> l | _ -> Alcotest.fail "expected a list" in
+  let str = function J.String s -> s | _ -> Alcotest.fail "expected a string" in
+  let int = function J.Int i -> i | _ -> Alcotest.fail "expected an int" in
+  let run =
+    match list (get "runs" doc) with
+    | [ run ] -> run
+    | runs -> Alcotest.failf "expected one run, got %d" (List.length runs)
+  in
+  let rule_ids =
+    List.map (fun d -> str (get "id" d))
+      (list (get "rules" (get "driver" (get "tool" run))))
+  in
+  let results = list (get "results" run) in
+  let expected =
+    List.map (fun f -> (f, false)) r.findings
+    @ List.map (fun f -> (f, true)) r.waived
+  in
+  Alcotest.(check int)
+    "one result per finding and waived finding" (List.length expected)
+    (List.length results);
+  Alcotest.(check bool) "some waived" true (r.waived <> []);
+  List.iter2
+    (fun res ((f : Lint.Finding.t), waived) ->
+      let rule = str (get "ruleId" res) in
+      Alcotest.(check string) "ruleId" f.rule rule;
+      Alcotest.(check bool)
+        (rule ^ " declared by the driver") true (List.mem rule rule_ids);
+      let region =
+        match list (get "locations" res) with
+        | [ loc ] -> get "region" (get "physicalLocation" loc)
+        | _ -> Alcotest.fail "expected one location"
+      in
+      Alcotest.(check int) "startColumn" (f.col + 1)
+        (int (get "startColumn" region));
+      let suppressions =
+        match J.member "suppressions" res with
+        | Some s -> List.map (fun s -> str (get "kind" s)) (list s)
+        | None -> []
+      in
+      Alcotest.(check (list string))
+        (key f ^ " suppressions")
+        (if waived then [ "inSource" ] else [])
+        suppressions)
+    results expected
 
 let suite =
   [
@@ -195,8 +212,6 @@ let suite =
     Alcotest.test_case "fixture: W0 stale waiver" `Quick test_w0;
     Alcotest.test_case "fixture: effects module clean" `Quick test_effects_fixture;
     Alcotest.test_case "fixture: inline waiver" `Quick test_waived;
-    Alcotest.test_case "reachability closure" `Quick test_reachability;
-    Alcotest.test_case "assume-parallel scope" `Quick test_assume_parallel;
     Alcotest.test_case "repository lib/ lints clean" `Quick test_repo_clean;
-    Alcotest.test_case "finding JSONL schema" `Quick test_finding_json;
+    Alcotest.test_case "SARIF report" `Quick test_sarif;
   ]
