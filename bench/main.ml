@@ -374,26 +374,13 @@ let fig7 () =
       match T.Transform.apply ~estimate_rows:est inst.optimal tr with
       | None -> ()
       | Some config' ->
-        let ctx : T.Cost_bound.context =
-          {
-            env' = O.Env.make cat config';
-            old_env = O.Env.make cat inst.optimal;
-            removed_indexes = T.Transform.removed_indexes inst.optimal tr;
-            removed_views = T.Transform.removed_views tr;
-            view_merge =
-              (match tr with
-              | Merge_views (a, b) -> (
-                match Relax_physical.View.merge a b with
-                | Some m -> Some (m, a, b)
-                | None -> None)
-              | _ -> None);
-            cbv =
-              (fun v ->
-                (O.Optimizer.optimize cat Config.empty
-                   { Query.body = Relax_physical.View.definition v; order_by = [] })
-                  .cost);
-            expands = T.Transform.adds_structures tr;
-          }
+        let ctx =
+          T.Cost_bound.make_context cat
+            ~cbv:(fun v ->
+              (O.Optimizer.optimize cat Config.empty
+                 { Query.body = Relax_physical.View.definition v; order_by = [] })
+                .cost)
+            ~old_config:inst.optimal ~new_config:config' tr
         in
         List.iter
           (fun (_, sq, plan) ->

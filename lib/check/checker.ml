@@ -125,26 +125,6 @@ let cbv t (v : View.t) =
     Hashtbl.replace t.cbv_memo name cost;
     cost
 
-(* the §3.3.2 costing context, rebuilt from scratch (not shared with the
-   search's) *)
-let bound_context t ~old_config ~new_config (tr : T.Transform.t) :
-    T.Cost_bound.context =
-  let view_merge =
-    match tr with
-    | T.Transform.Merge_views (a, b) -> (
-      match View.merge a b with Some m -> Some (m, a, b) | None -> None)
-    | _ -> None
-  in
-  {
-    env' = O.Env.make t.cat new_config;
-    old_env = O.Env.make t.cat old_config;
-    removed_indexes = T.Transform.removed_indexes old_config tr;
-    removed_views = T.Transform.removed_views tr;
-    view_merge;
-    cbv = cbv t;
-    expands = T.Transform.adds_structures tr;
-  }
-
 let relation_rows_measured t config owner =
   match Hashtbl.find_opt t.rows_memo owner with
   | Some r -> r
@@ -222,8 +202,10 @@ let hook t (r : T.Search.iteration_report) =
       | None -> ()
       | Some config' ->
         let ctx =
-          bound_context t ~old_config:r.it_parent ~new_config:config'
-            r.it_transform
+          (* rebuilt from scratch over the checker's own CBV memo, not
+             shared with the search's *)
+          T.Cost_bound.make_context t.cat ~cbv:(cbv t)
+            ~old_config:r.it_parent ~new_config:config' r.it_transform
         in
         List.iter
           (fun (qid, _w, sq) ->

@@ -40,6 +40,23 @@ type context = {
           genuinely get cheaper and the lower bound must account for it *)
 }
 
+let make_context cat ~cbv ~old_config ~new_config (tr : Transform.t) =
+  let view_merge =
+    match tr with
+    | Merge_views (a, b) -> (
+      match View.merge a b with Some m -> Some (m, a, b) | None -> None)
+    | _ -> None
+  in
+  {
+    env' = O.Env.make cat new_config;
+    old_env = O.Env.make cat old_config;
+    removed_indexes = Transform.removed_indexes old_config tr;
+    removed_views = Transform.removed_views tr;
+    view_merge;
+    cbv;
+    expands = Transform.adds_structures tr;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* tolerant float comparisons                                          *)
 (* ------------------------------------------------------------------ *)

@@ -30,6 +30,17 @@ type context = {
           derivation {!query_lower_bound} may use *)
 }
 
+val make_context :
+  Relax_catalog.Catalog.t ->
+  cbv:(View.t -> float) ->
+  old_config:Relax_physical.Config.t ->
+  new_config:Relax_physical.Config.t ->
+  Transform.t ->
+  context
+(** The context of relaxing [old_config] to [new_config] by one
+    transformation.  [cbv] answers every view the transformation removes
+    that an affected plan reads; the context only stores it. *)
+
 val float_eq : ?eps:float -> float -> float -> bool
 (** Tolerant equality for cost/size values: true when the two values agree
     within [eps] (default [1e-9]) relative to the larger magnitude, with an

@@ -181,10 +181,10 @@ type state = {
   mutable iterations : int;
   mutable candidates_trace : int list;  (** per-iteration candidate counts *)
   seen : (string, unit) Hashtbl.t;  (** configuration fingerprints *)
-  cbv_lock : Mutex.t;  (** guards [cbv_cache] (held across the optimize) *)
   cbv_cache : (string, float) Hashtbl.t;
-  size_lock : Mutex.t;  (** guards [size_cache] *)
-  size_cache : (string, float) Hashtbl.t;  (** per-structure size memo *)
+      (** CBV memo, read and written on the main domain only *)
+  heaps : (string * float) list;
+      (** heap bytes of every base table, in catalog order *)
   frugal : Frugal.t option;
       (** the what-if call ledger; [Some] iff [opts.whatif_budget] is *)
   rand : Random.State.t;  (** only consulted by the [Random] selection *)
@@ -210,55 +210,25 @@ let used_structure_names (plans : O.Plan.t array) =
     plans;
   used
 
-(* Memoized size of one index under a configuration (the owner's row count
-   pins the size; view row estimates are stored in the configuration).
-   Sizes are computed outside the lock: a racing double-compute is
-   harmless because the size is a deterministic function of the key. *)
-let index_size st config (i : Relax_physical.Index.t) =
-  let rows = Config.relation_rows st.catalog config (Index.owner i) in
-  let key = Index.name i ^ "@" ^ string_of_float rows in
-  match
-    Mutex.protect st.size_lock (fun () -> Hashtbl.find_opt st.size_cache key)
-  with
-  | Some s -> s
-  | None ->
-    let s = Config.index_bytes st.catalog config i in
-    Mutex.protect st.size_lock (fun () -> Hashtbl.replace st.size_cache key s);
-    s
-
-(* Heap bytes of unclustered base tables (cached once). *)
-let heap_bytes st config =
+(* Heap bytes of every base table, in catalog order: they depend only on
+   the catalog, which never changes during a search. *)
+let base_heaps catalog =
   let module Cat = Relax_catalog.Catalog in
   let module SM = Relax_physical.Size_model in
-  List.fold_left
-    (fun acc name ->
-      if Config.clustered_on config name <> None then acc
-      else
-        let key = "heap@" ^ name in
-        let h =
-          match
-            Mutex.protect st.size_lock (fun () ->
-                Hashtbl.find_opt st.size_cache key)
-          with
-          | Some h -> h
-          | None ->
-            let h =
-              SM.heap_pages ~rows:(Cat.rows st.catalog name)
-                ~row_width:(Cat.row_width st.catalog name) ()
-              *. SM.default_params.page_size
-            in
-            Mutex.protect st.size_lock (fun () ->
-                Hashtbl.replace st.size_cache key h);
-            h
-        in
-        acc +. h)
-    0.0
-    (Cat.table_names st.catalog)
+  List.map
+    (fun name ->
+      ( name,
+        SM.heap_pages ~rows:(Cat.rows catalog name)
+          ~row_width:(Cat.row_width catalog name) ()
+        *. SM.default_params.page_size ))
+    (Cat.table_names catalog)
 
-let config_size st config =
+(* Heap bytes of the base tables [config] leaves unclustered. *)
+let heap_bytes st config =
   List.fold_left
-    (fun acc i -> acc +. index_size st config i)
-    (heap_bytes st config) (Config.indexes config)
+    (fun acc (name, h) ->
+      if Config.clustered_on config name <> None then acc else acc +. h)
+    0.0 st.heaps
 
 let shell_cost_of st config =
   if st.prepared.dmls = [] then 0.0
@@ -270,11 +240,10 @@ let shell_cost_of st config =
   end
 
 (* CBV: cost of computing a view from scratch under the base configuration.
-   The lock is held across the optimize so concurrent callers never
-   duplicate it (and never double-count its probes); misses are rare. *)
+   Main domain only: a scoring task reads the CBVs phase 1 of
+   [rank_candidates] froze into its candidate's context. *)
 let cbv st (v : View.t) =
   let name = View.name v in
-  Mutex.protect st.cbv_lock @@ fun () ->
   match Hashtbl.find_opt st.cbv_cache name with
   | Some c -> c
   | None ->
@@ -290,24 +259,6 @@ let estimate_view_rows st (v : View.t) =
 (* ------------------------------------------------------------------ *)
 (* node evaluation                                                     *)
 (* ------------------------------------------------------------------ *)
-
-let bound_context st ~old_config ~new_config (tr : Transform.t) :
-    Cost_bound.context =
-  let view_merge =
-    match tr with
-    | Merge_views (a, b) -> (
-      match View.merge a b with Some m -> Some (m, a, b) | None -> None)
-    | _ -> None
-  in
-  {
-    env' = O.Env.make st.catalog new_config;
-    old_env = O.Env.make st.catalog old_config;
-    removed_indexes = Transform.removed_indexes old_config tr;
-    removed_views = Transform.removed_views tr;
-    view_merge;
-    cbv = cbv st;
-    expands = Transform.adds_structures tr;
-  }
 
 (** How one workload slot gets its plan when a configuration is costed. *)
 type decision =
@@ -498,7 +449,7 @@ let frugal_decisions st ledger ~(parent : node) ~ctx ~shell ~best_cost config =
      cannot be mis-ranked into the recommendation by its bound cost —
      exactness there buys nothing. *)
   let spend_ok =
-    config_size st config <= st.opts.space_budget
+    Config.total_bytes st.catalog config <= st.opts.space_budget
     && Cost_bound.float_lt !lo_total best_cost
     && !hi_total < best_cost *. Frugal.contender_slack
   in
@@ -528,7 +479,10 @@ let frugal_decisions st ledger ~(parent : node) ~ctx ~shell ~best_cost config =
     total exceeds three times the best known cost (§3.5). *)
 let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
     node option =
-  let ctx = bound_context st ~old_config:parent.config ~new_config:config tr in
+  let ctx =
+    Cost_bound.make_context st.catalog ~cbv:(cbv st) ~old_config:parent.config
+      ~new_config:config tr
+  in
   let best_cost =
     match st.best with Some b -> b.cost | None -> infinity
   in
@@ -578,7 +532,7 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
           config (Config.views config)
       end
     in
-    let size = config_size st config in
+    let size = Config.total_bytes st.catalog config in
     let actual_penalty =
       let d_s = parent.size -. size in
       let d_t = total -. parent.cost in
@@ -624,7 +578,7 @@ let parentless_node st config =
       select_cost;
       shell_cost = shell;
       cost = select_cost +. shell;
-      size = config_size st config;
+      size = Config.total_bytes st.catalog config;
       parent = None;
       via = None;
       actual_penalty = 0.0;
@@ -718,8 +672,10 @@ let rank_candidates st (n : node) : candidate list =
          names)
   in
   (* Phase 1, on the main domain: apply each transformation and build its
-     costing context.  Both are pure — an environment is a plain value —
-     so the pool may read every context this phase builds. *)
+     costing context, freezing into it the CBV of every removed view an
+     affected plan reads (the only views its bounds can ask for).  Contexts
+     are plain values — an environment is one too — so the pool may read
+     every context this phase builds. *)
   let applied =
     List.filter_map
       (fun tr ->
@@ -731,9 +687,20 @@ let rank_candidates st (n : node) : candidate list =
           let affected = affected_queries tr in
           let ctx =
             if affected = [] then None
-            else
+            else begin
+              let cbvs =
+                List.filter_map
+                  (fun v ->
+                    let name = View.name v in
+                    if Hashtbl.mem usage name then Some (name, cbv st v)
+                    else None)
+                  (Transform.removed_views tr)
+              in
               Some
-                (bound_context st ~old_config:n.config ~new_config:config' tr)
+                (Cost_bound.make_context st.catalog
+                   ~cbv:(fun v -> List.assoc (View.name v) cbvs)
+                   ~old_config:n.config ~new_config:config' tr)
+            end
           in
           Some (tr, config', affected, ctx))
       transforms
@@ -767,13 +734,14 @@ let rank_candidates st (n : node) : candidate list =
     ((if lower then Cost_bound.query_lower_bound ctx plan else hi), hi)
   in
   (* Phase 2, parallel: score each applied transformation — incremental
-     size (only the structures that changed are re-measured; heaps are
-     cheap cached lookups), §3.3.2 cost upper bound (and, in frugal mode,
-     the matching lower bound), update-shell delta.  Each task reads the
-     node's plans, the immutable catalog and the contexts phase 1 built;
-     the only shared mutable state is [size_cache] and [cbv_cache], read
-     and written under their locks.  A scored candidate carries its ΔT
-     lower bound and what the frugal sweep needs to refine it. *)
+     size (only the structures that changed are re-measured; heaps come
+     from the search's precomputed list), §3.3.2 cost upper bound (and, in
+     frugal mode, the matching lower bound), update-shell delta.  A task
+     is a pure function of the node and its candidate: it reads only the
+     node's plans, the immutable catalog and heap list and the context
+     phase 1 built, and writes no shared table.  A scored candidate
+     carries its ΔT lower bound and what the frugal sweep needs to refine
+     it. *)
   let lower = Option.is_some st.frugal in
   let score (tr, config', affected, ctx) =
     let removed =
@@ -784,8 +752,12 @@ let rank_candidates st (n : node) : candidate list =
     in
     let size' =
       n.size -. heap_bytes st n.config +. heap_bytes st config'
-      -. Index.Set.fold (fun i a -> a +. index_size st n.config i) removed 0.0
-      +. Index.Set.fold (fun i a -> a +. index_size st config' i) added 0.0
+      -. Index.Set.fold
+           (fun i a -> a +. Config.index_bytes st.catalog n.config i)
+           removed 0.0
+      +. Index.Set.fold
+           (fun i a -> a +. Config.index_bytes st.catalog config' i)
+           added 0.0
     in
     let delta_space = n.size -. size' in
     let delta_selects_lo, delta_selects =
@@ -1124,10 +1096,8 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
       iterations = 0;
       candidates_trace = [];
       seen = Hashtbl.create 64;
-      cbv_lock = Mutex.create ();
       cbv_cache = Hashtbl.create 16;
-      size_lock = Mutex.create ();
-      size_cache = Hashtbl.create 256;
+      heaps = base_heaps catalog;
       frugal = Option.map (fun budget -> Frugal.create ~budget) opts.whatif_budget;
       rand =
         Random.State.make

@@ -89,7 +89,11 @@ let lex_number st =
     | _ -> false
   in
   let s = String.sub st.src start (st.pos - start) in
-  if is_float then FLOAT (float_of_string s) else INT (int_of_string s)
+  if is_float then FLOAT (float_of_string s)
+  else
+    match int_of_string_opt s with
+    | Some n -> INT n
+    | None -> raise (Lex_error ("integer literal out of range", start))
 
 let lex_string st =
   advance st;

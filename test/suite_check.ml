@@ -117,24 +117,13 @@ let tpch = lazy (
   let transforms = Array.of_list (T.Transform.enumerate inst.optimal) in
   (cat, inst.optimal, whatif, Array.of_list plans, transforms))
 
-let tpch_bound_context cat config config' tr : T.Cost_bound.context =
-  {
-    env' = O.Env.make cat config';
-    old_env = O.Env.make cat config;
-    removed_indexes = T.Transform.removed_indexes config tr;
-    removed_views = T.Transform.removed_views tr;
-    view_merge =
-      (match tr with
-      | T.Transform.Merge_views (a, b) -> (
-        match View.merge a b with Some m -> Some (m, a, b) | None -> None)
-      | _ -> None);
-    cbv =
-      (fun v ->
-        (O.Optimizer.optimize cat Config.empty
-           { Query.body = View.definition v; order_by = [] })
-          .cost);
-    expands = T.Transform.adds_structures tr;
-  }
+let tpch_bound_context cat config config' tr =
+  T.Cost_bound.make_context cat
+    ~cbv:(fun v ->
+      (O.Optimizer.optimize cat Config.empty
+         { Query.body = View.definition v; order_by = [] })
+        .cost)
+    ~old_config:config ~new_config:config' tr
 
 (* the central §3.3.2 claim on a real workload: for any relaxation of the
    TPC-H optimal configuration, the bound dominates the re-optimized cost *)

@@ -1,7 +1,8 @@
 (** Tests for the continuous tuning daemon and its supporting layers: the
     durable Config JSON codec (round-trip and fingerprint preservation,
     randomized), the decayed sliding window (monotone decay, rotation,
-    capacity eviction), the JSONL stream codec, the guardrail verdicts,
+    capacity eviction), the JSONL stream codec and a fuzz of its line
+    parser (truncated and byte-flipped TPC-H lines), the guardrail verdicts,
     warm-vs-cold re-tune economy, deterministic replay across [--jobs],
     guardrail auto-rollback with byte-identical restore, crash-safe state
     writes, per-qid what-if eviction, the frugal tier on an update
@@ -176,6 +177,10 @@ let test_window_capacity_eviction () =
 
 (* --- the stream codec ----------------------------------------------------- *)
 
+(* an integer literal past [max_int]: once an escaping [Failure] *)
+let oversized_int_line =
+  {|{"sql":"SELECT onek.value FROM onek WHERE onek.unique2 < 99999999999999999999999"}|}
+
 let test_stream_parse () =
   (match D.Stream.parse_line {|{"qid":"q","sql":"SELECT r.a FROM r","weight":2.5}|} with
   | Ok e ->
@@ -196,7 +201,55 @@ let test_stream_parse () =
   bad {|{"sql":"SELEKT nonsense"}|};
   bad {|{"sql":"SELECT r.a FROM r","weight":-3}|};
   bad {|{"sql":"SELECT r.a FROM r","weight":1e400}|};
-  bad {|{"sql":"SELECT r.a FROM r","weight":"x"}|}
+  bad {|{"sql":"SELECT r.a FROM r","weight":"x"}|};
+  bad oversized_int_line
+
+(* --- stream fuzzing: [parse_line] answers [Ok] or [Error], never raises -- *)
+
+(* the TPC-H subset as stream lines, plus the oversized literal: no flip
+   of a TPC-H line grows a 20-digit number, but the oversized line's
+   truncations and flips keep one *)
+let fuzz_lines =
+  lazy
+    (oversized_int_line
+    :: List.map D.Stream.line_of_entry
+         (W.Tpch.workload_subset [ 1; 3; 6; 10; 14 ]))
+
+(* the exception [parse_line] let escape, if any *)
+let parse_escape line =
+  match D.Stream.parse_line line with
+  | Ok _ | Error _ -> None
+  | exception e -> Some (Printexc.to_string e)
+
+let test_stream_parse_truncations () =
+  List.iter
+    (fun line ->
+      for n = 0 to String.length line do
+        let l = String.sub line 0 n in
+        match parse_escape l with
+        | None -> ()
+        | Some e -> Alcotest.failf "parse_line raised %s on %S" e l
+      done)
+    (Lazy.force fuzz_lines)
+
+let prop_stream_parse_flips =
+  let gen =
+    QCheck.Gen.(
+      let* line = oneofl (Lazy.force fuzz_lines) in
+      let n = String.length line in
+      let* k = int_range 1 3 in
+      let* flips = list_size (return k) (pair (int_bound (n - 1)) char) in
+      let b = Bytes.of_string line in
+      List.iter (fun (i, c) -> Bytes.set b i c) flips;
+      return (Bytes.to_string b))
+  in
+  QCheck.Test.make ~name:"stream: parse never raises on flipped bytes"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen)
+    (fun line ->
+      match parse_escape line with
+      | None -> true
+      | Some e -> QCheck.Test.fail_reportf "parse_line raised %s" e)
 
 let test_stream_roundtrip () =
   let e = entry ~weight:3.25 "q7" select_a in
@@ -570,6 +623,9 @@ let suite =
       test_window_capacity_eviction;
     Alcotest.test_case "stream: parse" `Quick test_stream_parse;
     Alcotest.test_case "stream: round-trip" `Quick test_stream_roundtrip;
+    Alcotest.test_case "stream: parse never raises on truncated lines" `Quick
+      test_stream_parse_truncations;
+    QCheck_alcotest.to_alcotest prop_stream_parse_flips;
     Alcotest.test_case "guardrail: verdicts" `Quick test_guardrail_verdicts;
     Alcotest.test_case "guardrail: drift predicate" `Quick test_drift_predicate;
     Alcotest.test_case "daemon: warm re-tunes spend fewer calls" `Slow

@@ -274,6 +274,12 @@ let check_identical ~label (r1, m1, l1) (r4, m4, l4) =
     (m1.transforms_generated = m4.transforms_generated);
   chk "transforms applied" (m1.transforms_applied = m4.transforms_applied);
   chk "pool trace" (m1.pool_trace = m4.pool_trace);
+  (* CBV optimizations bypass the what-if layer: only this counter sees
+     them *)
+  let optimizations m =
+    List.assoc_opt "optimizer.optimizations" m.named_counters
+  in
+  chk "optimizer optimizations" (optimizations m1 = optimizations m4);
   Alcotest.(check (list (pair string int)))
     (label ^ ": trace event counts")
     (event_histogram l1) (event_histogram l4)
@@ -284,10 +290,14 @@ let test_determinism_tpch () =
   let budget =
     Config.total_bytes cat Config.empty *. 1.4
   in
-  let run jobs =
-    tune_with_jobs ~jobs ~mode:T.Tuner.Indexes_only ~budget ~iters:60 cat w
-  in
-  check_identical ~label:"tpch" (run 1) (run 4)
+  List.iter
+    (fun (label, mode) ->
+      let run jobs = tune_with_jobs ~jobs ~mode ~budget ~iters:60 cat w in
+      check_identical ~label (run 1) (run 4))
+    [
+      ("tpch indexes", T.Tuner.Indexes_only);
+      ("tpch views", T.Tuner.Indexes_and_views);
+    ]
 
 let test_determinism_updates () =
   let schema = W.Star.schema ~scale:0.01 () in

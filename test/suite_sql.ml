@@ -149,6 +149,19 @@ let test_parse_errors () =
       | _ -> Alcotest.failf "expected parse error for %S" s)
     bad
 
+(* an integer literal past [max_int] is a lex error at its first digit, not
+   an escaping [Failure] *)
+let test_lex_int_overflow () =
+  let src = "SELECT r.a FROM r WHERE r.a < 99999999999999999999999" in
+  (match Relax_sql.Lexer.tokenize src with
+  | _ -> Alcotest.fail "oversized integer literal lexed"
+  | exception Relax_sql.Lexer.Lex_error (msg, pos) ->
+    Alcotest.(check string) "message" "integer literal out of range" msg;
+    Alcotest.(check int) "position" (String.index src '9') pos);
+  match Relax_sql.Lexer.tokenize (string_of_int max_int) with
+  | [ INT n; EOF ] -> Alcotest.(check int) "max_int still lexes" max_int n
+  | _ -> Alcotest.fail "max_int literal not lexed as one INT"
+
 let test_roundtrip_examples () =
   let stmts =
     [
@@ -223,6 +236,8 @@ let suite =
     Alcotest.test_case "plannable selects" `Quick test_plannable_selects;
     Alcotest.test_case "parse group/order" `Quick test_parse_group_order;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "lex: integer literal out of range" `Quick
+      test_lex_int_overflow;
     Alcotest.test_case "print/parse round-trip" `Quick test_roundtrip_examples;
     QCheck_alcotest.to_alcotest prop_union_weaker;
     QCheck_alcotest.to_alcotest prop_intersect_stronger;
