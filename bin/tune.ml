@@ -426,9 +426,8 @@ let trace_chrome_file =
         ~doc:
           "Write a Chrome trace-event profile of the run (ptt only): the \
            hierarchical span tree on per-domain thread tracks plus \
-           counter tracks for what-if calls and latency, per-shard cache \
-           hits/misses, frontier size, pool queue depth and GC heap \
-           words.  Open the file directly in https://ui.perfetto.dev.")
+           counter tracks for what-if calls, cache hits and latency, \
+           frontier size, pool queue depth and GC heap words.  Open the file directly in https://ui.perfetto.dev.")
 
 let metrics =
   Arg.(

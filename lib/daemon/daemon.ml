@@ -133,24 +133,35 @@ let persist t =
         Unix.fsync (Unix.descr_of_out_channel oc));
     Sys.rename tmp path
 
-let load_state path =
+(* A state file written for another catalog (an unknown table or
+   column) is refused here with the guardrail's pre-deploy check, not at
+   the first retune that costs it. *)
+let load_state catalog path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ -> None
   | contents -> (
     let trimmed = String.trim contents in
+    let fail msg =
+      failwith (Printf.sprintf "daemon: state file %s: %s" path msg)
+    in
     if trimmed = "" then None
     else
       match Config_json.of_string trimmed with
-      | Ok cfg -> Some (cfg, trimmed)
-      | Error msg ->
-        failwith (Printf.sprintf "daemon: state file %s: %s" path msg))
+      | Error msg -> fail msg
+      | Ok cfg -> (
+        match C.Invariants.check catalog cfg with
+        | [] -> Some (cfg, trimmed)
+        | violations ->
+          fail
+            (String.concat "; "
+               (List.map (Fmt.str "%a" C.Invariants.pp_violation) violations))))
 
 let create ?recorder catalog (opts : options) =
   let recorder =
     match recorder with Some r -> r | None -> Obs.Recorder.create ()
   in
   let deployed, deployed_json =
-    match Option.map load_state opts.state_path with
+    match Option.map (load_state catalog) opts.state_path with
     | Some (Some (cfg, json)) -> (cfg, json)
     | _ -> (Config.empty, Config_json.to_string Config.empty)
   in

@@ -97,7 +97,9 @@ val create : ?recorder:Relax_obs.Recorder.t -> Relax_catalog.Catalog.t ->
     [daemon.malformed], [daemon.shutdown]) and counters; a private one is
     created when absent.  When [options.state_path] names a readable
     file, the deployed configuration is loaded from it ({!create} raises
-    [Failure] if the file exists but does not parse). *)
+    [Failure] naming the file if it exists but does not parse, or if the
+    configuration fails {!Relax_check.Invariants.check} against
+    [catalog], e.g. an index on a table the catalog does not have). *)
 
 val ingest : t -> Query.entry -> retune option
 (** Feed one statement; [Some cycle] when this arrival triggered a

@@ -32,7 +32,6 @@ type marker =
   | M_clock of E.loc * string
   | M_selfinit of E.loc
   | M_hiter of E.loc * string
-  | M_snapshot_unguarded of E.loc * string
   | M_nested_lock of E.loc
 
 type pool_site = { ps_loc : E.loc; ps_target : target }
@@ -144,14 +143,6 @@ let op_name p =
   match String.rindex_opt n '.' with
   | Some i -> String.sub n (i + 1) (String.length n - i - 1)
   | None -> n
-
-let lower_contains ~fragment s =
-  let s = String.lowercase_ascii s in
-  let lf = String.length fragment and ls = String.length s in
-  let rec go i =
-    if i + lf > ls then false else String.sub s i lf = fragment || go (i + 1)
-  in
-  go 0
 
 (* ------------------------------------------------------------------ *)
 (* primitive tables                                                    *)
@@ -787,15 +778,6 @@ and dispatch st acc (e : Typedtree.expression) head p explicit =
   end
   else if path_is p atomic_write_prims then begin
     eff acc ~detail:(Path.name p) E.Atomic_write head_loc;
-    (match explicit with
-    | cell :: _ ->
-      let desc = target_desc cell in
-      if
-        lower_contains ~fragment:"snapshot" desc
-        && st.held = []
-        && path_is p [ "Atomic.set"; "Atomic.exchange"; "Atomic.compare_and_set" ]
-      then mark st (M_snapshot_unguarded (head_loc, desc))
-    | [] -> ());
     List.iter (walk st acc) explicit
   end
   else

@@ -17,9 +17,8 @@
       degraded to [mutex-guarded-mutation];
     - {e site markers} for the flow-sensitive rules: L2 catch-alls, L3
       float comparison / int division, L4 ambient reads, L5
-      nondeterminism primitives, and the two L8 lock-discipline shapes
-      (an [Atomic.set] to a [*snapshot*] cell outside any mutex-held
-      region, and a mutex acquired while another is already held);
+      nondeterminism primitives, and L8's lock-discipline shape (a mutex
+      acquired while another is already held);
     - the [Relax_parallel.Pool] task-submission sites with the closure
       (or function) each one submits, for L6. *)
 
@@ -53,7 +52,6 @@ type marker =
   | M_clock of Effects.loc * string
   | M_selfinit of Effects.loc
   | M_hiter of Effects.loc * string
-  | M_snapshot_unguarded of Effects.loc * string  (** cell description *)
   | M_nested_lock of Effects.loc
 
 type pool_site = { ps_loc : Effects.loc; ps_target : target }

@@ -148,20 +148,6 @@ let marker_findings scope (a : C.analysis) =
                "iterate over an explicitly sorted key list (or waive with a \
                 reason when the result is order-insensitive)"
              loc)
-      | M_snapshot_unguarded (loc, cell) when scope.in_lock ->
-        Some
-          (finding ~rule:"L8"
-             ~message:
-               (Printf.sprintf
-                  "atomic publish of snapshot cell `%s` outside any \
-                   mutex-held region; a reader can observe a snapshot older \
-                   than the table it mirrors"
-                  cell)
-             ~suggestion:
-               "publish inside the critical section that mutated the table \
-                (Mutex.protect), or waive naming the caller-holds-the-lock \
-                protocol"
-             loc)
       | M_nested_lock loc when scope.in_lock ->
         Some
           (finding ~rule:"L8"
@@ -174,7 +160,7 @@ let marker_findings scope (a : C.analysis) =
                 and waive the canonical acquisition order"
              loc)
       | M_float_cmp _ | M_float_inst _ | M_intdiv _ | M_ambient _
-      | M_hiter _ | M_snapshot_unguarded _ | M_nested_lock _ ->
+      | M_hiter _ | M_nested_lock _ ->
         None)
     a.C.a_markers
 
@@ -216,7 +202,7 @@ let l6 g (a : C.analysis) =
                         (path_string g id src))
                    ~suggestion:
                      "hoist the side effect out of the parallel region, \
-                      guard it with the owning shard's mutex, or make the \
+                      guard it with the owning structure's mutex, or make the \
                       captured state task-local; waive only with the \
                       protocol that makes the share safe"
                    site.C.ps_loc))

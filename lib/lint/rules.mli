@@ -31,10 +31,8 @@
       and deterministic (only [raise] is allowed).  The finding is placed
       at the grounded witness (the primitive that introduces the effect)
       and the message names the entry point and the call path.
-    - {b L8 lock-discipline}: an atomic publish of a [*snapshot*] cell
-      outside any mutex-held region (the Whatif publish-before-unlock
-      protocol), and nested mutex acquisition — directly in one body, or
-      through a call made while a lock is held. *)
+    - {b L8 lock-discipline}: nested mutex acquisition — directly in one
+      body, or through a call made while a lock is held. *)
 
 (** Which rule scopes apply to the module under analysis (decided by the
     engine from the module's source path). *)

@@ -28,8 +28,8 @@ let rules =
        Size_model, Access_path) is not pure and deterministic." );
     ( "L8",
       "error",
-      "Lock-discipline violation: snapshot published outside the \
-       mutex-held region, or nested mutex acquisition." );
+      "Lock-discipline violation: a mutex acquired while another lock \
+       is held." );
     ("W0", "note", "Inline waiver that no longer suppresses any finding.");
   ]
 

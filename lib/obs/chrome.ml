@@ -5,8 +5,8 @@
     chrome://tracing) load directly: one "X" (complete) event per span
     on its domain's thread track, "M" metadata events naming the process
     and threads, and "C" (counter) events for every sampled track —
-    what-if calls and latency, per-shard cache hits/misses, frontier and
-    pool sizes, queue depth and GC heap words.
+    what-if calls, cache hits and latency, frontier and pool sizes,
+    queue depth and GC heap words.
 
     Timestamps are microseconds relative to the recorder's creation, so
     traces start at t=0; thread ids are small integers assigned per

@@ -4,8 +4,8 @@
     [profile:true]) as the trace-event format https://ui.perfetto.dev
     loads directly: spans become "X" complete events on per-domain
     thread tracks (with span id, parent id and depth in [args]),
-    counter samples become "C" events (what-if latency, per-shard cache
-    hits/misses, frontier size, pool queue depth, [gc.heap_words] and
+    counter samples become "C" events (what-if calls, cache hits and
+    latency, frontier size, pool queue depth, [gc.heap_words] and
     friends), and "M" metadata events name the process and threads.
     Timestamps are microseconds relative to recorder creation; events
     are emitted in ascending timestamp order. *)

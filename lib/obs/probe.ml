@@ -75,11 +75,6 @@ let counter name value =
   | None -> ()
   | Some r -> Recorder.counter r name value
 
-let counter_series name ~series value =
-  match Recorder.ambient () with
-  | None -> ()
-  | Some r -> Recorder.counter_series r name ~series value
-
 let thread_name name =
   match Recorder.ambient () with
   | None -> ()

@@ -35,9 +35,6 @@ val observe : string -> float -> unit
 val counter : string -> float -> unit
 (** Sample a single-series counter track (profiling mode only). *)
 
-val counter_series : string -> series:string -> float -> unit
-(** Sample one series of a counter track (e.g. one cache shard). *)
-
 val thread_name : string -> unit
 (** Name the calling domain's thread track in the Chrome export. *)
 

@@ -61,7 +61,6 @@ let counter_sample t name samples =
   end
 
 let counter t name value = counter_sample t name [ ("value", value) ]
-let counter_series t name ~series value = counter_sample t name [ (series, value) ]
 
 (* Counter tracks from [Gc.quick_stat] deltas: the absolute heap size,
    the words allocated since the previous sample, and the cumulative

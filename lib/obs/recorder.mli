@@ -18,10 +18,10 @@
     self-time stay well-defined under parallelism.
 
     With [profile:true] the recorder additionally retains every
-    completed span and a log of counter samples (what-if traffic, cache
-    shard hits/misses, GC heap words, pool queue depth, per-span
-    latency) for the {!Chrome} trace-event export; plain runs skip that
-    retention entirely. *)
+    completed span and a log of counter samples (what-if calls and
+    cache hits, GC heap words, pool queue depth, per-span latency) for
+    the {!Chrome} trace-event export; plain runs skip that retention
+    entirely. *)
 
 type t
 
@@ -51,10 +51,6 @@ val snapshot : t -> Metrics.snapshot
 val counter : t -> string -> float -> unit
 (** Record one sample of a single-series counter track (profiling mode
     only; no-op otherwise). *)
-
-val counter_series : t -> string -> series:string -> float -> unit
-(** Record one sample of a named series of a counter track (e.g. one
-    cache shard's hit count). *)
 
 val sample_gc : t -> unit
 (** Sample [Gc.quick_stat] into the [gc.*] counter tracks (profiling

@@ -7,15 +7,11 @@
     mechanism behind the paper's "only re-optimize queries that used a
     replaced structure".
 
-    Domain-safe: the plan cache is sharded by key hash and every shard
-    publishes a read-mostly snapshot in an [Atomic.t], so cache-hit
-    reads ({!plan_select}'s fast path, {!find_cached}) are lock-free — one
-    atomic load plus a persistent-map lookup.  Writers insert under the
-    shard mutex and publish the extended snapshot before releasing it.
-    Concurrent requests for the same uncached key are deduplicated: the
-    first pays the optimizer call, later ones wait on the shard's
-    condition variable and count a cache hit.  The plan cache is the
-    layer's only memory. *)
+    Domain-safe: one plan table under one mutex.  An optimization runs
+    outside the lock; concurrent requests for the same uncached key are
+    deduplicated: the first pays the optimizer call, later ones wait for
+    it and count a cache hit.  The plan cache is the layer's only
+    memory. *)
 
 type t
 
@@ -25,7 +21,7 @@ val stats : t -> int * int
 (** (optimizer calls actually executed, cache hits). *)
 
 val cached_plans : t -> int
-(** Number of distinct plans currently memoized, across all shards. *)
+(** Number of distinct plans currently memoized. *)
 
 val plan_select :
   t -> Relax_physical.Config.t -> qid:string -> Relax_sql.Query.select_query ->

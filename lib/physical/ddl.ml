@@ -7,12 +7,6 @@
 
 open Relax_sql.Types
 
-(* Atomic so concurrent renderings (e.g. from pool workers reporting
-   in parallel) cannot tear the counter; each script rendering resets it,
-   so scripts stay deterministically numbered when rendered one at a
-   time, which is how every current caller uses them. *)
-let index_name_counter = Atomic.make 0
-
 (* deterministic, human-readable object names *)
 let sanitize s =
   String.map
@@ -22,13 +16,18 @@ let sanitize s =
       | _ -> '_')
     s
 
+(* One name per index, derived from its content alone: a readable
+   prefix (kind, owner, key columns) and a digest of [Index.name], which
+   tells apart the indexes the prefix conflates (different suffix
+   columns, or names [sanitize] maps to the same string).  Every script
+   names an index the same way, so a later delta drops exactly what an
+   earlier one created. *)
 let index_ddl_name (i : Index.t) =
-  let n = Atomic.fetch_and_add index_name_counter 1 + 1 in
-  Fmt.str "%s_%s_%s%d"
+  Fmt.str "%s_%s_%s_%s"
     (if i.clustered then "cix" else "ix")
     (sanitize (Index.owner i))
     (sanitize (String.concat "_" (List.map (fun (c : column) -> c.col) i.keys)))
-    n
+    (String.sub (Digest.to_hex (Digest.string (Index.name i))) 0 8)
 
 let pp_index ppf (i : Index.t) =
   let keys =
@@ -50,7 +49,6 @@ let pp_view ppf (v : View.t) =
 (** The full deployment script for a configuration: views first (their
     indexes depend on them), then all indexes. *)
 let pp_config ppf (config : Config.t) =
-  Atomic.set index_name_counter 0;
   Fmt.pf ppf "@[<v>";
   List.iter (fun v -> Fmt.pf ppf "%a@,@," pp_view v) (Config.views config);
   List.iter (fun i -> Fmt.pf ppf "%a@," pp_index i) (Config.indexes config);
@@ -103,17 +101,12 @@ let delta_cardinal d =
   + List.length d.drop_indexes + List.length d.drop_views
 
 let pp_delta ppf d =
-  Atomic.set index_name_counter 0;
   Fmt.pf ppf "@[<v>";
   List.iter (fun v -> Fmt.pf ppf "%a@," pp_view v) d.create_views;
   List.iter (fun i -> Fmt.pf ppf "%a@," pp_index i) d.create_indexes;
   List.iter
-    (fun (i : Index.t) ->
-      (* content-derived names here: the numbered DDL names are allocated
-         per rendered script, so a drop must identify the structure by
-         content, exactly as the configuration does *)
-      Fmt.pf ppf "DROP INDEX %s ON %s;@," (sanitize (Index.name i))
-        (Index.owner i))
+    (fun i ->
+      Fmt.pf ppf "DROP INDEX %s ON %s;@," (index_ddl_name i) (Index.owner i))
     d.drop_indexes;
   List.iter
     (fun v -> Fmt.pf ppf "DROP MATERIALIZED VIEW %s;@," (View.name v))
@@ -124,7 +117,6 @@ let delta_to_string d = Fmt.str "%a" pp_delta d
 
 (** The tear-down script (inverse order). *)
 let pp_drop ppf (config : Config.t) =
-  Atomic.set index_name_counter 0;
   Fmt.pf ppf "@[<v>";
   List.iter
     (fun i -> Fmt.pf ppf "DROP INDEX %s;@," (index_ddl_name i))

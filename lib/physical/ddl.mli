@@ -30,7 +30,8 @@ val delta_cardinal : delta -> int
 
 val pp_delta : Format.formatter -> delta -> unit
 (** Executable top to bottom: created views before their indexes, dropped
-    indexes before their views.  Drops identify indexes by their
-    content-derived names. *)
+    indexes before their views.  An index has one name in every script
+    (a readable prefix plus a digest of {!Index.name}), so a drop names
+    exactly what an earlier script created. *)
 
 val delta_to_string : delta -> string

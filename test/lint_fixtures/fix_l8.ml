@@ -1,13 +1,11 @@
-(* L8 fixture: a snapshot published outside the lock, the correct
-   publish inside it, and a nested acquisition. *)
+(* L8 fixture: a table and atomic update under one lock, which is clean,
+   and a nested acquisition. *)
 
 type sh = {
   lock : Mutex.t;
   table : (string, int) Hashtbl.t;
   snapshot : int Atomic.t;
 }
-
-let publish_bad sh v = Atomic.set sh.snapshot v
 
 let publish_good sh v =
   Mutex.protect sh.lock (fun () ->

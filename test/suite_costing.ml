@@ -165,6 +165,67 @@ let test_ddl_drop_script () =
   let s = Fmt.str "%a" Ddl.pp_drop cfg in
   Alcotest.(check int) "two drops" 2 (Astring_contains.count s "DROP INDEX")
 
+(* the index names a script creates ([`Create]) or drops ([`Drop]): the
+   word after INDEX on each line that starts with that verb *)
+let ddl_index_names verb script =
+  let prefix = match verb with `Create -> "CREATE " | `Drop -> "DROP " in
+  List.filter_map
+    (fun line ->
+      if not (String.starts_with ~prefix line) then None
+      else
+        let rec after_index = function
+          | "INDEX" :: name :: _ ->
+            Some
+              (if String.ends_with ~suffix:";" name then
+                 String.sub name 0 (String.length name - 1)
+               else name)
+          | _ :: rest -> after_index rest
+          | [] -> None
+        in
+        after_index (String.split_on_char ' ' line))
+    (String.split_on_char '\n' script)
+
+let test_ddl_delta_drops_created_names () =
+  let deployed =
+    Config.of_indexes
+      [
+        Index.on "r" [ "a"; "b" ];
+        Index.on "r" [ "b" ] ~suffix:[ "cc" ];
+        Index.on "r" ~clustered:true [ "id" ];
+        Index.on "s" [ "x" ];
+      ]
+  in
+  let target = Config.of_indexes [ Index.on "s" [ "x" ]; Index.on "r" [ "d" ] ] in
+  let created =
+    ddl_index_names `Create
+      (Ddl.delta_to_string (Ddl.delta ~deployed:Config.empty ~target:deployed))
+  in
+  let dropped =
+    ddl_index_names `Drop (Ddl.delta_to_string (Ddl.delta ~deployed ~target))
+  in
+  Alcotest.(check int) "three drops" 3 (List.length dropped);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " was created") true (List.mem name created))
+    dropped;
+  (* the deployment and tear-down scripts agree too *)
+  let teardown = ddl_index_names `Drop (Fmt.str "%a" Ddl.pp_drop deployed) in
+  Alcotest.(check (list string)) "tear-down drops the deployed names"
+    (List.sort compare (ddl_index_names `Create (Ddl.to_string deployed)))
+    (List.sort compare teardown)
+
+let test_ddl_drop_names_distinct () =
+  (* ix[r](a,b) and ix[r](a;b): keys (a, b), or key a with suffix b *)
+  let deployed =
+    Config.of_indexes [ Index.on "r" [ "a"; "b" ]; Index.on "r" [ "a" ] ~suffix:[ "b" ] ]
+  in
+  match
+    ddl_index_names `Drop
+      (Ddl.delta_to_string (Ddl.delta ~deployed ~target:Config.empty))
+  with
+  | [ n1; n2 ] -> Alcotest.(check bool) (n1 ^ " <> " ^ n2) true (n1 <> n2)
+  | names -> Alcotest.failf "expected two drops, got %d" (List.length names)
+
 (* --- pretty-printer round trips for DDL-adjacent pieces ------------------------ *)
 
 let test_pretty_view_sql_reparses () =
@@ -262,6 +323,10 @@ let suite =
     Alcotest.test_case "ddl: index" `Quick test_ddl_index;
     Alcotest.test_case "ddl: clustered" `Quick test_ddl_clustered;
     Alcotest.test_case "ddl: drop" `Quick test_ddl_drop_script;
+    Alcotest.test_case "ddl: delta drops created names" `Quick
+      test_ddl_delta_drops_created_names;
+    Alcotest.test_case "ddl: distinct drop names" `Quick
+      test_ddl_drop_names_distinct;
     Alcotest.test_case "pretty: view sql re-parses" `Quick
       test_pretty_view_sql_reparses;
     Alcotest.test_case "cbv: sort on accessed rows" `Quick

@@ -470,6 +470,26 @@ let test_daemon_state_crash_safe () =
   Alcotest.(check bool) "no temporary left" false (Sys.file_exists tmp);
   Sys.remove path
 
+(* a deployment written for another catalog: the bench catalog has no
+   [customer] table *)
+let test_daemon_state_foreign_catalog () =
+  let path = Filename.temp_file "relaxd_state" ".json" in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        {|{"version":1,"indexes":[{"keys":[["customer","c_custkey"]],"suffix":[],"clustered":false}],"views":[]}|});
+  let opts = { (daemon_opts ()) with state_path = Some path } in
+  let refused =
+    match D.Daemon.create (W.Bench_db.catalog ()) opts with
+    | _ -> None
+    | exception Failure msg -> Some msg
+  in
+  Sys.remove path;
+  match refused with
+  | Some msg ->
+    Alcotest.(check bool) ("names the file: " ^ msg) true
+      (Astring_contains.contains msg path)
+  | None -> Alcotest.fail "a state file naming an unknown table was loaded"
+
 let test_whatif_evict () =
   let cat = Lazy.force cat in
   let whatif = O.Whatif.create cat in
@@ -638,6 +658,8 @@ let suite =
       test_daemon_state_persistence;
     Alcotest.test_case "daemon: crash-safe state file" `Slow
       test_daemon_state_crash_safe;
+    Alcotest.test_case "daemon: state file for another catalog" `Quick
+      test_daemon_state_foreign_catalog;
     Alcotest.test_case "whatif: per-qid eviction" `Quick test_whatif_evict;
     Alcotest.test_case "frugal: bound hits on update workload" `Quick
       test_frugal_dml_bound_hits;

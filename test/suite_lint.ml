@@ -101,7 +101,7 @@ let test_hop () =
   check_findings "fix_hop.ml" [ "fix_hop.ml:4:L5"; "fix_hop.ml:4:L7" ]
 
 let test_l8 () =
-  check_findings "fix_l8.ml" [ "fix_l8.ml:10:L8"; "fix_l8.ml:18:L8" ]
+  check_findings "fix_l8.ml" [ "fix_l8.ml:16:L8" ]
 
 let test_w0 () = check_findings "fix_stale.ml" [ "fix_stale.ml:3:W0" ]
 
