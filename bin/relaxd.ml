@@ -254,13 +254,18 @@ let jobs =
            value.")
 
 let whatif_budget =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg ("expected a non-negative number of calls, got " ^ s))
+  in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (conv (parse, Fmt.int))) None
     & info [ "whatif-budget" ] ~docv:"N"
         ~doc:
           "Frugal costing: cap the what-if optimizer calls each re-tune \
-           may spend (absent = unlimited).")
+           may spend (absent = unbounded; a negative N is an error).")
 
 let cold =
   Arg.(

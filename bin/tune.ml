@@ -345,16 +345,22 @@ let jobs =
            whatever the value.")
 
 let whatif_budget =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 0 -> Ok n
+    | _ -> Error (`Msg ("expected a non-negative number of calls, got " ^ s))
+  in
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (conv (parse, Fmt.int))) None
     & info [ "whatif-budget" ] ~docv:"N"
         ~doc:
           "Frugal costing (ptt only): cap the what-if optimizer calls the \
            relaxation ranking may spend; candidate decisions come from \
            cost-bound intervals and the budget is spent only on candidates \
-           the bounds cannot decide.  Absent = unlimited (frugal tier \
-           off).  0 = bounds only.  See the whatif.bound_accepts, \
+           the bounds cannot decide.  Absent = unbounded: every plan a \
+           relaxation touches is re-optimized.  0 = bounds only; a \
+           negative N is an error.  See the whatif.bound_accepts, \
            whatif.bound_rejects and whatif.budget_spent counters in \
            --metrics.")
 

@@ -70,6 +70,28 @@ let check catalog config =
                       owner)))
           (Index.columns i))
     (Config.indexes config);
+  (* every table and column a view's definition reads is in the catalog *)
+  List.iter
+    (fun view ->
+      let name = View.name view and def = View.definition view in
+      let cols = Relax_sql.Query.spjg_columns def in
+      List.sort_uniq String.compare
+        (def.tables @ List.map (fun c -> c.tbl) (Column_set.elements cols))
+      |> List.iter (fun t ->
+             if not (Catalog.mem_table catalog t) then
+               add
+                 (v "unknown_table" name
+                    (Fmt.str "%s is not a catalog table" t)));
+      Column_set.iter
+        (fun c ->
+          match owner_columns catalog Config.empty c.tbl with
+          | Some known when not (List.exists (Column.equal c) known) ->
+            add
+              (v "unknown_column" name
+                 (Fmt.str "column %s.%s does not exist" c.tbl c.col))
+          | _ -> ())
+        cols)
+    (Config.views config);
   (* view row estimates must be finite and non-negative *)
   List.iter
     (fun (view, rows) ->

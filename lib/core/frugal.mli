@@ -1,21 +1,19 @@
-(** The budgeted costing tier (what-if frugality).
+(** The what-if call ledger and the budgeted ranking sweep.
 
-    Candidate rankings are decided from cheap ΔT intervals
-    ([{!Cost_bound.query_lower_bound}, {!Cost_bound.query_bound}]); an
-    explicit per-tune budget of what-if optimizer calls is spent only on
-    candidates whose interval straddles the decision threshold, widest
-    penalty gap first, re-sweeping as refinements land.  Calls not needed
-    for one decision remain available for every later one (dynamic budget
-    reallocation).  With the budget dry, straddling candidates rank by the
-    interval's upper end — the exact value the non-frugal ranking uses. *)
+    A tune has one costing path; the ledger is its spend policy.  A
+    bounded ledger holds a per-tune budget of what-if optimizer calls:
+    candidate rankings are decided from cheap ΔT intervals
+    ([{!Cost_bound.query_lower_bound}, {!Cost_bound.query_bound}]), and the
+    budget is spent only on candidates whose interval straddles the
+    decision threshold, widest penalty gap first, re-sweeping as
+    refinements land.  Calls not needed for one decision remain available
+    for every later one (dynamic budget reallocation).  With the budget
+    dry, straddling candidates rank by the interval's upper end.  The
+    unbounded ledger is the limit case: evaluation re-optimizes every
+    miss, and the ranking has no share to spend, so every candidate ranks
+    by its upper end. *)
 
 type interval = { lo : float; hi : float }
-
-val point : float -> interval
-val width : interval -> float
-
-val is_point : interval -> bool
-(** Degenerate up to the {!Cost_bound.float_leq} tolerance. *)
 
 val tighten_with : interval -> advisory:interval -> interval
 (** Intersect an interval with another one on the same value (a
@@ -38,8 +36,15 @@ val cand : 'a -> interval -> 'a cand
     [whatif.bound_accepts] / [whatif.bound_rejects]. *)
 type t
 
-val create : budget:int -> t
+val create : int option -> t
+(** [create (Some n)]: a ledger of [n] calls; [create None]: the unbounded
+    ledger.  Raises [Invalid_argument] when [n < 0]. *)
+
+val bounded : t -> bool
+(** [false] for the unbounded ledger, which re-optimizes every miss. *)
+
 val remaining : t -> int
+(** Calls left; [max_int] on the unbounded ledger. *)
 
 val width_floor : float
 (** Node evaluation pays to collapse a query's ΔT interval only when its
@@ -57,7 +62,7 @@ val rank_remaining : t -> int
     the endgame re-ranking pass, where an exact cost protects a potential
     best-configuration update.  (Calls the ranking tier leaves unspent
     stay available to evaluation — the reservation is
-    one-directional.) *)
+    one-directional.)  Always 0 on the unbounded ledger. *)
 
 val spent : t -> int
 val debit : t -> int -> unit
@@ -72,4 +77,6 @@ val sweep :
     non-decreasing in [dt].  [refine] collapses an interval with optimizer
     calls, debiting the ledger and stopping early when {!remaining} hits
     zero.  On return every candidate is decided from bounds, exactly
-    refined, or left straddling because the budget ran dry. *)
+    refined, or left straddling because the budget ran dry.  On the
+    unbounded ledger it returns at once, counts nothing and never calls
+    [refine]. *)

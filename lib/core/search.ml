@@ -132,8 +132,8 @@ type node = {
   actual_penalty : float;
       (** realized (cost increase)/(space saved) when created *)
   pseudo : Bitset.t;
-      (** frugal runs only: the select slots whose plan carries a
-          bound-substituted (not re-optimized) cost; empty on exact runs *)
+      (** the select slots whose plan carries a bound-substituted (not
+          re-optimized) cost; always empty under the unbounded ledger *)
   mutable untried : candidate list;  (** sorted by increasing penalty *)
   mutable candidates_ready : bool;
 }
@@ -185,8 +185,7 @@ type state = {
       (** CBV memo, read and written on the main domain only *)
   heaps : (string * float) list;
       (** heap bytes of every base table, in catalog order *)
-  frugal : Frugal.t option;
-      (** the what-if call ledger; [Some] iff [opts.whatif_budget] is *)
+  ledger : Frugal.t;  (** the what-if call ledger of [opts.whatif_budget] *)
   rand : Random.State.t;  (** only consulted by the [Random] selection *)
   started : float;
 }
@@ -266,7 +265,7 @@ type decision =
       (** the parent's plan survives (the §3 re-optimization-avoidance
           rule); it keeps its pseudo status *)
   | Reoptimize
-  | Paid  (** re-optimize, one call debited from the frugal ledger *)
+  | Paid  (** re-optimize, one call debited from the ledger *)
   | Cached of O.Plan.t  (** the exact plan, already in the what-if cache *)
   | Point of O.Plan.t
       (** an exact cost without a call: the patched plan provably
@@ -305,7 +304,7 @@ let cost_plans st config (decisions : decision array) ~parent_pseudo ~from ~limi
     Array.iter
       (fun slot ->
         match decisions.(slot) with
-        | Paid -> Option.iter (fun ledger -> Frugal.debit ledger 1) st.frugal
+        | Paid -> Frugal.debit st.ledger 1
         | _ -> ())
       window;
     let plans =
@@ -341,11 +340,13 @@ let cost_plans st config (decisions : decision array) ~parent_pseudo ~from ~limi
   done;
   (Array.concat (List.rev !windows), pseudo, !total)
 
-(* Frugal upfront analysis — sequential, on the main domain, so the
+(* The one slot classifier — sequential, on the main domain, so the
    spend schedule is identical at any [jobs].  One pass over the
    workload classifies every query and prices the uncertain ones:
 
    - unaffected, non-pseudo: the plan survives (free, exact);
+   - the unbounded ledger re-optimizes every other slot, so no slot is
+     ever pseudo; under a bounded one:
    - warm cache: the exact plan is already known (free, exact);
    - tier 0: a pure removal whose patched plan costs no more than the
      surviving plan — the old cost is a sound lower bound (removal
@@ -372,7 +373,7 @@ let cost_plans st config (decisions : decision array) ~parent_pseudo ~from ~limi
    [shrink_configurations] the gate sees the pre-shrink size, so a
    node only the shrink makes fit may be bound-costed — a conservative
    miss, never a wrong best.) *)
-let frugal_decisions st ledger ~(parent : node) ~ctx ~shell ~best_cost config =
+let classify st ~(parent : node) ~ctx ~shell ~best_cost config =
   let decisions = Array.map (fun p -> Keep p) parent.plans in
   let lo_total = ref shell and hi_total = ref shell in
   let widths = ref [] in
@@ -385,6 +386,7 @@ let frugal_decisions st ledger ~(parent : node) ~ctx ~shell ~best_cost config =
         lo_total := !lo_total +. (w *. old_plan.O.Plan.cost);
         hi_total := !hi_total +. (w *. old_plan.O.Plan.cost)
       end
+      else if not (Frugal.bounded st.ledger) then decisions.(slot) <- Reoptimize
       else begin
         let lo =
           if parent_pseudo then 0.0
@@ -449,7 +451,8 @@ let frugal_decisions st ledger ~(parent : node) ~ctx ~shell ~best_cost config =
      cannot be mis-ranked into the recommendation by its bound cost —
      exactness there buys nothing. *)
   let spend_ok =
-    Config.total_bytes st.catalog config <= st.opts.space_budget
+    !widths <> []
+    && Config.total_bytes st.catalog config <= st.opts.space_budget
     && Cost_bound.float_lt !lo_total best_cost
     && !hi_total < best_cost *. Frugal.contender_slack
   in
@@ -462,7 +465,7 @@ let frugal_decisions st ledger ~(parent : node) ~ctx ~shell ~best_cost config =
         (List.rev !widths)
     in
     let floor = Frugal.width_floor *. parent.cost in
-    let k = ref (Frugal.remaining ledger) in
+    let k = ref (Frugal.remaining st.ledger) in
     List.iter
       (fun (slot, width) ->
         if !k > 0 && Cost_bound.float_lt floor width then begin
@@ -474,9 +477,9 @@ let frugal_decisions st ledger ~(parent : node) ~ctx ~shell ~best_cost config =
   decisions
 
 (** Evaluate a fresh configuration obtained by relaxing [parent] with [tr]:
-    re-optimize only the plans the relaxation affected (exact mode) or
-    follow the frugal classification, and abort as soon as the running
-    total exceeds three times the best known cost (§3.5). *)
+    cost it from the slot decisions — only the plans the relaxation
+    affected are re-costed — and abort as soon as the running total
+    exceeds three times the best known cost (§3.5). *)
 let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
     node option =
   let ctx =
@@ -487,17 +490,10 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
     match st.best with Some b -> b.cost | None -> infinity
   in
   let shell = shell_cost_of st config in
-  let decisions =
-    match st.frugal with
-    | None ->
-      Array.map
-        (fun p -> if Cost_bound.plan_affected ctx p then Reoptimize else Keep p)
-        parent.plans
-    | Some ledger ->
-      frugal_decisions st ledger ~parent ~ctx ~shell ~best_cost config
-  in
   match
-    cost_plans st config decisions ~parent_pseudo:parent.pseudo ~from:shell
+    cost_plans st config
+      (classify st ~parent ~ctx ~shell ~best_cost config)
+      ~parent_pseudo:parent.pseudo ~from:shell
       ~limit:(best_cost *. 3.0)
   with
   | exception Over_limit ->
@@ -705,10 +701,6 @@ let rank_candidates st (n : node) : candidate list =
           Some (tr, config', affected, ctx))
       transforms
   in
-  let order_by_of slot =
-    let _, _, (sq : Query.select_query) = st.prepared.selects_arr.(slot) in
-    sq.order_by
-  in
   (* The one walk over a candidate's affected plans: fold
      [w × (cost' − cost)] for the (lower, upper) costs [f] gives each
      affected plan, in workload order, from [init].  Every slot in
@@ -726,23 +718,20 @@ let rank_candidates st (n : node) : candidate list =
             hi +. (w *. (h -. plan.O.Plan.cost)) ))
         init affected
   in
-  (* the §3.3.2 (lower, upper) ΔT terms of one affected plan; without
-     [lower] the upper bound stands for both *)
-  let bounds ~lower ctx slot plan =
-    let order_by = order_by_of slot in
-    let hi = Cost_bound.query_bound ~order_by ctx plan in
-    ((if lower then Cost_bound.query_lower_bound ctx plan else hi), hi)
+  (* the §3.3.2 (lower, upper) ΔT terms of one affected plan *)
+  let bounds ctx slot plan =
+    let _, _, (sq : Query.select_query) = st.prepared.selects_arr.(slot) in
+    ( Cost_bound.query_lower_bound ctx plan,
+      Cost_bound.query_bound ~order_by:sq.order_by ctx plan )
   in
   (* Phase 2, parallel: score each applied transformation — incremental
      size (only the structures that changed are re-measured; heaps come
-     from the search's precomputed list), §3.3.2 cost upper bound (and, in
-     frugal mode, the matching lower bound), update-shell delta.  A task
-     is a pure function of the node and its candidate: it reads only the
-     node's plans, the immutable catalog and heap list and the context
-     phase 1 built, and writes no shared table.  A scored candidate
-     carries its ΔT lower bound and what the frugal sweep needs to refine
-     it. *)
-  let lower = Option.is_some st.frugal in
+     from the search's precomputed list), §3.3.2 cost bounds, update-shell
+     delta.  A task is a pure function of the node and its candidate: it
+     reads only the node's plans, the immutable catalog and heap list and
+     the context phase 1 built, and writes no shared table.  A scored
+     candidate carries its ΔT lower bound and what the sweep needs to
+     refine it. *)
   let score (tr, config', affected, ctx) =
     let removed =
       Index.Set.diff (Config.index_set n.config) (Config.index_set config')
@@ -761,7 +750,7 @@ let rank_candidates st (n : node) : candidate list =
     in
     let delta_space = n.size -. size' in
     let delta_selects_lo, delta_selects =
-      walk_affected affected ctx ~init:(0.0, 0.0) (bounds ~lower)
+      walk_affected affected ctx ~init:(0.0, 0.0) bounds
     in
     let delta_shell =
       if st.prepared.dmls = [] then 0.0
@@ -817,57 +806,54 @@ let rank_candidates st (n : node) : candidate list =
       with_penalty
   in
   let capped = List.filteri (fun i _ -> i < max_candidates_per_node) sorted in
-  match st.frugal with
-  | None -> List.map (fun (c, _, _) -> c) capped
-  | Some ledger ->
-    (* The frugal tier.  Decide the ranking from ΔT intervals
-       [lo, delta_cost]; spend budgeted what-if calls only on candidates
-       straddling the decision threshold, widest penalty gap first (see
-       {!Frugal.sweep}).  Runs sequentially on the main domain, so the
-       call sequence — and with it every counter and cache state — is
-       identical whatever [opts.jobs]. *)
-    let fcands =
-      List.map
-        (fun (c, lo, walk) ->
-          Frugal.cand (c, walk) { Frugal.lo; hi = c.delta_cost })
-        capped
+  (* Decide the ranking from ΔT intervals [lo, delta_cost]: a bounded
+     ledger spends what-if calls only on candidates straddling the
+     decision threshold, widest penalty gap first; the unbounded ledger
+     ranks by upper ends (see {!Frugal.sweep}).  Runs sequentially on the
+     main domain, so the call sequence — and with it every counter and
+     cache state — is identical whatever [opts.jobs]. *)
+  let fcands =
+    List.map
+      (fun (c, lo, walk) ->
+        Frugal.cand (c, walk) { Frugal.lo; hi = c.delta_cost })
+      capped
+  in
+  let penalty ~payload ~dt =
+    let (c : candidate), _ = payload in
+    penalty_of ~delta_space:c.delta_space dt
+  in
+  (* refinement: re-optimize the affected queries for real, debiting the
+     ledger per optimizer call actually executed (cache hits are free);
+     queries the budget could not cover keep their model bounds, leaving
+     a mixed — but still valid — interval *)
+  let refine (fc : _ Frugal.cand) =
+    let _, (config', affected, ctx, delta_shell) = fc.Frugal.payload in
+    let lo, hi =
+      walk_affected affected ctx ~init:(delta_shell, delta_shell)
+        (fun ctx slot plan ->
+          if Frugal.rank_remaining st.ledger > 0 then begin
+            let qid, _, sq = st.prepared.selects_arr.(slot) in
+            let calls_before = fst (O.Whatif.stats st.whatif) in
+            let plan' = O.Whatif.plan_select st.whatif config' ~qid sq in
+            Frugal.debit st.ledger
+              (fst (O.Whatif.stats st.whatif) - calls_before);
+            (plan'.O.Plan.cost, plan'.O.Plan.cost)
+          end
+          else bounds ctx slot plan)
     in
-    let penalty ~payload ~dt =
-      let (c : candidate), _ = payload in
-      penalty_of ~delta_space:c.delta_space dt
-    in
-    (* refinement: re-optimize the affected queries for real, debiting the
-       ledger per optimizer call actually executed (cache hits are free);
-       queries the budget could not cover keep their model bounds, leaving
-       a mixed — but still valid — interval *)
-    let refine (fc : _ Frugal.cand) =
-      let _, (config', affected, ctx, delta_shell) = fc.Frugal.payload in
-      let lo, hi =
-        walk_affected affected ctx ~init:(delta_shell, delta_shell)
-          (fun ctx slot plan ->
-            if Frugal.rank_remaining ledger > 0 then begin
-              let qid, _, sq = st.prepared.selects_arr.(slot) in
-              let calls_before = fst (O.Whatif.stats st.whatif) in
-              let plan' = O.Whatif.plan_select st.whatif config' ~qid sq in
-              Frugal.debit ledger
-                (fst (O.Whatif.stats st.whatif) - calls_before);
-              (plan'.O.Plan.cost, plan'.O.Plan.cost)
-            end
-            else bounds ~lower:true ctx slot plan)
-      in
-      fc.Frugal.ival <-
-        Frugal.tighten_with { Frugal.lo; hi } ~advisory:fc.Frugal.ival
-    in
-    Frugal.sweep ledger ~penalty ~refine fcands;
-    let updated =
-      List.map
-        (fun (fc : _ Frugal.cand) ->
-          let c, _ = fc.Frugal.payload in
-          let dt = fc.Frugal.ival.Frugal.hi in
-          { c with delta_cost = dt; penalty = penalty_of ~delta_space:c.delta_space dt })
-        fcands
-    in
-    List.stable_sort (fun a b -> Float.compare a.penalty b.penalty) updated
+    fc.Frugal.ival <-
+      Frugal.tighten_with { Frugal.lo; hi } ~advisory:fc.Frugal.ival
+  in
+  Frugal.sweep st.ledger ~penalty ~refine fcands;
+  let updated =
+    List.map
+      (fun (fc : _ Frugal.cand) ->
+        let c, _ = fc.Frugal.payload in
+        let dt = fc.Frugal.ival.Frugal.hi in
+        { c with delta_cost = dt; penalty = penalty_of ~delta_space:c.delta_space dt })
+      fcands
+  in
+  List.stable_sort (fun a b -> Float.compare a.penalty b.penalty) updated
 
 let ensure_candidates st n =
   if not n.candidates_ready then begin
@@ -1098,21 +1084,21 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
       seen = Hashtbl.create 64;
       cbv_cache = Hashtbl.create 16;
       heaps = base_heaps catalog;
-      frugal = Option.map (fun budget -> Frugal.create ~budget) opts.whatif_budget;
+      ledger = Frugal.create opts.whatif_budget;
       rand =
         Random.State.make
           [| (match opts.selection with Random seed -> seed | _ -> 0) |];
       started = Obs.Clock.now ();
     }
   in
-  (* Frugal runs pre-optimize every select under the protected base
+  (* Bounded ledgers pre-optimize every select under the protected base
      configuration.  The base configuration is a subset of every
      configuration the search visits, so its plans are valid — and their
      costs sound upper bounds — everywhere: they are the universal
      fallback when the budget cannot pay for a re-optimization and the
      patched plan drifts loose.  The same cache entries serve the tuner's
      base-configuration report, so the pass costs the run nothing net. *)
-  if Option.is_some st.frugal then
+  if Frugal.bounded st.ledger then
     ignore
       (Pool.map_array pool
          (fun (qid, _, q) -> O.Whatif.plan_select whatif opts.base_config ~qid q)
@@ -1222,112 +1208,110 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
                })
      done
    with Exit -> ());
-  (* Endgame re-ranking (frugal only).  The loop compared configurations
-     by bound-substituted costs, so among close contenders the best node
-     may be mis-identified.  Re-cost the cheapest valid configurations
+  (* Endgame re-ranking.  The loop compared configurations by
+     bound-substituted costs, so among close contenders the best node may
+     be mis-identified.  Re-cost the cheapest valid configurations
      honestly — pseudo plans only, through the warm cache, cheapest
      first, whole nodes only — spending what is left of the budget, then
      re-pick the best.  The ledger is debited on the main domain, so the
      spend sequence (and hence the recommendation) is identical at any
-     [jobs]. *)
-  (match st.frugal with
-  | None -> ()
-  | Some ledger ->
-    let by_cost a b =
-      match Float.compare a.cost b.cost with
-      | 0 -> Int.compare a.id b.id
-      | c -> c
-    in
-    let contenders =
-      List.sort by_cost
-        (List.filter (fun n -> n.size <= opts.space_budget) st.nodes)
-    in
-    let recost (n : node) : node =
-      if Bitset.is_empty n.pseudo then n
-      else begin
-        let decisions =
-          Array.mapi
-            (fun slot plan ->
-              if not (Bitset.mem n.pseudo slot) then Keep plan
-              else
-                let qid, _, q = st.prepared.selects_arr.(slot) in
-                match
-                  O.Whatif.find_cached st.whatif n.config ~qid
-                    ~tables:q.Query.body.tables
-                with
-                | Some p -> Cached p
-                | None -> Reoptimize)
-            n.plans
-        in
-        (* cached plans are free; commit only when the ledger covers
-           every miss — partial honesty would spend calls without making
-           the node's cost comparable to fully honest ones *)
-        let misses =
-          Array.fold_left
-            (fun k d -> match d with Reoptimize -> k + 1 | _ -> k)
-            0 decisions
-        in
-        if misses > Frugal.remaining ledger then n
-        else begin
-          Frugal.debit ledger misses;
-          Obs.Probe.count_n "whatif.endgame_spent" misses;
-          let plans, pseudo, _ =
-            cost_plans st n.config decisions ~parent_pseudo:n.pseudo
-              ~from:0.0 ~limit:infinity
-          in
-          let delta = ref 0.0 in
-          Array.iteri
-            (fun slot (_, w, _) ->
-              if Bitset.mem n.pseudo slot then
-                delta :=
-                  !delta
-                  +. (w *. (plans.(slot).O.Plan.cost -. n.plans.(slot).O.Plan.cost)))
-            st.prepared.selects_arr;
-          {
-            n with
-            plans;
-            select_cost = n.select_cost +. !delta;
-            cost = n.cost +. !delta;
-            pseudo;
-          }
-        end
-      end
-    in
-    let replaced = Hashtbl.create 16 in
-    List.iter
-      (fun n ->
-        let n' = recost n in
-        if n' != n then Hashtbl.replace replaced n.id n')
-      contenders;
-    if Hashtbl.length replaced > 0 then begin
-      st.nodes <-
-        List.map
-          (fun n ->
-            match Hashtbl.find_opt replaced n.id with
-            | Some n' ->
-              Hashtbl.replace st.by_id n.id n';
-              n'
-            | None -> n)
-          st.nodes;
-      let best =
-        match
-          List.sort by_cost
-            (List.filter (fun n -> n.size <= opts.space_budget) st.nodes)
-        with
-        | [] -> None
-        | n :: _ -> Some n
-      in
-      match best with
-      | None -> ()
-      | Some n ->
-        let changed =
-          match st.best with
-          | None -> true
-          | Some b -> b.id <> n.id || not (Cost_bound.float_eq b.cost n.cost)
-        in
-        st.best <- Some n;
-        if changed then best_trace := (st.iterations, n.cost) :: !best_trace
-    end);
+     [jobs].  Under the unbounded ledger no node has a pseudo slot, so
+     nothing changes. *)
+  (let by_cost a b =
+     match Float.compare a.cost b.cost with
+     | 0 -> Int.compare a.id b.id
+     | c -> c
+   in
+   let contenders =
+     List.sort by_cost
+       (List.filter (fun n -> n.size <= opts.space_budget) st.nodes)
+   in
+   let recost (n : node) : node =
+     if Bitset.is_empty n.pseudo then n
+     else begin
+       let decisions =
+         Array.mapi
+           (fun slot plan ->
+             if not (Bitset.mem n.pseudo slot) then Keep plan
+             else
+               let qid, _, q = st.prepared.selects_arr.(slot) in
+               match
+                 O.Whatif.find_cached st.whatif n.config ~qid
+                   ~tables:q.Query.body.tables
+               with
+               | Some p -> Cached p
+               | None -> Reoptimize)
+           n.plans
+       in
+       (* cached plans are free; commit only when the ledger covers
+          every miss — partial honesty would spend calls without making
+          the node's cost comparable to fully honest ones *)
+       let misses =
+         Array.fold_left
+           (fun k d -> match d with Reoptimize -> k + 1 | _ -> k)
+           0 decisions
+       in
+       if misses > Frugal.remaining st.ledger then n
+       else begin
+         Frugal.debit st.ledger misses;
+         Obs.Probe.count_n "whatif.endgame_spent" misses;
+         let plans, pseudo, _ =
+           cost_plans st n.config decisions ~parent_pseudo:n.pseudo
+             ~from:0.0 ~limit:infinity
+         in
+         let delta = ref 0.0 in
+         Array.iteri
+           (fun slot (_, w, _) ->
+             if Bitset.mem n.pseudo slot then
+               delta :=
+                 !delta
+                 +. (w *. (plans.(slot).O.Plan.cost -. n.plans.(slot).O.Plan.cost)))
+           st.prepared.selects_arr;
+         {
+           n with
+           plans;
+           select_cost = n.select_cost +. !delta;
+           cost = n.cost +. !delta;
+           pseudo;
+         }
+       end
+     end
+   in
+   let replaced = Hashtbl.create 16 in
+   List.iter
+     (fun n ->
+       let n' = recost n in
+       if n' != n then Hashtbl.replace replaced n.id n')
+     contenders;
+   if Hashtbl.length replaced > 0 then begin
+     st.nodes <-
+       List.map
+         (fun n ->
+           match Hashtbl.find_opt replaced n.id with
+           | Some n' ->
+             Hashtbl.replace st.by_id n.id n';
+             n'
+           | None -> n)
+         st.nodes;
+     let best =
+       match
+         List.sort by_cost
+           (List.filter (fun n -> n.size <= opts.space_budget) st.nodes)
+       with
+       | [] -> None
+       | n :: _ -> Some n
+     in
+     match best with
+     | None -> ()
+     | Some n ->
+       let changed =
+         match st.best with
+         | None -> true
+         | Some b -> b.id <> n.id || not (Cost_bound.float_eq b.cost n.cost)
+       in
+       st.best <- Some n;
+       if changed then best_trace := (st.iterations, n.cost) :: !best_trace
+   end);
   let calls, hits = O.Whatif.stats whatif in
   let calls = calls - calls0 and hits = hits - hits0 in
   {

@@ -85,16 +85,19 @@ type options = {
           configuration, costs, frontier and trace event counts are
           identical whatever the value. *)
   whatif_budget : int option;
-      (** [Some n]: frugal costing (see {!Frugal}) — candidate decisions
-          come from ΔT bound intervals, at most [n] what-if optimizer
-          calls are spent refining straddling candidates across the whole
-          run, and node evaluation substitutes §3.3.2 bound costs for
-          re-optimizations the budget did not cover; {!Tuner.tune} then
-          re-derives the recommended cost from exact per-query what-if
-          costs.  [None] (default): the frugal tier is entirely off and
-          the search behaves exactly as without it.  The frugal sweep
-          runs sequentially on the main domain, so results stay
-          deterministic at any [jobs]. *)
+      (** The spend policy of the one costing path: the what-if call
+          ledger {!Frugal.create} builds from it.  [None] (default): the
+          unbounded ledger — node evaluation re-optimizes every plan a
+          relaxation touches (a cache hit or a call), candidates rank by
+          their §3.3.2 upper bounds, and no plan is costed from bounds.
+          [Some n] (n ≥ 0): a bounded ledger — candidate decisions come
+          from ΔT bound intervals, at most [n] what-if optimizer calls
+          are spent across the whole run, and node evaluation substitutes
+          §3.3.2 bound costs for re-optimizations the budget did not
+          cover; {!Tuner.tune} then re-derives the recommended cost from
+          exact per-query what-if costs.  A negative [n] raises
+          [Invalid_argument].  The ledger is read and debited on the main
+          domain only, so results stay deterministic at any [jobs]. *)
   initial_config : Config.t option;
       (** warm start: a previously deployed configuration seeded into the
           pool as a second parentless node: evaluated up front (cache-warm
@@ -139,8 +142,8 @@ type node = {
   via : Transform.t option;
   actual_penalty : float;
   pseudo : Bitset.t;
-      (** frugal runs only: the select slots whose plan carries a
-          bound-substituted (not re-optimized) cost; empty on exact runs *)
+      (** the select slots whose plan carries a bound-substituted (not
+          re-optimized) cost; always empty under the unbounded ledger *)
   mutable untried : candidate list;
   mutable candidates_ready : bool;
 }
@@ -162,7 +165,8 @@ val plan_of : node -> qid:string -> O.Plan.t option
 (** The node's evaluated plan for a select qid (O(1) slot lookup). *)
 
 val is_pseudo : node -> qid:string -> bool
-(** Is the qid's plan bound-substituted on this node (frugal runs)? *)
+(** Is the qid's plan bound-substituted on this node (bounded ledgers
+    only)? *)
 
 val skyline_filter : candidate list -> candidate list
 (** §3.6 dominance filter: drop candidates dominated by another with

@@ -137,7 +137,8 @@ let tune_spanned recorder (catalog : Catalog.t) (workload : Query.workload)
   (* The recommended cost is read off the node's plans, except where a
      frugal run bound-costed a plan (a pseudo plan): those entries are
      re-derived from real what-if costs, through the search's warm cache.
-     Exact runs have no pseudo plans, so they read the node directly. *)
+     The unbounded ledger leaves no pseudo plan, so its runs read the node
+     directly. *)
   let recommended_entries =
     match outcome.best with
     | None -> base_entries

@@ -13,10 +13,11 @@ type options = Search.options
 val default_options : ?mode:mode -> space_budget:float -> unit -> options
 (** The paper's settings: [mode] defaults to [Indexes_and_views]; an empty
     base configuration, 400 iterations, no time limit, one transformation
-    per iteration, no shrinking, {!Search.Penalty} selection, exact
-    costing, no warm start, a private what-if interface and no hook.
-    [jobs] defaults to {!Relax_parallel.Pool.default_jobs} ([RELAX_JOBS]
-    or the machine's domain count, capped at 8). *)
+    per iteration, no shrinking, {!Search.Penalty} selection, the
+    unbounded what-if ledger (exact costing), no warm start, a private
+    what-if interface and no hook.  [jobs] defaults to
+    {!Relax_parallel.Pool.default_jobs} ([RELAX_JOBS] or the machine's
+    domain count, capped at 8). *)
 
 type result = {
   workload : Query.workload;

@@ -99,7 +99,8 @@ val create : ?recorder:Relax_obs.Recorder.t -> Relax_catalog.Catalog.t ->
     file, the deployed configuration is loaded from it ({!create} raises
     [Failure] naming the file if it exists but does not parse, or if the
     configuration fails {!Relax_check.Invariants.check} against
-    [catalog], e.g. an index on a table the catalog does not have). *)
+    [catalog], e.g. an index, or a view definition, naming a table the
+    catalog does not have). *)
 
 val ingest : t -> Query.entry -> retune option
 (** Feed one statement; [Some cycle] when this arrival triggered a

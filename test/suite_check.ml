@@ -339,6 +339,27 @@ let test_invariants_catch_unknown_column () =
        (fun (v : C.Invariants.violation) -> v.rule = "unknown_column")
        violations)
 
+(* a view definition is held to the catalog as an index is: every table
+   it reads is a catalog table, every column it names exists there *)
+let test_invariants_catch_unknown_view_source () =
+  let cat = Lazy.force cat in
+  let view select tables =
+    View.make (Query.make_spjg ~select:[ Query.Item_col select ] ~tables ())
+  in
+  let rules config =
+    List.map (fun (v : C.Invariants.violation) -> v.rule)
+      (C.Invariants.check cat config)
+  in
+  let with_view v = Config.add_view Config.empty v ~rows:10.0 in
+  Alcotest.(check (list string))
+    "unknown table" [ "unknown_table" ]
+    (rules (with_view (view (c "zz" "a") [ "zz" ])));
+  Alcotest.(check (list string))
+    "unknown column" [ "unknown_column" ]
+    (rules (with_view (view (c "r" "nonexistent") [ "r" ])));
+  Alcotest.(check (list string))
+    "well-formed view" [] (rules (with_view (view (c "r" "a") [ "r" ])))
+
 let test_invariants_accept_wellformed () =
   let cat = Lazy.force cat in
   let config =
@@ -450,6 +471,8 @@ let suite =
       test_invariants_catch_double_clustered;
     Alcotest.test_case "invariants: unknown column" `Quick
       test_invariants_catch_unknown_column;
+    Alcotest.test_case "invariants: unknown view table or column" `Quick
+      test_invariants_catch_unknown_view_source;
     Alcotest.test_case "invariants: well-formed ok" `Quick
       test_invariants_accept_wellformed;
     Alcotest.test_case "drift: bucketing" `Quick test_drift_bucketing;

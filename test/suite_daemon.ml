@@ -6,8 +6,9 @@
     warm-vs-cold re-tune economy, deterministic replay across [--jobs],
     guardrail auto-rollback with byte-identical restore, crash-safe state
     writes, per-qid what-if eviction, the frugal tier on an update
-    workload, and a spawned [relaxd] process signalled mid-stream (clean
-    SIGTERM exit, well-formed JSONL). *)
+    workload, a spawned [relaxd] process signalled mid-stream (clean
+    SIGTERM exit, well-formed JSONL), and a spawned [relaxd] refusing a
+    negative what-if budget. *)
 
 module Query = Relax_sql.Query
 module Index = Relax_physical.Index
@@ -470,25 +471,46 @@ let test_daemon_state_crash_safe () =
   Alcotest.(check bool) "no temporary left" false (Sys.file_exists tmp);
   Sys.remove path
 
-(* a deployment written for another catalog: the bench catalog has no
-   [customer] table *)
+(* deployments written for another catalog: the bench catalog has no
+   TPC-H table.  One names an index on [customer]; the other holds only
+   the views of the §2 optimal configuration of TPC-H queries 1 and 3,
+   which read [customer], [lineitem] and [orders]. *)
 let test_daemon_state_foreign_catalog () =
-  let path = Filename.temp_file "relaxd_state" ".json" in
-  Out_channel.with_open_bin path (fun oc ->
-      Out_channel.output_string oc
-        {|{"version":1,"indexes":[{"keys":[["customer","c_custkey"]],"suffix":[],"clustered":false}],"views":[]}|});
-  let opts = { (daemon_opts ()) with state_path = Some path } in
-  let refused =
-    match D.Daemon.create (W.Bench_db.catalog ()) opts with
-    | _ -> None
-    | exception Failure msg -> Some msg
+  let tpch_views =
+    let cat = W.Tpch.catalog ~scale:0.02 () in
+    let inst =
+      T.Instrument.optimal_configuration cat ~base:Config.empty
+        (W.Tpch.workload_subset [ 1; 3 ])
+    in
+    List.fold_left Config.remove_index inst.optimal
+      (Config.indexes inst.optimal)
   in
-  Sys.remove path;
-  match refused with
-  | Some msg ->
-    Alcotest.(check bool) ("names the file: " ^ msg) true
-      (Astring_contains.contains msg path)
-  | None -> Alcotest.fail "a state file naming an unknown table was loaded"
+  Alcotest.(check bool) "the views-only file holds views" true
+    (Config.views tpch_views <> []);
+  List.iter
+    (fun (name, json) ->
+      let path = Filename.temp_file "relaxd_state" ".json" in
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc json);
+      let opts = { (daemon_opts ()) with state_path = Some path } in
+      let refused =
+        match D.Daemon.create (W.Bench_db.catalog ()) opts with
+        | _ -> None
+        | exception Failure msg -> Some msg
+      in
+      Sys.remove path;
+      match refused with
+      | Some msg ->
+        Alcotest.(check bool) (name ^ " names the file: " ^ msg) true
+          (Astring_contains.contains msg path)
+      | None ->
+        Alcotest.failf "%s: a state file for another catalog was loaded" name)
+    [
+      ( "index on customer",
+        {|{"version":1,"indexes":[{"keys":[["customer","c_custkey"]],"suffix":[],"clustered":false}],"views":[]}|}
+      );
+      ("TPC-H views only", Config_json.to_string tpch_views);
+    ]
 
 let test_whatif_evict () =
   let cat = Lazy.force cat in
@@ -553,13 +575,14 @@ let read_lines path =
       in
       go [])
 
+(* cwd is _build/default/test under `dune runtest`, the workspace root
+   under `dune exec test/test_main.exe` *)
+let relaxd_exe () =
+  List.find_opt Sys.file_exists
+    [ "../bin/relaxd.exe"; "_build/default/bin/relaxd.exe" ]
+
 let test_relaxd_sigterm () =
-  (* cwd is _build/default/test under `dune runtest`, the workspace root
-     under `dune exec test/test_main.exe` *)
-  match
-    List.find_opt Sys.file_exists
-      [ "../bin/relaxd.exe"; "_build/default/bin/relaxd.exe" ]
-  with
+  match relaxd_exe () with
   | None -> Alcotest.skip ()
   | Some exe ->
     let jsonl = Filename.temp_file "relaxd_events" ".jsonl" in
@@ -619,6 +642,27 @@ let test_relaxd_sigterm () =
     | Error msg -> Alcotest.failf "bad last line: %s" msg);
     Sys.remove jsonl
 
+(* a negative what-if budget is a command-line error (Cmdliner's exit
+   124), not a silent "bounds only" *)
+let test_relaxd_negative_budget () =
+  match relaxd_exe () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+    let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+    let pid =
+      Unix.create_process exe
+        [| exe; "--db"; "bench"; "--whatif-budget=-1" |]
+        null_in null_out null_out
+    in
+    Unix.close null_in;
+    Unix.close null_out;
+    (match snd (Unix.waitpid [] pid) with
+    | Unix.WEXITED 124 -> ()
+    | Unix.WEXITED n -> Alcotest.failf "relaxd exited %d, expected 124" n
+    | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+      Alcotest.failf "relaxd stopped by signal %d" n)
+
 (* --- shutdown plumbing ---------------------------------------------------- *)
 
 let test_shutdown_exit_codes () =
@@ -665,5 +709,7 @@ let suite =
       test_frugal_dml_bound_hits;
     Alcotest.test_case "relaxd: SIGTERM flushes well-formed JSONL" `Slow
       test_relaxd_sigterm;
+    Alcotest.test_case "relaxd: negative what-if budget" `Quick
+      test_relaxd_negative_budget;
     Alcotest.test_case "shutdown: exit codes" `Quick test_shutdown_exit_codes;
   ]

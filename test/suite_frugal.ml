@@ -1,7 +1,8 @@
-(** Tests for the budgeted costing tier (lib/core/frugal.ml): the sweep's
-    decision rules, the ΔT interval's two-sided soundness over TPC-H
-    relaxations, the §3.3.2 patched plan, and end-to-end budgeted tuning
-    runs (zero budget, determinism across [jobs], honest reporting). *)
+(** Tests for the what-if call ledger (lib/core/frugal.ml): the sweep's
+    decision rules, the bounded and unbounded ledgers, the ΔT interval's
+    two-sided soundness over TPC-H relaxations, the §3.3.2 patched plan,
+    and end-to-end tuning runs (zero budget, an unbounded ledger that
+    never bound-costs, determinism across [jobs], honest reporting). *)
 
 module Query = Relax_sql.Query
 module Config = Relax_physical.Config
@@ -27,10 +28,7 @@ let test_tighten_with () =
      checked interval *)
   chk "conflict keeps checked interval"
     (tighten_with a ~advisory:{ lo = 6.0; hi = 7.0 })
-    1.0 5.0;
-  Alcotest.(check bool) "point is a point" true (is_point (point 3.0));
-  Alcotest.(check bool) "wide is not a point" false (is_point a);
-  Alcotest.(check (float 1e-9)) "width" 4.0 (width a)
+    1.0 5.0
 
 (* --- sweep decision rules -------------------------------------------------- *)
 
@@ -52,7 +50,7 @@ let test_sweep_bounds_decide () =
   (* intervals entirely on one side of the threshold are decided without a
      single call, even with a zero budget *)
   let open T.Frugal in
-  let t = create ~budget:0 in
+  let t = create (Some 0) in
   let a = cand "a" { lo = 1.0; hi = 2.0 } in
   let b = cand "b" { lo = 10.0; hi = 20.0 } in
   let accepts, rejects =
@@ -66,7 +64,7 @@ let test_sweep_bounds_decide () =
 
 let test_sweep_refines_widest_first () =
   let open T.Frugal in
-  let t = create ~budget:8 in
+  let t = create (Some 8) in
   let a = cand "a" { lo = 0.0; hi = 10.0 } in
   let b = cand "b" { lo = 2.0; hi = 6.0 } in
   (* c's upper end sets the threshold (5.0) and never straddles it *)
@@ -75,7 +73,8 @@ let test_sweep_refines_widest_first () =
   let refine cd =
     order := cd.payload :: !order;
     debit t 1;
-    cd.ival <- point (match cd.payload with "a" -> 3.0 | _ -> 4.0)
+    let x = match cd.payload with "a" -> 3.0 | _ -> 4.0 in
+    cd.ival <- { lo = x; hi = x }
   in
   let accepts, rejects = counted_sweep t ~refine [ a; b; c ] in
   Alcotest.(check (list string))
@@ -91,20 +90,49 @@ let test_sweep_budget_dry () =
      gone, remaining straddlers are left un-refined (they rank by their
      upper ends) rather than over-spending *)
   let open T.Frugal in
-  let t = create ~budget:4 in
+  let t = create (Some 4) in
   Alcotest.(check int) "ranking share is a quarter" 1 (rank_remaining t);
   let a = cand "a" { lo = 0.0; hi = 10.0 } in
   let b = cand "b" { lo = 1.0; hi = 9.0 } in
   let c = cand "c" { lo = 2.0; hi = 8.5 } in
   let refine cd =
     debit t 1;
-    cd.ival <- point 7.0
+    cd.ival <- { lo = 7.0; hi = 7.0 }
   in
   let accepts, rejects = counted_sweep t ~refine [ a; b; c ] in
   Alcotest.(check int) "exactly the ranking share spent" 1 (spent t);
   Alcotest.(check bool) "widest refined" true a.refined;
   Alcotest.(check bool) "others left straddling" false (b.refined || c.refined);
   Alcotest.(check int) "straddlers not miscounted" 0 (accepts + rejects)
+
+(* --- the ledger's two policies --------------------------------------------- *)
+
+let test_ledger_negative_budget () =
+  Alcotest.check_raises "negative budget"
+    (Invalid_argument "Frugal.create: negative budget") (fun () ->
+      ignore (T.Frugal.create (Some (-1))));
+  let t = T.Frugal.create (Some 0) in
+  Alcotest.(check bool) "zero is bounded" true (T.Frugal.bounded t);
+  Alcotest.(check int) "zero budget has nothing left" 0 (T.Frugal.remaining t)
+
+let test_ledger_unbounded () =
+  (* the unbounded ledger has no ranking share: the sweep leaves every
+     candidate at its upper end, calls nothing and counts nothing *)
+  let open T.Frugal in
+  let t = create None in
+  Alcotest.(check bool) "unbounded" false (bounded t);
+  Alcotest.(check int) "no ranking share" 0 (rank_remaining t);
+  Alcotest.(check int) "unlimited" max_int (remaining t);
+  let a = cand "a" { lo = 0.0; hi = 10.0 } in
+  let b = cand "b" { lo = 1.0; hi = 2.0 } in
+  let accepts, rejects =
+    counted_sweep t
+      ~refine:(fun _ -> Alcotest.fail "refine on the unbounded ledger")
+      [ a; b ]
+  in
+  Alcotest.(check int) "nothing counted" 0 (accepts + rejects);
+  Alcotest.(check (float 1e-9)) "upper end kept" 10.0 a.ival.hi;
+  Alcotest.(check int) "nothing spent" 0 (spent t)
 
 (* --- interval soundness over TPC-H relaxations ----------------------------- *)
 
@@ -236,6 +264,32 @@ let test_budget_zero () =
   Alcotest.(check bool) "reported cost is honest" true
     (T.Cost_bound.float_eq ~eps:1e-6 honest r.recommended_cost)
 
+let test_exact_stays_exact () =
+  (* the unbounded ledger: no call is ever budgeted and no plan is ever
+     costed from bounds *)
+  let cat, w, space, _, m = tune_tpch ~whatif_budget:None () in
+  List.iter
+    (fun name -> Alcotest.(check int) name 0 (named name m))
+    [
+      "whatif.budget_spent"; "whatif.bound_costed"; "whatif.point_exact";
+      "whatif.bound_accepts"; "whatif.bound_rejects"; "whatif.endgame_spent";
+    ];
+  let initial =
+    (T.Instrument.optimal_configuration cat ~base:Config.empty w).optimal
+  in
+  let opts =
+    {
+      (T.Tuner.default_options ~space_budget:space ()) with
+      max_iterations = 40;
+      jobs = 1;
+    }
+  in
+  match (T.Search.run cat ~workload:w ~initial opts).best with
+  | None -> Alcotest.fail "no configuration fits the budget"
+  | Some best ->
+    Alcotest.(check bool) "no pseudo slot on the best node" true
+      (T.Search.Bitset.is_empty best.pseudo)
+
 let test_budget_spends_within () =
   let _, _, _, _, m = tune_tpch ~whatif_budget:(Some 16) () in
   let spent = named "whatif.budget_spent" m in
@@ -322,9 +376,14 @@ let suite =
       test_sweep_refines_widest_first;
     Alcotest.test_case "sweep: ranking share bounds spend" `Quick
       test_sweep_budget_dry;
+    Alcotest.test_case "ledger: negative budget" `Quick
+      test_ledger_negative_budget;
+    Alcotest.test_case "ledger: unbounded" `Quick test_ledger_unbounded;
     QCheck_alcotest.to_alcotest prop_interval_sound_tpch;
     QCheck_alcotest.to_alcotest prop_patched_plan_matches_bound;
     Alcotest.test_case "tune: zero budget" `Slow test_budget_zero;
+    Alcotest.test_case "tune: exact costing stays exact" `Slow
+      test_exact_stays_exact;
     Alcotest.test_case "tune: spend within budget" `Slow
       test_budget_spends_within;
     Alcotest.test_case "tune: frugal spends fewer calls" `Slow
