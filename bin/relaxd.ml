@@ -15,7 +15,7 @@
 
     Exit codes: 0 on end-of-stream or SIGTERM/SIGINT after a clean final
     re-tune and flush; 2 on usage errors (unreadable replay/schema file,
-    bad state file). *)
+    bad state file); 124 on a malformed or out-of-range flag value. *)
 
 module D = Relax_daemon
 module W = Relax_workloads
@@ -143,6 +143,26 @@ let run db scale schema_file replay budget_mb retune_every min_statements
 
 (* --- cmdliner wiring ----------------------------------------------------- *)
 
+(* Numeric flags are range-checked where they are parsed: a value out of
+   range is a command-line error (exit 124), like a malformed one. *)
+let int_from lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %s" lo s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+let float_where ~expected ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when ok f -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" expected s))
+  in
+  Arg.conv (parse, Fmt.float)
+
+let non_negative = float_where ~expected:"a number >= 0" (fun f -> f >= 0.0)
+
 let db =
   let parse = function
     | "tpch" -> Ok Tpch
@@ -192,38 +212,42 @@ let budget_mb =
 
 let retune_every =
   Arg.(
-    value & opt int 32
+    value & opt (int_from 1) 32
     & info [ "retune-every" ] ~docv:"N"
         ~doc:"Statements between re-tune cycles.")
 
 let min_statements =
   Arg.(
-    value & opt int 8
+    value & opt (int_from 0) 8
     & info [ "min-statements" ] ~docv:"N"
         ~doc:"No re-tune before this many statements arrived.")
 
 let window =
   Arg.(
-    value & opt int 64
+    value & opt (int_from 1) 64
     & info [ "window" ] ~docv:"N"
         ~doc:"Window capacity in templates; the lightest is evicted at \
               capacity.")
 
 let decay =
   Arg.(
-    value & opt float 0.98
+    value
+    & opt
+        (float_where ~expected:"a factor in (0, 1]" (fun f ->
+             f > 0.0 && f <= 1.0))
+        0.98
     & info [ "decay" ] ~docv:"F"
         ~doc:"Per-arrival decay factor on template weights (in (0,1]).")
 
 let min_weight =
   Arg.(
-    value & opt float 0.05
+    value & opt non_negative 0.05
     & info [ "min-weight" ] ~docv:"F"
         ~doc:"Rotation drop floor: templates decayed below F are dropped.")
 
 let rotate_every =
   Arg.(
-    value & opt int 4
+    value & opt (int_from 0) 4
     & info [ "rotate-every" ] ~docv:"N"
         ~doc:"Rotate the window every N re-tunes (0 = never): drop faded \
               templates, refresh stale representatives, evict their \
@@ -231,7 +255,7 @@ let rotate_every =
 
 let guard_margin =
   Arg.(
-    value & opt float 0.25
+    value & opt non_negative 0.25
     & info [ "guard-margin" ] ~docv:"F"
         ~doc:
           "Auto-rollback when realized window cost exceeds the \
@@ -239,14 +263,14 @@ let guard_margin =
 
 let iterations =
   Arg.(
-    value & opt int 200
+    value & opt (int_from 0) 200
     & info [ "iterations" ] ~docv:"N"
         ~doc:"Relaxation iteration cap per re-tune.")
 
 let jobs =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_from 1)) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the parallel search; 1 = sequential \
@@ -254,14 +278,9 @@ let jobs =
            value.")
 
 let whatif_budget =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | _ -> Error (`Msg ("expected a non-negative number of calls, got " ^ s))
-  in
   Arg.(
     value
-    & opt (some (conv (parse, Fmt.int))) None
+    & opt (some (int_from 0)) None
     & info [ "whatif-budget" ] ~docv:"N"
         ~doc:
           "Frugal costing: cap the what-if optimizer calls each re-tune \

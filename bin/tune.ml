@@ -292,6 +292,16 @@ let generate =
     value & opt int 0
     & info [ "generate" ] ~docv:"N" ~doc:"Generate N random statements.")
 
+(* Numeric flags are range-checked where they are parsed: a value out of
+   range is a command-line error (exit 124), like a malformed one. *)
+let int_from lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %s" lo s))
+  in
+  Arg.conv (parse, Fmt.int)
+
 let seed =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Generator seed.")
 
@@ -324,7 +334,7 @@ let budget_mb =
 
 let iterations =
   Arg.(
-    value & opt int 400
+    value & opt (int_from 0) 400
     & info [ "iterations" ] ~docv:"N" ~doc:"Relaxation iteration cap (ptt).")
 
 let time_s =
@@ -336,7 +346,7 @@ let time_s =
 let jobs =
   Arg.(
     value
-    & opt (some int) None
+    & opt (some (int_from 1)) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
           "Worker domains for the parallel search (ptt only); 1 = \
@@ -345,14 +355,9 @@ let jobs =
            whatever the value.")
 
 let whatif_budget =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> Ok n
-    | _ -> Error (`Msg ("expected a non-negative number of calls, got " ^ s))
-  in
   Arg.(
     value
-    & opt (some (conv (parse, Fmt.int))) None
+    & opt (some (int_from 0)) None
     & info [ "whatif-budget" ] ~docv:"N"
         ~doc:
           "Frugal costing (ptt only): cap the what-if optimizer calls the \

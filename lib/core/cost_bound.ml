@@ -216,65 +216,111 @@ let with_consumed_order (a : O.Plan.access_info)
           ~order:consumed ~cols:a.request.cols ();
     }
 
-(** Upper bound on the cost of re-implementing one affected access under the
-    relaxed configuration (per execution).  [consumed_order] is the output
-    order the enclosing plan relies on this access to deliver (empty when
-    none): the replacement must provide it too. *)
-let access_bound ?(consumed_order = []) ctx (a : O.Plan.access_info) : float =
+(* --- the bound memo --------------------------------------------------- *)
+
+type selection = { cost : float; rows : float }
+type memo = (string, selection) Hashtbl.t
+type misses = (string * selection) list
+
+(* Access-path selection under C' for one bound.  Without a memo it is
+   [best] itself.  With one, a key the memo or this walk's own misses
+   already hold is answered from them (still counted as a request, and
+   as a memo hit); any other is computed and returned among the misses,
+   for the search to merge.  The memo is only read here. *)
+let select memo misses env' request =
+  let compute () =
+    let p = O.Access_path.best env' request in
+    { cost = p.cost; rows = p.rows }
+  in
+  match memo with
+  | None -> (compute (), misses)
+  | Some memo -> (
+    let key = O.Access_path.selection_key env' request in
+    let known =
+      match Hashtbl.find_opt memo key with
+      | Some _ as s -> s
+      | None -> List.assoc_opt key misses
+    in
+    match known with
+    | Some s ->
+      Relax_obs.Probe.count "access_path.requests";
+      Relax_obs.Probe.count "access_path.memo_hits";
+      (s, misses)
+    | None ->
+      let s = compute () in
+      (s, (key, s) :: misses))
+
+(* [access_bound] with its access-path selections through [select] *)
+let access_bound_in memo misses ?(consumed_order = []) ctx
+    (a : O.Plan.access_info) : float * misses =
   let a = with_consumed_order a consumed_order in
   match ctx.view_merge with
   | Some (m, v1, v2) when a.rel = View.name v1 || a.rel = View.name v2 -> (
     let v, remap =
       if a.rel = View.name v1 then (v1, m.remap1) else (v2, m.remap2)
     in
-    try
-      let request, regroup = remap_request_onto_merged m v ~remap a.request in
-      let plan = O.Access_path.best ctx.env' request in
+    match remap_request_onto_merged m v ~remap a.request with
+    | exception Unbounded -> (removed_view_bound ctx a v, misses)
+    | request, regroup ->
+      let s, misses = select memo misses ctx.env' request in
       let regroup_cost =
-        if regroup then
-          (plan.rows *. P.cpu_hash) +. (a.access_rows *. P.cpu_agg)
+        if regroup then (s.rows *. P.cpu_hash) +. (a.access_rows *. P.cpu_agg)
         else 0.0
       in
-      plan.cost +. regroup_cost
-    with Unbounded -> removed_view_bound ctx a v)
+      (s.cost +. regroup_cost, misses))
   | _ ->
     if view_removed ctx a.rel then begin
       match
         List.find_opt (fun v -> View.name v = a.rel) ctx.removed_views
       with
-      | Some v -> removed_view_bound ctx a v
+      | Some v -> (removed_view_bound ctx a v, misses)
       | None -> raise Unbounded
     end
     else begin
       (* index transformation: the relation still exists under C'; re-run
          access-path selection there.  The result is a valid plan, hence an
          upper bound. *)
-      let plan = O.Access_path.best ctx.env' a.request in
-      plan.cost
+      let s, misses = select memo misses ctx.env' a.request in
+      (s.cost, misses)
     end
+
+(** Upper bound on the cost of re-implementing one affected access under the
+    relaxed configuration (per execution).  [consumed_order] is the output
+    order the enclosing plan relies on this access to deliver (empty when
+    none): the replacement must provide it too. *)
+let access_bound ?consumed_order ctx a =
+  fst (access_bound_in None [] ?consumed_order ctx a)
+
+(* [query_bound] with its access-path selections through [select] *)
+let query_bound_in memo misses ?(order_by = []) ctx (plan : O.Plan.t) :
+    float * misses =
+  List.fold_left
+    (fun (acc, misses) ((a : O.Plan.access_info), consumed) ->
+      if affected ctx a then begin
+        (* access-path selection under [C'] may find a *cheaper* path than
+           the one the old plan used; a negative delta would drag the
+           "upper bound" below the cost of the (still valid) patched plan,
+           so each per-access contribution is clamped at zero — the result
+           stays an upper bound on the optimizer's cost under [C']. *)
+        let b, misses =
+          access_bound_in memo misses ~consumed_order:consumed ctx a
+        in
+        (acc +. Float.max 0.0 (a.executions *. (b -. a.access_cost)), misses)
+      end
+      else (acc, misses))
+    (plan.cost, misses)
+    (accesses_with_consumed_order ~order_by plan)
 
 (** Upper bound on the whole query's cost under the relaxed configuration:
     patch every affected access, keep the rest of the plan (§3.3.2).
     [order_by] is the query's required output order — when the plan
     delivers it through an access rather than a Sort operator, patching
     that access must preserve it. *)
-let query_bound ?(order_by = []) ctx (plan : O.Plan.t) : float =
-  List.fold_left
-    (fun acc ((a : O.Plan.access_info), consumed) ->
-      if affected ctx a then
-        (* access-path selection under [C'] may find a *cheaper* path than
-           the one the old plan used; a negative delta would drag the
-           "upper bound" below the cost of the (still valid) patched plan,
-           so each per-access contribution is clamped at zero — the result
-           stays an upper bound on the optimizer's cost under [C']. *)
-        acc
-        +. Float.max 0.0
-             (a.executions
-             *. (access_bound ~consumed_order:consumed ctx a -. a.access_cost)
-             )
-      else acc)
-    plan.cost
-    (accesses_with_consumed_order ~order_by plan)
+let query_bound ?order_by ctx plan =
+  fst (query_bound_in None [] ?order_by ctx plan)
+
+let query_bound_memo memo misses ?order_by ctx plan =
+  query_bound_in (Some memo) misses ?order_by ctx plan
 
 (** Does this plan touch any structure the relaxation removes? *)
 let plan_affected ctx (plan : O.Plan.t) =

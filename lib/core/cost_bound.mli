@@ -87,6 +87,48 @@ val query_bound :
     [order_by] is the query's required output order; when an access (not a
     Sort operator) delivers it, its replacement must preserve it. *)
 
+(** {1 The bound memo}
+
+    {!query_bound} re-runs access-path selection under [C'] for every
+    access a relaxation touches, and a search asks the same selections
+    again and again: most repeat one an earlier ranking already made.  A
+    selection's cost and rows depend only on the request and [r.rel]'s
+    sub-configuration ({!Relax_optimizer.Access_path.selection_key}
+    digests both), so a search keeps one table of the answers it has
+    paid for.
+
+    The table is written only by the search, on its main domain, between
+    pool batches (see [Search]).  This module only reads it: a bound
+    computed through the memo returns the selections it had to compute
+    as {!misses}, which the search merges when the batch is done.  Every
+    scoring task of one batch therefore sees the same table, and every
+    count is the same whatever the parallelism. *)
+
+type selection = { cost : float; rows : float }
+(** What a bound uses of one access-path selection. *)
+
+type memo = (string, selection) Hashtbl.t
+(** Selection key to answer. *)
+
+type misses = (string * selection) list
+(** Selections a walk computed that its memo did not hold, newest
+    first. *)
+
+val query_bound_memo :
+  memo ->
+  misses ->
+  ?order_by:(Relax_sql.Types.column * Relax_sql.Types.order_dir) list ->
+  context ->
+  O.Plan.t ->
+  float * misses
+(** {!query_bound}, with each access-path selection answered from the
+    memo or from [misses] when either holds its key, and computed
+    otherwise.  Returns the bound, bit for bit the one {!query_bound}
+    gives, and [misses] extended with the selections it computed.
+    [access_path.requests] still counts every selection asked for;
+    [access_path.memo_hits] counts those answered without computing.
+    {!query_bound} is this function with no memo and no misses. *)
+
 val patched_plan :
   ?order_by:(Relax_sql.Types.column * Relax_sql.Types.order_dir) list ->
   context ->

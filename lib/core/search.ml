@@ -186,6 +186,9 @@ type state = {
   heaps : (string * float) list;
       (** heap bytes of every base table, in catalog order *)
   ledger : Frugal.t;  (** the what-if call ledger of [opts.whatif_budget] *)
+  bound_memo : Cost_bound.memo;
+      (** the §3.3.2 bounds' access-path selections; scoring tasks read
+          it, and only [remember] writes it, on the main domain *)
   rand : Random.State.t;  (** only consulted by the [Random] selection *)
   started : float;
 }
@@ -250,6 +253,21 @@ let cbv st (v : View.t) =
     let plan = O.Optimizer.optimize st.catalog st.opts.base_config sq in
     Hashtbl.replace st.cbv_cache name plan.cost;
     plan.cost
+
+(* Entry cap of the bound memo: well above the ~18.5 k selections the
+   longest benchmark tune keeps.  A longer tune starts over at the cap. *)
+let bound_memo_cap = 1 lsl 15
+
+(* Merge a walk's misses into the bound memo, oldest first, clearing it
+   when full.  Main domain only, between pool batches: the merge order is
+   the candidate order, so the table — and with it every hit — is the same
+   whatever [opts.jobs]. *)
+let remember ~cap (memo : Cost_bound.memo) misses =
+  List.iter
+    (fun (key, s) ->
+      if Hashtbl.length memo >= cap then Hashtbl.reset memo;
+      Hashtbl.replace memo key s)
+    (List.rev misses)
 
 let estimate_view_rows st (v : View.t) =
   let env = O.Env.make st.catalog st.opts.base_config in
@@ -703,35 +721,41 @@ let rank_candidates st (n : node) : candidate list =
   in
   (* The one walk over a candidate's affected plans: fold
      [w × (cost' − cost)] for the (lower, upper) costs [f] gives each
-     affected plan, in workload order, from [init].  Every slot in
-     [affected] uses a structure the transformation removes, so [f]
-     always applies. *)
+     affected plan, in workload order, from [init], threading the bound
+     memo's misses through [f].  Every slot in [affected] uses a structure
+     the transformation removes, so [f] always applies. *)
   let walk_affected affected ctx ~init f =
     match ctx with
-    | None -> init
+    | None -> (init, [])
     | Some ctx ->
       List.fold_left
-        (fun (lo, hi) (slot, w) ->
+        (fun ((lo, hi), misses) (slot, w) ->
           let plan = n.plans.(slot) in
-          let l, h = f ctx slot plan in
-          ( lo +. (w *. (l -. plan.O.Plan.cost)),
-            hi +. (w *. (h -. plan.O.Plan.cost)) ))
-        init affected
+          let (l, h), misses = f ctx slot plan misses in
+          ( ( lo +. (w *. (l -. plan.O.Plan.cost)),
+              hi +. (w *. (h -. plan.O.Plan.cost)) ),
+            misses ))
+        (init, []) affected
   in
-  (* the §3.3.2 (lower, upper) ΔT terms of one affected plan *)
-  let bounds ctx slot plan =
+  (* the §3.3.2 (lower, upper) ΔT terms of one affected plan, the upper
+     one through the bound memo *)
+  let bounds ctx slot plan misses =
     let _, _, (sq : Query.select_query) = st.prepared.selects_arr.(slot) in
-    ( Cost_bound.query_lower_bound ctx plan,
-      Cost_bound.query_bound ~order_by:sq.order_by ctx plan )
+    let hi, misses =
+      Cost_bound.query_bound_memo st.bound_memo misses ~order_by:sq.order_by
+        ctx plan
+    in
+    ((Cost_bound.query_lower_bound ctx plan, hi), misses)
   in
   (* Phase 2, parallel: score each applied transformation — incremental
      size (only the structures that changed are re-measured; heaps come
      from the search's precomputed list), §3.3.2 cost bounds, update-shell
      delta.  A task is a pure function of the node and its candidate: it
-     reads only the node's plans, the immutable catalog and heap list and
-     the context phase 1 built, and writes no shared table.  A scored
-     candidate carries its ΔT lower bound and what the sweep needs to
-     refine it. *)
+     reads only the node's plans, the immutable catalog and heap list,
+     the context phase 1 built and the bound memo, which nothing writes
+     until the batch is done, and writes no shared table.  It returns the
+     memo misses its bounds computed, and, when scored, the candidate
+     with its ΔT lower bound and what the sweep needs to refine it. *)
   let score (tr, config', affected, ctx) =
     let removed =
       Index.Set.diff (Config.index_set n.config) (Config.index_set config')
@@ -749,7 +773,7 @@ let rank_candidates st (n : node) : candidate list =
            added 0.0
     in
     let delta_space = n.size -. size' in
-    let delta_selects_lo, delta_selects =
+    let (delta_selects_lo, delta_selects), misses =
       walk_affected affected ctx ~init:(0.0, 0.0) bounds
     in
     let delta_shell =
@@ -757,17 +781,19 @@ let rank_candidates st (n : node) : candidate list =
       else shell_cost_of st config' -. n.shell_cost
     in
     let delta_cost = delta_selects +. delta_shell in
-    if delta_space <= 0.0 && delta_cost >= 0.0 then None
-    else
-      Some
-        ( { tr; penalty = 0.0; delta_cost; delta_space },
-          delta_selects_lo +. delta_shell,
-          (config', affected, ctx, delta_shell) )
+    ( misses,
+      if delta_space <= 0.0 && delta_cost >= 0.0 then None
+      else
+        Some
+          ( { tr; penalty = 0.0; delta_cost; delta_space },
+            delta_selects_lo +. delta_shell,
+            (config', affected, ctx, delta_shell) ) )
   in
-  let raw =
-    List.filter_map Fun.id
-      (Array.to_list (Pool.map_array st.pool score (Array.of_list applied)))
-  in
+  let scored = Pool.map_array st.pool score (Array.of_list applied) in
+  Array.iter
+    (fun (misses, _) -> remember ~cap:bound_memo_cap st.bound_memo misses)
+    scored;
+  let raw = List.filter_map snd (Array.to_list scored) in
   (* skyline filtering for update workloads: drop dominated transformations
      (§3.6: a transformation with lower cost increase AND larger space
      saving dominates) *)
@@ -828,19 +854,20 @@ let rank_candidates st (n : node) : candidate list =
      a mixed — but still valid — interval *)
   let refine (fc : _ Frugal.cand) =
     let _, (config', affected, ctx, delta_shell) = fc.Frugal.payload in
-    let lo, hi =
+    let (lo, hi), misses =
       walk_affected affected ctx ~init:(delta_shell, delta_shell)
-        (fun ctx slot plan ->
+        (fun ctx slot plan misses ->
           if Frugal.rank_remaining st.ledger > 0 then begin
             let qid, _, sq = st.prepared.selects_arr.(slot) in
             let calls_before = fst (O.Whatif.stats st.whatif) in
             let plan' = O.Whatif.plan_select st.whatif config' ~qid sq in
             Frugal.debit st.ledger
               (fst (O.Whatif.stats st.whatif) - calls_before);
-            (plan'.O.Plan.cost, plan'.O.Plan.cost)
+            ((plan'.O.Plan.cost, plan'.O.Plan.cost), misses)
           end
-          else bounds ctx slot plan)
+          else bounds ctx slot plan misses)
     in
+    remember ~cap:bound_memo_cap st.bound_memo misses;
     fc.Frugal.ival <-
       Frugal.tighten_with { Frugal.lo; hi } ~advisory:fc.Frugal.ival
   in
@@ -1085,6 +1112,7 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
       cbv_cache = Hashtbl.create 16;
       heaps = base_heaps catalog;
       ledger = Frugal.create opts.whatif_budget;
+      bound_memo = Hashtbl.create 1024;
       rand =
         Random.State.make
           [| (match opts.selection with Random seed -> seed | _ -> 0) |];

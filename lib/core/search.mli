@@ -173,6 +173,16 @@ val skyline_filter : candidate list -> candidate list
     [delta_cost] ≤ and [delta_space] ≥ (strict in at least one), keeping
     the input order.  A sort-and-sweep, O(n log n).  Exposed for tests. *)
 
+val bound_memo_cap : int
+(** Entry cap of a search's bound memo (see {!Cost_bound.memo}): one memo
+    per {!run}, cleared when a merge finds it full. *)
+
+val remember : cap:int -> Cost_bound.memo -> Cost_bound.misses -> unit
+(** Merge a walk's misses into a bound memo, oldest first, clearing it
+    whenever it holds [cap] entries.  The search calls it with
+    {!bound_memo_cap} on its main domain between pool batches, in
+    candidate order.  Exposed for tests. *)
+
 type outcome = {
   initial : node;  (** the optimal configuration's node *)
   best : node option;  (** best configuration within the budget *)

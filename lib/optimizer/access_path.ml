@@ -10,6 +10,7 @@
 
 open Relax_sql.Types
 module Index = Relax_physical.Index
+module Config = Relax_physical.Config
 module Size_model = Relax_physical.Size_model
 module Predicate = Relax_sql.Predicate
 module Expr = Relax_sql.Expr
@@ -472,3 +473,56 @@ let best env ?hooks ?via_view (r : Request.t) : Plan.t =
     best.plan with
     node = Plan.Access { info; input = best.plan };
   }
+
+(* Everything [best] reads besides the catalog: the request, the indexes
+   on [r.rel] in the order [Env.indexes_on] lists them (ties between
+   equally cheap paths go to the first), and the row estimate of every
+   view the request's statistics come from.  A view's definition is its
+   name, a digest of the definition.  The writers close over one local
+   buffer and length-prefix strings as [Request.fingerprint] does; an
+   index's columns are [r.rel]'s, so only their names are written.  The
+   buffer is sized for the usual few columns per index and stays below
+   the minor heap's largest block: a key built in the major heap would
+   churn it. *)
+let selection_key env (r : Request.t) =
+  let fingerprint = Request.fingerprint r in
+  let indexes = Env.indexes_on env r.rel in
+  let b =
+    Buffer.create
+      (min 2000 (String.length fingerprint + (64 * List.length indexes) + 32))
+  in
+  let rec uint n =
+    if n < 128 then Buffer.add_char b (Char.unsafe_chr n)
+    else begin
+      Buffer.add_char b (Char.unsafe_chr (n land 127 lor 128));
+      uint (n lsr 7)
+    end
+  in
+  let str s =
+    uint (String.length s);
+    Buffer.add_string b s
+  in
+  let relation rel =
+    match Config.find_view env.Env.config rel with
+    | Some (_, rows) ->
+      Buffer.add_char b 'v';
+      Buffer.add_int64_le b (Int64.bits_of_float rows)
+    | None -> Buffer.add_char b 't'
+  in
+  str fingerprint;
+  List.iter
+    (fun (i : Index.t) ->
+      Buffer.add_char b (if i.clustered then 'c' else 'n');
+      uint (List.length i.keys);
+      List.iter (fun (c : column) -> str c.col) i.keys;
+      uint (Column_set.cardinal i.suffix);
+      Column_set.iter (fun (c : column) -> str c.col) i.suffix)
+    indexes;
+  relation r.rel;
+  (* sargable columns are [r.rel]'s in every request the optimizer and
+     the bounds build; one of another view would read that view's row
+     estimate *)
+  let foreign (c : column) = if c.tbl <> r.rel then relation c.tbl in
+  List.iter (fun (rg : Predicate.range) -> foreign rg.rcol) r.ranges;
+  List.iter foreign r.param_eq;
+  Digest.string (Buffer.contents b)

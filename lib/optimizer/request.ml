@@ -73,15 +73,107 @@ let pp ppf t =
     Fmt.(list ~sep:comma (fun ppf (c, _) -> Column.pp ppf c))
     t.order pp_column_set (additional_columns t)
 
-(** Stable identity for request de-duplication (Table 1 counts distinct
-    requests). *)
+(** The request's identity: an injective encoding.  Every field is
+    written in full (order directions included), floats by their bits,
+    every list and string length-prefixed, so two requests encode alike
+    only when they are equal field by field.  It serves both request
+    identities: de-duplication (Table 1 counts distinct requests) and the
+    access-path selection key.  The writers close over one local buffer. *)
 let fingerprint t =
-  Fmt.str "%s|%a|%s|%s|%s|%s" t.rel
-    Fmt.(list ~sep:comma Predicate.pp_range)
-    t.ranges
-    (String.concat "," (List.map Column.to_string t.param_eq))
-    (String.concat "," (List.map Expr.fingerprint t.others))
-    (String.concat ","
-       (List.map (fun (c, _) -> Column.to_string c) t.order))
-    (String.concat ","
-       (List.map Column.to_string (Column_set.elements t.cols)))
+  let b = Buffer.create 256 in
+  let tag c = Buffer.add_char b c in
+  let rec uint n =
+    if n < 128 then tag (Char.unsafe_chr n)
+    else begin
+      tag (Char.unsafe_chr (n land 127 lor 128));
+      uint (n lsr 7)
+    end
+  in
+  let str s =
+    uint (String.length s);
+    Buffer.add_string b s
+  in
+  (* nearly every column is [t.rel]'s: name its table only otherwise *)
+  let column (c : column) =
+    if String.equal c.tbl t.rel then tag '@'
+    else begin
+      tag '.';
+      str c.tbl
+    end;
+    str c.col
+  in
+  let value = function
+    | VInt i -> tag 'i'; Buffer.add_int64_le b (Int64.of_int i)
+    | VFloat f -> tag 'f'; Buffer.add_int64_le b (Int64.bits_of_float f)
+    | VString s -> tag 's'; str s
+    | VDate d -> tag 'd'; Buffer.add_int64_le b (Int64.of_int d)
+  in
+  let bound = function
+    | None -> tag '-'
+    | Some { Predicate.value = v; inclusive } ->
+      tag (if inclusive then '[' else '(');
+      value v
+  in
+  let rec expr (e : Expr.t) =
+    match e with
+    | Col c -> tag 'C'; column c
+    | Const v -> tag 'K'; value v
+    | Neg e -> tag 'N'; expr e
+    | Not e -> tag '!'; expr e
+    | Bin (op, x, y) ->
+      tag (match op with Add -> '+' | Sub -> '-' | Mul -> '*' | Div -> '/');
+      expr x;
+      expr y
+    | Cmp (op, x, y) ->
+      tag
+        (match op with
+        | Eq -> '=' | Neq -> '#' | Lt -> '<' | Le -> 'l' | Gt -> '>' | Ge -> 'g');
+      expr x;
+      expr y
+    | And (x, y) -> tag '&'; expr x; expr y
+    | Or (x, y) -> tag '|'; expr x; expr y
+    | Like (x, p) -> tag '~'; expr x; str p
+    | In_list (x, vs) ->
+      tag 'I';
+      expr x;
+      uint (List.length vs);
+      List.iter value vs
+  in
+  (* access-path selection tells a consumed conjunct from the residual
+     ones by physical identity, so a conjunct listed twice as one value
+     is written as a back-reference to its latest earlier position *)
+  let conjuncts write xs =
+    uint (List.length xs);
+    let rec go k seen = function
+      | [] -> ()
+      | x :: rest ->
+        let rec earlier j = function
+          | [] -> None
+          | y :: ys -> if y == x then Some j else earlier (j - 1) ys
+        in
+        (match earlier (k - 1) seen with
+        | Some j -> tag '^'; uint j
+        | None -> tag '.'; write x);
+        go (k + 1) (x :: seen) rest
+    in
+    go 0 [] xs
+  in
+  str t.rel;
+  conjuncts
+    (fun (r : Predicate.range) ->
+      column r.rcol;
+      bound r.lo;
+      bound r.hi)
+    t.ranges;
+  uint (List.length t.param_eq);
+  List.iter column t.param_eq;
+  conjuncts expr t.others;
+  uint (List.length t.order);
+  List.iter
+    (fun (c, d) ->
+      column c;
+      tag (match d with Asc -> 'a' | Desc -> 'd'))
+    t.order;
+  uint (Column_set.cardinal t.cols);
+  Column_set.iter column t.cols;
+  Buffer.contents b

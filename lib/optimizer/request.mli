@@ -45,5 +45,10 @@ val additional_columns : t -> Column_set.t
 val pp : Format.formatter -> t -> unit
 
 val fingerprint : t -> string
-(** Stable identity for request de-duplication (Table 1 counts distinct
-    requests). *)
+(** The request's identity: an injective encoding of every field, order
+    directions included and floats by their bits, so two requests share a
+    fingerprint only when they are equal field by field.  A conjunct
+    listed twice as one physical value is encoded as a back-reference,
+    since access-path selection tells conjuncts apart by identity.  Used
+    for request de-duplication (Table 1 counts distinct requests) and in
+    {!Access_path.selection_key}. *)

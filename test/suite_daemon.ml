@@ -7,8 +7,9 @@
     guardrail auto-rollback with byte-identical restore, crash-safe state
     writes, per-qid what-if eviction, the frugal tier on an update
     workload, a spawned [relaxd] process signalled mid-stream (clean
-    SIGTERM exit, well-formed JSONL), and a spawned [relaxd] refusing a
-    negative what-if budget. *)
+    SIGTERM exit, well-formed JSONL), and a spawned [relaxd] refusing
+    out-of-range flags (a negative what-if budget, an empty window, a
+    re-tune every 0 statements). *)
 
 module Query = Relax_sql.Query
 module Index = Relax_physical.Index
@@ -642,26 +643,32 @@ let test_relaxd_sigterm () =
     | Error msg -> Alcotest.failf "bad last line: %s" msg);
     Sys.remove jsonl
 
-(* a negative what-if budget is a command-line error (Cmdliner's exit
-   124), not a silent "bounds only" *)
-let test_relaxd_negative_budget () =
+(* relaxd's exit status on [args], stdin and stdout on /dev/null *)
+let relaxd_status exe args =
+  let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process exe
+      (Array.of_list (exe :: "--db" :: "bench" :: args))
+      null_in null_out null_out
+  in
+  Unix.close null_in;
+  Unix.close null_out;
+  snd (Unix.waitpid [] pid)
+
+(* a flag value out of range is a command-line error (Cmdliner's exit
+   124): not a silent "bounds only" for a negative what-if budget, not an
+   uncaught exception (exit 125) for an empty window, not a replay that
+   re-tunes after every statement for --retune-every=0 *)
+let test_relaxd_refuses flag () =
   match relaxd_exe () with
   | None -> Alcotest.skip ()
-  | Some exe ->
-    let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-    let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-    let pid =
-      Unix.create_process exe
-        [| exe; "--db"; "bench"; "--whatif-budget=-1" |]
-        null_in null_out null_out
-    in
-    Unix.close null_in;
-    Unix.close null_out;
-    (match snd (Unix.waitpid [] pid) with
+  | Some exe -> (
+    match relaxd_status exe [ flag ] with
     | Unix.WEXITED 124 -> ()
-    | Unix.WEXITED n -> Alcotest.failf "relaxd exited %d, expected 124" n
+    | Unix.WEXITED n -> Alcotest.failf "relaxd %s exited %d, expected 124" flag n
     | Unix.WSIGNALED n | Unix.WSTOPPED n ->
-      Alcotest.failf "relaxd stopped by signal %d" n)
+      Alcotest.failf "relaxd %s stopped by signal %d" flag n)
 
 (* --- shutdown plumbing ---------------------------------------------------- *)
 
@@ -710,6 +717,10 @@ let suite =
     Alcotest.test_case "relaxd: SIGTERM flushes well-formed JSONL" `Slow
       test_relaxd_sigterm;
     Alcotest.test_case "relaxd: negative what-if budget" `Quick
-      test_relaxd_negative_budget;
+      (test_relaxd_refuses "--whatif-budget=-1");
+    Alcotest.test_case "relaxd: empty window" `Quick
+      (test_relaxd_refuses "--window=0");
+    Alcotest.test_case "relaxd: re-tune every 0 statements" `Quick
+      (test_relaxd_refuses "--retune-every=0");
     Alcotest.test_case "shutdown: exit codes" `Quick test_shutdown_exit_codes;
   ]

@@ -1,7 +1,8 @@
 (** Tests for the what-if call ledger (lib/core/frugal.ml): the sweep's
     decision rules, the bounded and unbounded ledgers, the ΔT interval's
     two-sided soundness over TPC-H relaxations, the §3.3.2 patched plan,
-    and end-to-end tuning runs (zero budget, an unbounded ledger that
+    the bound memo (exact bounds, a cap that moves only hits), and
+    end-to-end tuning runs (zero budget, an unbounded ledger that
     never bound-costs, determinism across [jobs], honest reporting). *)
 
 module Query = Relax_sql.Query
@@ -231,6 +232,111 @@ let prop_patched_plan_matches_bound =
           end
       end)
 
+(* --- the bound memo ----------------------------------------------------- *)
+
+(* Walk a relaxation chain from the TPC-H optimal configuration the way
+   the search ranks: at each configuration bound every affected plan of
+   every applicable transformation, both without the memo and through it,
+   merging the misses with [cap] after each bound; then follow the
+   [picks]-chosen transformation to the relaxed configuration and its
+   re-optimized plans.  Returns the (memo-free, memoized) bound pairs in
+   order and the largest memo seen after a merge. *)
+let bound_chain ~cap memo picks =
+  let cat, optimal, whatif, plans0, _ = Lazy.force tpch in
+  let est v =
+    O.Cardinality.spjg (O.Env.make cat Config.empty) (View.definition v)
+  in
+  let largest = ref 0 in
+  let bound_all config plans acc =
+    List.fold_left
+      (fun acc tr ->
+        match T.Transform.apply ~estimate_rows:est config tr with
+        | None -> acc
+        | Some config' ->
+          let ctx = bound_context cat config config' tr in
+          Array.fold_left
+            (fun acc (_, sq, plan) ->
+              if not (T.Cost_bound.plan_affected ctx plan) then acc
+              else begin
+                let order_by = sq.Query.order_by in
+                let free = T.Cost_bound.query_bound ~order_by ctx plan in
+                let memoized, misses =
+                  T.Cost_bound.query_bound_memo memo [] ~order_by ctx plan
+                in
+                T.Search.remember ~cap memo misses;
+                largest := max !largest (Hashtbl.length memo);
+                (free, memoized) :: acc
+              end)
+            acc plans)
+      acc (T.Transform.enumerate config)
+  in
+  let rec go config plans acc = function
+    | [] -> acc
+    | pick :: rest -> (
+      let acc = bound_all config plans acc in
+      let transforms = Array.of_list (T.Transform.enumerate config) in
+      if Array.length transforms = 0 then acc
+      else
+        let tr = transforms.(pick mod Array.length transforms) in
+        match T.Transform.apply ~estimate_rows:est config tr with
+        | None -> go config plans acc rest
+        | Some config' ->
+          let plans' =
+            Array.map
+              (fun (qid, sq, _) ->
+                (qid, sq, O.Whatif.plan_select whatif config' ~qid sq))
+              plans
+          in
+          go config' plans' acc rest)
+  in
+  let pairs = List.rev (go optimal plans0 [] picks) in
+  (pairs, !largest)
+
+let same_bits (free, memoized) =
+  Int64.equal (Int64.bits_of_float free) (Int64.bits_of_float memoized)
+
+(* the memo is an optimization only: whatever earlier relaxations left in
+   the table, the memoized bound is the memo-free one, bit for bit *)
+let prop_memo_bound_exact =
+  QCheck.Test.make
+    ~name:"memoized query_bound equals query_bound bit for bit (TPC-H)"
+    ~count:12
+    QCheck.(list_of_size Gen.(int_range 1 3) (int_bound 10_000))
+    (fun picks ->
+      let pairs, _ =
+        bound_chain ~cap:T.Search.bound_memo_cap (Hashtbl.create 64) picks
+      in
+      List.for_all same_bits pairs)
+
+(* a cap small enough to clear the memo many times moves no bound and no
+   request count: only the memo hits drop *)
+let test_memo_cap_clears () =
+  let picks = [ 0; 5; 11 ] in
+  (* warm the what-if cache, so both recorded runs optimize nothing *)
+  ignore (bound_chain ~cap:T.Search.bound_memo_cap (Hashtbl.create 64) picks);
+  let run cap =
+    let r = Relax_obs.Recorder.create () in
+    let pairs, largest =
+      Relax_obs.Recorder.with_ambient r (fun () ->
+          bound_chain ~cap (Hashtbl.create 64) picks)
+    in
+    let counters = (Relax_obs.Recorder.snapshot r).named_counters in
+    let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+    (pairs, count "access_path.requests", count "access_path.memo_hits", largest)
+  in
+  let full, requests_full, hits_full, _ = run T.Search.bound_memo_cap in
+  let small, requests_small, hits_small, largest = run 4 in
+  Alcotest.(check bool) "memo bounds are exact" true (List.for_all same_bits full);
+  Alcotest.(check bool) "bounds unchanged by the cap" true
+    (List.equal
+       (fun (a, _) (b, _) -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+       full small
+    && List.for_all same_bits small);
+  Alcotest.(check int) "requests unchanged by the cap" requests_full requests_small;
+  Alcotest.(check bool) "the memo answers" true (hits_full > 0);
+  Alcotest.(check bool) "clearing costs hits" true (hits_small < hits_full);
+  Alcotest.(check bool) "the cap holds" true (largest <= 4)
+
 (* --- end-to-end budgeted tuning runs --------------------------------------- *)
 
 let tune_tpch ?(nums = [ 1; 3; 6 ]) ?(iters = 40) ?(jobs = 1) ~whatif_budget ()
@@ -381,6 +487,9 @@ let suite =
     Alcotest.test_case "ledger: unbounded" `Quick test_ledger_unbounded;
     QCheck_alcotest.to_alcotest prop_interval_sound_tpch;
     QCheck_alcotest.to_alcotest prop_patched_plan_matches_bound;
+    QCheck_alcotest.to_alcotest prop_memo_bound_exact;
+    Alcotest.test_case "bound memo: a small cap moves only hits" `Quick
+      test_memo_cap_clears;
     Alcotest.test_case "tune: zero budget" `Slow test_budget_zero;
     Alcotest.test_case "tune: exact costing stays exact" `Slow
       test_exact_stays_exact;

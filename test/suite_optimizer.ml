@@ -438,6 +438,40 @@ let prop_cost_positive =
       let x = cost q in
       x > 0.0 && Float.is_finite x)
 
+(* The selection key separates every request and sub-configuration that
+   [best] can tell apart, and nothing else: a float constant past six
+   significant digits and an order direction change it, an index on
+   another relation does not. *)
+let test_selection_key_scope () =
+  let module P = Relax_sql.Predicate in
+  let env config = O.Env.make (Lazy.force cat) config in
+  let req ?(dir = Asc) x =
+    O.Request.make ~rel:"r"
+      ~ranges:[ P.range ~lo:(P.bound (VFloat x)) (c "r" "a") ]
+      ~order:[ (c "r" "b", dir) ]
+      ~cols:(Column_set.of_list [ c "r" "a"; c "r" "b" ])
+      ()
+  in
+  let key ?(config = Config.empty) r =
+    O.Access_path.selection_key (env config) r
+  in
+  let r0 = req 0.05000001 in
+  Alcotest.(check bool) "equal requests, equal keys" true
+    (String.equal (key r0) (key (req 0.05000001)));
+  Alcotest.(check bool) "a float past %g" false
+    (String.equal (key r0) (key (req 0.05000002)));
+  Alcotest.(check bool) "an order direction" false
+    (String.equal (key r0) (key (req ~dir:Desc 0.05000001)));
+  let on_r = Config.of_indexes [ Index.on "r" [ "a" ] ] in
+  Alcotest.(check bool) "an index on the relation" false
+    (String.equal (key r0) (key ~config:on_r r0));
+  let clustered = Config.of_indexes [ Index.on "r" ~clustered:true [ "a" ] ] in
+  Alcotest.(check bool) "its clustered flag" false
+    (String.equal (key ~config:on_r r0) (key ~config:clustered r0));
+  Alcotest.(check bool) "an index elsewhere" true
+    (String.equal (key ~config:on_r r0)
+       (key ~config:(Config.add_index on_r (Index.on "s" [ "x" ])) r0))
+
 let suite =
   [
     Alcotest.test_case "scan baseline" `Quick test_scan_baseline;
@@ -480,6 +514,7 @@ let suite =
     Alcotest.test_case "what-if cache" `Quick test_whatif_cache;
     Alcotest.test_case "update maintenance charged" `Quick test_update_costs_charged;
     Alcotest.test_case "update helpful index" `Quick test_update_irrelevant_index_free;
+    Alcotest.test_case "selection key scope" `Quick test_selection_key_scope;
     QCheck_alcotest.to_alcotest prop_more_indexes_never_hurt;
     QCheck_alcotest.to_alcotest prop_cost_positive;
   ]

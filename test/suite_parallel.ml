@@ -274,12 +274,16 @@ let check_identical ~label (r1, m1, l1) (r4, m4, l4) =
     (m1.transforms_generated = m4.transforms_generated);
   chk "transforms applied" (m1.transforms_applied = m4.transforms_applied);
   chk "pool trace" (m1.pool_trace = m4.pool_trace);
+  let named name =
+    List.assoc_opt name m1.named_counters = List.assoc_opt name m4.named_counters
+  in
   (* CBV optimizations bypass the what-if layer: only this counter sees
      them *)
-  let optimizations m =
-    List.assoc_opt "optimizer.optimizations" m.named_counters
-  in
-  chk "optimizer optimizations" (optimizations m1 = optimizations m4);
+  chk "optimizer optimizations" (named "optimizer.optimizations");
+  (* the bound memo is merged on the main domain in candidate order, so
+     its hits — and every access-path request — match too *)
+  chk "access-path requests" (named "access_path.requests");
+  chk "bound memo hits" (named "access_path.memo_hits");
   Alcotest.(check (list (pair string int)))
     (label ^ ": trace event counts")
     (event_histogram l1) (event_histogram l4)

@@ -223,6 +223,51 @@ let prop_implies_reflexive =
   QCheck.Test.make ~name:"implies is reflexive" ~count:200 arb_range (fun r ->
       Predicate.implies ~by:r r)
 
+(* --- parser fuzzing --------------------------------------------------- *)
+
+(* Mutated TPC-H queries and DML statements: truncated, with bytes
+   flipped or inserted.  Whatever the bytes, the parser either returns a
+   statement or raises one of its two errors. *)
+let fuzz_seeds =
+  Array.of_list
+    (List.map snd Relax_workloads.Tpch.query_texts
+    @ [
+        "UPDATE r SET a = b + 1, cc = cc * cc + 5 WHERE a < 10 AND d < 20";
+        "INSERT INTO lineitem ROWS 400";
+        "DELETE FROM lineitem WHERE l_shipdate < 8080";
+        "UPDATE orders SET o_comment = 'x' WHERE o_orderkey IN (1, 2, 3)";
+      ])
+
+let mutate text (kind, pos, byte) =
+  let n = String.length text in
+  let p = pos mod (n + 1) in
+  match kind with
+  | 0 -> String.sub text 0 p
+  | 1 when n > 0 ->
+    let p = pos mod n in
+    String.mapi
+      (fun i ch ->
+        if i = p then Char.chr (Char.code ch lxor (1 lsl (byte mod 8))) else ch)
+      text
+  | _ ->
+    String.sub text 0 p ^ String.make 1 (Char.chr byte) ^ String.sub text p (n - p)
+
+let arb_mutant =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    QCheck.Gen.(
+      map2
+        (List.fold_left mutate)
+        (oneofa fuzz_seeds)
+        (list_size (int_range 1 4)
+           (triple (int_bound 2) (int_bound 100_000) (int_bound 255))))
+
+let prop_parser_fuzz =
+  QCheck.Test.make ~name:"mutated statements raise only parse or lex errors"
+    ~count:2000 arb_mutant (fun text ->
+      match Parser.statement text with
+      | _ -> true
+      | exception (Parser.Parse_error _ | Relax_sql.Lexer.Lex_error _) -> true)
+
 let suite =
   [
     Alcotest.test_case "classify paper example" `Quick test_classify_paper_example;
@@ -242,4 +287,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_union_weaker;
     QCheck_alcotest.to_alcotest prop_intersect_stronger;
     QCheck_alcotest.to_alcotest prop_implies_reflexive;
+    QCheck_alcotest.to_alcotest prop_parser_fuzz;
   ]
