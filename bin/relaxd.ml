@@ -162,6 +162,7 @@ let float_where ~expected ok =
   Arg.conv (parse, Fmt.float)
 
 let non_negative = float_where ~expected:"a number >= 0" (fun f -> f >= 0.0)
+let positive = float_where ~expected:"a number > 0" (fun f -> f > 0.0)
 
 let db =
   let parse = function
@@ -181,7 +182,7 @@ let db =
 
 let scale =
   Arg.(
-    value & opt float 0.02
+    value & opt positive 0.02
     & info [ "scale" ] ~docv:"S"
         ~doc:"Database scale factor (1.0 = TPC-H SF-1 row counts).")
 
@@ -206,7 +207,7 @@ let replay =
 let budget_mb =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive) None
     & info [ "budget-mb" ] ~docv:"MB"
         ~doc:"Storage budget in megabytes (absent = unconstrained).")
 

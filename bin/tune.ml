@@ -236,6 +236,26 @@ let run db scale schema_file queries file generate seed updates tool mode
 
 (* --- cmdliner wiring ----------------------------------------------------- *)
 
+(* Numeric flags are range-checked where they are parsed: a value out of
+   range is a command-line error (exit 124), like a malformed one. *)
+let int_from lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %s" lo s))
+  in
+  Arg.conv (parse, Fmt.int)
+
+let float_where ~expected ok =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when ok f -> Ok f
+    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" expected s))
+  in
+  Arg.conv (parse, Fmt.float)
+
+let positive = float_where ~expected:"a number > 0" (fun f -> f > 0.0)
+
 let db =
   let parse = function
     | "tpch" -> Ok Tpch
@@ -253,7 +273,7 @@ let db =
 
 let scale =
   Arg.(
-    value & opt float 0.02
+    value & opt positive 0.02
     & info [ "scale" ] ~docv:"S"
         ~doc:"Database scale factor (1.0 = TPC-H SF-1 row counts).")
 
@@ -289,25 +309,19 @@ let file =
 
 let generate =
   Arg.(
-    value & opt int 0
+    value & opt (int_from 0) 0
     & info [ "generate" ] ~docv:"N" ~doc:"Generate N random statements.")
-
-(* Numeric flags are range-checked where they are parsed: a value out of
-   range is a command-line error (exit 124), like a malformed one. *)
-let int_from lo =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= lo -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %s" lo s))
-  in
-  Arg.conv (parse, Fmt.int)
 
 let seed =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Generator seed.")
 
 let updates =
   Arg.(
-    value & opt float 0.0
+    value
+    & opt
+        (float_where ~expected:"a fraction in [0, 1]" (fun f ->
+             f >= 0.0 && f <= 1.0))
+        0.0
     & info [ "updates" ] ~docv:"F"
         ~doc:"Fraction of generated statements that are updates.")
 
@@ -328,7 +342,7 @@ let mode =
 let budget_mb =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive) None
     & info [ "budget-mb" ] ~docv:"MB"
         ~doc:"Storage budget in megabytes (absent = unconstrained).")
 
@@ -340,7 +354,7 @@ let iterations =
 let time_s =
   Arg.(
     value
-    & opt (some float) None
+    & opt (some positive) None
     & info [ "time" ] ~docv:"SECONDS" ~doc:"Wall-clock tuning budget (ptt).")
 
 let jobs =

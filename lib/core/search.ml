@@ -241,6 +241,15 @@ let shell_cost_of st config =
       0.0 st.prepared.dmls
   end
 
+(* The unweighted shell cost of each update statement under [config], in
+   [st.prepared.dmls] order: the terms [shell_cost_of] sums. *)
+let dml_shells st config =
+  let env = O.Env.make st.catalog config in
+  Array.of_list
+    (List.map
+       (fun (_, d) -> O.Update_cost.shell_cost env config d)
+       st.prepared.dmls)
+
 (* CBV: cost of computing a view from scratch under the base configuration.
    Main domain only: a scoring task reads the CBVs phase 1 of
    [rank_candidates] froze into its candidate's context. *)
@@ -685,11 +694,15 @@ let rank_candidates st (n : node) : candidate list =
          (fun name -> Option.value ~default:[] (Hashtbl.find_opt usage name))
          names)
   in
-  (* Phase 1, on the main domain: apply each transformation and build its
-     costing context, freezing into it the CBV of every removed view an
-     affected plan reads (the only views its bounds can ask for).  Contexts
-     are plain values — an environment is one too — so the pool may read
-     every context this phase builds. *)
+  (* Phase 1, on the main domain: the node's heap bytes and per-statement
+     shell costs, which every candidate reuses where it changes nothing
+     they read; then apply each transformation and build its costing
+     context, freezing into it the CBV of every removed view an affected
+     plan reads (the only views its bounds can ask for).  Contexts are
+     plain values — an environment is one too — so the pool may read
+     every value this phase builds. *)
+  let heap = heap_bytes st n.config in
+  let shells = dml_shells st n.config in
   let applied =
     List.filter_map
       (fun tr ->
@@ -747,15 +760,47 @@ let rank_candidates st (n : node) : candidate list =
     in
     ((Cost_bound.query_lower_bound ctx plan, hi), misses)
   in
+  (* The shell cost of [config'] summed like [shell_cost_of]: a statement
+     keeps the node's term unless [Update_cost.touches] finds a removed or
+     added structure on its table, so the sum is the one [shell_cost_of]
+     would compute, bit for bit. *)
+  let shell_cost' tr config' ~removed ~added =
+    let views_out = Transform.removed_views tr in
+    let views_in =
+      if views_out = [] then []
+      else
+        List.filter
+          (fun v -> not (Config.mem_view n.config v))
+          (Config.views config')
+    in
+    let env' = O.Env.make st.catalog config' in
+    snd
+      (List.fold_left
+         (fun (k, acc) (w, d) ->
+           let table = Query.dml_table d in
+           let c =
+             if
+               O.Update_cost.touches n.config ~table ~indexes:removed
+                 ~views:views_out
+               || O.Update_cost.touches config' ~table ~indexes:added
+                    ~views:views_in
+             then O.Update_cost.shell_cost env' config' d
+             else shells.(k)
+           in
+           (k + 1, acc +. (w *. c)))
+         (0, 0.0) st.prepared.dmls)
+  in
   (* Phase 2, parallel: score each applied transformation — incremental
-     size (only the structures that changed are re-measured; heaps come
-     from the search's precomputed list), §3.3.2 cost bounds, update-shell
-     delta.  A task is a pure function of the node and its candidate: it
-     reads only the node's plans, the immutable catalog and heap list,
-     the context phase 1 built and the bound memo, which nothing writes
-     until the batch is done, and writes no shared table.  It returns the
-     memo misses its bounds computed, and, when scored, the candidate
-     with its ΔT lower bound and what the sweep needs to refine it. *)
+     size (only the structures that changed are re-measured; heaps are
+     recomputed only when a clustered index changes), §3.3.2 cost bounds,
+     update-shell delta (only the statements whose tables a changed
+     structure touches are re-priced).  A task is a pure function of the
+     node and its candidate: it reads only the node's plans, the immutable
+     catalog and heap list, the values phase 1 built and the bound memo,
+     which nothing writes until the batch is done, and writes no shared
+     table.  It returns the memo misses its bounds computed, and, when
+     scored, the candidate with its ΔT lower bound and what the sweep
+     needs to refine it. *)
   let score (tr, config', affected, ctx) =
     let removed =
       Index.Set.diff (Config.index_set n.config) (Config.index_set config')
@@ -763,8 +808,14 @@ let rank_candidates st (n : node) : candidate list =
     let added =
       Index.Set.diff (Config.index_set config') (Config.index_set n.config)
     in
+    let clustered (i : Index.t) = i.clustered in
+    let heap' =
+      if Index.Set.exists clustered removed || Index.Set.exists clustered added
+      then heap_bytes st config'
+      else heap
+    in
     let size' =
-      n.size -. heap_bytes st n.config +. heap_bytes st config'
+      n.size -. heap +. heap'
       -. Index.Set.fold
            (fun i a -> a +. Config.index_bytes st.catalog n.config i)
            removed 0.0
@@ -778,7 +829,7 @@ let rank_candidates st (n : node) : candidate list =
     in
     let delta_shell =
       if st.prepared.dmls = [] then 0.0
-      else shell_cost_of st config' -. n.shell_cost
+      else shell_cost' tr config' ~removed ~added -. n.shell_cost
     in
     let delta_cost = delta_selects +. delta_shell in
     ( misses,

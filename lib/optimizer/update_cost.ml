@@ -64,6 +64,23 @@ let view_affected (d : Query.dml) (v : View.t) =
     let vcols = Query.spjg_columns (View.definition v) in
     not (Column_set.is_empty (Column_set.inter updated vcols))
 
+(** Can changing [indexes] and [views], structures of [config], move the
+    shell cost of a statement on [table]?  Only through what
+    [shell_cost] charges for that table: its own indexes, the views that
+    read it and their indexes. *)
+let touches (config : Config.t) ~table ~indexes ~views =
+  let reads (v : View.t) = List.mem table (View.base_tables v) in
+  List.exists reads views
+  || Index.Set.exists
+       (fun i ->
+         let owner = Index.owner i in
+         owner = table
+         ||
+         match Config.find_view config owner with
+         | Some (v, _) -> reads v
+         | None -> false)
+       indexes
+
 (** Total maintenance cost of the configuration for one update statement:
     the "update shell" cost of §3.6. *)
 let shell_cost env (config : Config.t) (d : Query.dml) =

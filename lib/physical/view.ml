@@ -48,7 +48,7 @@ let fingerprint (def : Query.spjg) =
       Buffer.add_string b (Column.to_string j.right))
     def.joins;
   List.iter
-    (fun r -> Buffer.add_string b (Fmt.str "%a" Predicate.pp_range r))
+    (fun r -> Buffer.add_string b (Predicate.range_key r))
     def.ranges;
   List.iter (fun e -> Buffer.add_string b (Expr.fingerprint e)) def.others;
   List.iter (fun c -> Buffer.add_string b (Column.to_string c)) def.group_by;

@@ -105,13 +105,13 @@ let to_string e = Fmt.str "%a" pp e
 (** A stable structural key, used for hashing expressions in caches. *)
 let rec fingerprint = function
   | Col c -> "c:" ^ Column.to_string c
-  | Const v -> "k:" ^ Value.to_string v
+  | Const v -> Fmt.str "k:%a" Value.pp_key v
   | Neg e -> "n(" ^ fingerprint e ^ ")"
   | Not e -> "!(" ^ fingerprint e ^ ")"
   | Like (e, p) -> "l(" ^ fingerprint e ^ "," ^ p ^ ")"
   | In_list (e, vs) ->
     "i(" ^ fingerprint e ^ ","
-    ^ String.concat "," (List.map Value.to_string vs)
+    ^ String.concat "," (List.map (Fmt.str "%a" Value.pp_key) vs)
     ^ ")"
   | Bin (o, a, b) ->
     Fmt.str "b(%a,%s,%s)" pp_arith_op o (fingerprint a) (fingerprint b)

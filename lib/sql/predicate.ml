@@ -209,22 +209,27 @@ let classified_columns c =
     (fun acc e -> Column_set.union acc (Expr.columns e))
     range_cols c.others
 
-let pp_bound_lo ppf = function
+let pp_bound_lo pp_value ppf = function
   | None -> ()
   | Some b ->
-    Fmt.pf ppf "%a %s " Value.pp b.value (if b.inclusive then "<=" else "<")
+    Fmt.pf ppf "%a %s " pp_value b.value (if b.inclusive then "<=" else "<")
 
-let pp_bound_hi ppf = function
+let pp_bound_hi pp_value ppf = function
   | None -> ()
   | Some b ->
-    Fmt.pf ppf " %s %a" (if b.inclusive then "<=" else "<") Value.pp b.value
+    Fmt.pf ppf " %s %a" (if b.inclusive then "<=" else "<") pp_value b.value
 
-let pp_range ppf r =
+let pp_range_with pp_value ppf r =
   if is_equality r then
     match r.lo with
-    | Some b -> Fmt.pf ppf "%a = %a" Column.pp r.rcol Value.pp b.value
+    | Some b -> Fmt.pf ppf "%a = %a" Column.pp r.rcol pp_value b.value
     | None -> assert false
-  else Fmt.pf ppf "%a%a%a" pp_bound_lo r.lo Column.pp r.rcol pp_bound_hi r.hi
+  else
+    Fmt.pf ppf "%a%a%a" (pp_bound_lo pp_value) r.lo Column.pp r.rcol
+      (pp_bound_hi pp_value) r.hi
+
+let pp_range = pp_range_with Value.pp
+let range_key r = Fmt.str "%a" (pp_range_with Value.pp_key) r
 
 let pp_join ppf j = Fmt.pf ppf "%a = %a" Column.pp j.left Column.pp j.right
 

@@ -82,4 +82,9 @@ val classified_columns : classified -> Column_set.t
 (** {1 Printing} *)
 
 val pp_range : Format.formatter -> range -> unit
+
+val range_key : range -> string
+(** {!pp_range}'s text with constants printed by {!Value.pp_key}: two
+    ranges with distinct bounds never share a key. *)
+
 val pp_join : Format.formatter -> join -> unit

@@ -98,6 +98,17 @@ module Value = struct
       | VDate d -> Fmt.pf ppf "DATE(%d)" d
 
     let to_string v = Fmt.str "%a" pp v
+
+    let pp_key ppf = function
+      | VFloat f ->
+        let g = Printf.sprintf "%g" f in
+        let exact =
+          match float_of_string_opt g with
+          | Some f' -> Int64.equal (Int64.bits_of_float f') (Int64.bits_of_float f)
+          | None -> false
+        in
+        if exact then Fmt.string ppf g else Fmt.pf ppf "%h" f
+      | v -> pp ppf v
 end
 
 (** Comparison operators appearing in predicates. *)

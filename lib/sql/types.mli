@@ -58,6 +58,11 @@ module Value : sig
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
+
+  val pp_key : Format.formatter -> t -> unit
+  (** {!pp}, but exact: a float whose [%g] text does not read back as the
+      same float is written with [%h].  For keys and names, where two
+      distinct constants must never print alike. *)
 end
 
 (** Comparison operators appearing in predicates. *)

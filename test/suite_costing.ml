@@ -145,6 +145,99 @@ let test_shell_cost_monotone_in_indexes () =
   in
   Alcotest.(check bool) "monotone" true (c0 < c1 && c1 < c2)
 
+(* --- the §3.6 relevance rule ------------------------------------------------ *)
+
+(* A generated star workload with updates, and its optimal configuration
+   in each tuning mode. *)
+let update_workload =
+  lazy
+    (let module W = Relax_workloads in
+     let schema = W.Star.schema ~scale:0.01 () in
+     let profile =
+       { W.Generator.default_profile with update_fraction = 0.4; max_tables = 2 }
+     in
+     let w = W.Generator.workload ~seed:17 ~profile schema ~n:12 in
+     let optimal views =
+       (Relax_tuner.Instrument.optimal_configuration schema.catalog
+          ~base:Config.empty ~views w)
+         .optimal
+     in
+     (schema.catalog, List.map snd (Query.dml_entries w), optimal))
+
+(* Walk a relaxation chain from the optimal configuration of [views] mode.
+   At each configuration C (the optimal one, then one per pick) apply
+   every transformation to get C'; for each
+   statement the rule leaves out (nothing removed from C and nothing added
+   in C' touches its table), compare its shell cost under C and C'.
+   Returns (statements compared, statements whose bits differ). *)
+let shell_chain ~views picks =
+  let module View = Relax_physical.View in
+  let module Tr = Relax_tuner.Transform in
+  let cat, dmls, optimal = Lazy.force update_workload in
+  let est v =
+    O.Cardinality.spjg (O.Env.make cat Config.empty) (View.definition v)
+  in
+  let views_not_in config other =
+    List.filter (fun v -> not (Config.mem_view config v)) (Config.views other)
+  in
+  let check config (compared, differ) config' =
+    let env = O.Env.make cat config and env' = O.Env.make cat config' in
+    let removed =
+      Index.Set.diff (Config.index_set config) (Config.index_set config')
+    in
+    let added =
+      Index.Set.diff (Config.index_set config') (Config.index_set config)
+    in
+    let views_out = views_not_in config' config in
+    let views_in = views_not_in config config' in
+    List.fold_left
+      (fun (compared, differ) d ->
+        let table = Query.dml_table d in
+        if
+          O.Update_cost.touches config ~table ~indexes:removed ~views:views_out
+          || O.Update_cost.touches config' ~table ~indexes:added ~views:views_in
+        then (compared, differ)
+        else begin
+          let before = O.Update_cost.shell_cost env config d in
+          let after = O.Update_cost.shell_cost env' config' d in
+          let same =
+            Int64.equal (Int64.bits_of_float before) (Int64.bits_of_float after)
+          in
+          (compared + 1, if same then differ else differ + 1)
+        end)
+      (compared, differ) dmls
+  in
+  let rec go config acc picks =
+    let relaxed =
+      Array.map
+        (fun tr -> Tr.apply ~estimate_rows:est config tr)
+        (Array.of_list (Tr.enumerate config))
+    in
+    let acc =
+      Array.fold_left
+        (fun acc -> function Some c' -> check config acc c' | None -> acc)
+        acc relaxed
+    in
+    match picks with
+    | pick :: rest when Array.length relaxed > 0 -> (
+      match relaxed.(pick mod Array.length relaxed) with
+      | Some config' -> go config' acc rest
+      | None -> acc)
+    | _ -> acc
+  in
+  go (optimal views) (0, 0) picks
+
+(* the rule is sound: a statement it leaves out keeps its shell cost bit
+   for bit, in both tuning modes, all along a relaxation chain *)
+let prop_touches_sound =
+  QCheck.Test.make
+    ~name:"shell cost of a statement the rule leaves out is unchanged"
+    ~count:20
+    QCheck.(pair bool (list_of_size Gen.(int_range 0 3) (int_bound 10_000)))
+    (fun (views, picks) ->
+      let compared, differ = shell_chain ~views picks in
+      compared > 0 && differ = 0)
+
 (* --- DDL ---------------------------------------------------------------------- *)
 
 let test_ddl_index () =
@@ -320,6 +413,7 @@ let suite =
     Alcotest.test_case "update: views" `Quick test_update_view_affected;
     Alcotest.test_case "update: shell monotone" `Quick
       test_shell_cost_monotone_in_indexes;
+    QCheck_alcotest.to_alcotest prop_touches_sound;
     Alcotest.test_case "ddl: index" `Quick test_ddl_index;
     Alcotest.test_case "ddl: clustered" `Quick test_ddl_clustered;
     Alcotest.test_case "ddl: drop" `Quick test_ddl_drop_script;

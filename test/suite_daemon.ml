@@ -659,7 +659,8 @@ let relaxd_status exe args =
 (* a flag value out of range is a command-line error (Cmdliner's exit
    124): not a silent "bounds only" for a negative what-if budget, not an
    uncaught exception (exit 125) for an empty window, not a replay that
-   re-tunes after every statement for --retune-every=0 *)
+   re-tunes after every statement for --retune-every=0, not a tune against
+   a negative space budget or a negatively scaled catalog *)
 let test_relaxd_refuses flag () =
   match relaxd_exe () with
   | None -> Alcotest.skip ()
@@ -722,5 +723,9 @@ let suite =
       (test_relaxd_refuses "--window=0");
     Alcotest.test_case "relaxd: re-tune every 0 statements" `Quick
       (test_relaxd_refuses "--retune-every=0");
+    Alcotest.test_case "relaxd: negative space budget" `Quick
+      (test_relaxd_refuses "--budget-mb=-5");
+    Alcotest.test_case "relaxd: negative scale" `Quick
+      (test_relaxd_refuses "--scale=-1");
     Alcotest.test_case "shutdown: exit codes" `Quick test_shutdown_exit_codes;
   ]

@@ -118,6 +118,31 @@ let test_view_merge_ranges () =
     Alcotest.(check bool) "hi 20" true (r.hi <> None)
   | None -> Alcotest.fail "merge failed"
 
+(* A view's name digests its definition's constants exactly: float bounds
+   equal to six significant digits still name two views, while a float
+   that prints back as itself keeps the name it had when floats were
+   printed with [%g] (TPC-H Q6's 0.05 and 0.07). *)
+let test_view_names_float_constants () =
+  let name sql = View.name (View.make (spjg_of sql)) in
+  let differ what a b =
+    Alcotest.(check bool) what false (String.equal (name a) (name b))
+  in
+  differ "close range bounds"
+    "SELECT lineitem.l_orderkey FROM lineitem WHERE lineitem.l_discount >= 0.05000001"
+    "SELECT lineitem.l_orderkey FROM lineitem WHERE lineitem.l_discount >= 0.05000002";
+  differ "close constants in a residual predicate"
+    "SELECT r.a FROM r WHERE r.a + r.b > 0.05000001"
+    "SELECT r.a FROM r WHERE r.a + r.b > 0.05000002";
+  let q6 =
+    match
+      Query.plannable_selects (Relax_workloads.Tpch.workload_subset [ 6 ])
+    with
+    | [ (_, _, sq) ] -> sq.Query.body
+    | _ -> Alcotest.fail "expected one TPC-H Q6 select"
+  in
+  Alcotest.(check string) "TPC-H Q6 view keeps its name" "v_aa9d3e327d"
+    (View.name (View.make q6))
+
 let test_view_merge_unbounded_range_dropped () =
   let v1 = View.make (spjg_of "SELECT r.a FROM r WHERE r.a < 10") in
   let v2 = View.make (spjg_of "SELECT r.a FROM r WHERE r.a > 5") in
@@ -312,6 +337,8 @@ let suite =
     Alcotest.test_case "prefixes without suffix" `Quick test_prefixes_no_suffix;
     Alcotest.test_case "merge coverage" `Quick test_merge_idempotent_coverage;
     Alcotest.test_case "view merge: ranges" `Quick test_view_merge_ranges;
+    Alcotest.test_case "view names: exact float constants" `Quick
+      test_view_names_float_constants;
     Alcotest.test_case "view merge: unbounded dropped" `Quick
       test_view_merge_unbounded_range_dropped;
     Alcotest.test_case "view merge: FROM mismatch" `Quick
