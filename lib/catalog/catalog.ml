@@ -41,9 +41,27 @@ type col_stats = {
   hist : Histogram.t;
 }
 
+(* Column statistics keyed by the column itself: lookups hash and compare
+   its two strings, with no tuple built per lookup. *)
+module Column_tbl = Hashtbl.Make (struct
+  type t = column
+
+  let equal (a : column) (b : column) =
+    String.equal a.tbl b.tbl && String.equal a.col b.col
+
+  let hash (c : column) = (String.hash c.tbl * 65599) + String.hash c.col
+end)
+
+(* A table with what [create] resolved for it. *)
+type entry = {
+  def : table_def;
+  columns : column list;
+  row_width : float;
+}
+
 type t = {
-  tables : table_def String_map.t;
-  stats : (string * string, col_stats) Hashtbl.t;  (** filled by [create] only *)
+  tables : entry String_map.t;
+  stats : col_stats Column_tbl.t;  (** filled by [create] only *)
   seed : int;
 }
 
@@ -61,7 +79,7 @@ let stats_of_column ~seed ~rows (c : column_def) =
 
 (** Build a catalog, constructing statistics for every column. *)
 let create ?(seed = 42) (tables : table_def list) : t =
-  let map =
+  let defs =
     List.fold_left
       (fun acc t ->
         if String_map.mem t.tname acc then
@@ -69,52 +87,60 @@ let create ?(seed = 42) (tables : table_def list) : t =
         else String_map.add t.tname t acc)
       String_map.empty tables
   in
-  let stats = Hashtbl.create 64 in
+  let stats = Column_tbl.create 64 in
   List.iter
     (fun t ->
       List.iteri
         (fun i c ->
           let s = stats_of_column ~seed:(seed + Hashtbl.hash (t.tname, i)) ~rows:t.rows c in
-          Hashtbl.replace stats (t.tname, c.cname) s)
+          Column_tbl.replace stats (Column.make t.tname c.cname) s)
         t.cols)
     tables;
-  { tables = map; stats; seed }
+  let entry (td : table_def) =
+    let columns = List.map (fun c -> Column.make td.tname c.cname) td.cols in
+    (* summed in declaration order, each column's width read back from
+       [stats] (a repeated column name reads its last declaration) *)
+    let row_width =
+      List.fold_left
+        (fun acc c -> acc +. (Column_tbl.find stats c).width)
+        0.0 columns
+    in
+    { def = td; columns; row_width }
+  in
+  { tables = String_map.map entry defs; stats; seed }
 
 let table_names t = String_map.fold (fun k _ acc -> k :: acc) t.tables [] |> List.rev
 
-let find_table t name = String_map.find_opt name t.tables
-
-let table_exn t name =
-  match find_table t name with
-  | Some td -> td
+let entry_exn t name =
+  match String_map.find_opt name t.tables with
+  | Some e -> e
   | None -> invalid_arg ("Catalog: unknown table " ^ name)
+
+let find_table t name =
+  Option.map (fun e -> e.def) (String_map.find_opt name t.tables)
+
+let table_exn t name = (entry_exn t name).def
 
 let rows t name = float_of_int (table_exn t name).rows
 
-let columns_of t name =
-  List.map (fun c -> Relax_sql.Types.Column.make name c.cname) (table_exn t name).cols
+let columns_of t name = (entry_exn t name).columns
 
 let mem_table t name = String_map.mem name t.tables
 
 let col_stats t (c : column) : col_stats =
-  match Hashtbl.find_opt t.stats (c.tbl, c.col) with
+  match Column_tbl.find_opt t.stats c with
   | Some s -> s
   | None ->
     invalid_arg
       (Printf.sprintf "Catalog: no statistics for %s.%s" c.tbl c.col)
 
-let col_stats_opt t (c : column) = Hashtbl.find_opt t.stats (c.tbl, c.col)
+let col_stats_opt t (c : column) = Column_tbl.find_opt t.stats c
 
 let col_width t c = (col_stats t c).width
 let col_distinct t c = (col_stats t c).distinct
 let col_type t c = (col_stats t c).stype
 
-(** Total width of a row of table [name]. *)
-let row_width t name =
-  List.fold_left
-    (fun acc (c : column_def) ->
-      acc +. (col_stats t (Column.make name c.cname)).width)
-    0.0 (table_exn t name).cols
+let row_width t name = (entry_exn t name).row_width
 
 (** A stable digest of the base schema and its statistics inputs: table
     names, row counts, column names/types/distributions and the
@@ -126,7 +152,7 @@ let fingerprint t =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (Printf.sprintf "seed=%d;" t.seed);
   String_map.iter
-    (fun name (td : table_def) ->
+    (fun name { def = td; _ } ->
       Buffer.add_string buf (Printf.sprintf "%s=%d[" name td.rows);
       List.iter
         (fun (c : column_def) ->
@@ -146,4 +172,4 @@ let pp_table ppf (td : table_def) =
   Fmt.pf ppf "@]"
 
 let pp ppf t =
-  String_map.iter (fun _ td -> Fmt.pf ppf "%a@." pp_table td) t.tables
+  String_map.iter (fun _ e -> Fmt.pf ppf "%a@." pp_table e.def) t.tables

@@ -41,7 +41,12 @@ type col_stats = {
 type t
 
 val create : ?seed:int -> table_def list -> t
-(** Build a catalog, constructing statistics for every column.
+(** Build a catalog, constructing statistics for every column.  Everything
+    the lookups below answer is resolved here, once: each column's
+    statistics, keyed by the column itself (hashing and comparing its two
+    strings, no tuple per lookup), and each table's column list and row
+    width (its columns' widths summed in declaration order).  A lookup
+    then costs one map or hash-table probe and builds nothing.
     @raise Invalid_argument on duplicate table names. *)
 
 (** {1 Lookup} *)
@@ -58,6 +63,8 @@ val col_width : t -> column -> float
 val col_distinct : t -> column -> float
 val col_type : t -> column -> data_type
 val row_width : t -> string -> float
+(** The width {!create} resolved for the table.
+    @raise Invalid_argument for an unknown table. *)
 
 (** {1 Identity} *)
 

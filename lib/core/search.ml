@@ -707,10 +707,11 @@ let rank_candidates st (n : node) : candidate list =
     List.filter_map
       (fun tr ->
         match
-          Transform.apply ~estimate_rows:(estimate_view_rows st) n.config tr
+          Transform.apply_delta ~estimate_rows:(estimate_view_rows st) n.config
+            tr
         with
         | None -> None
-        | Some config' ->
+        | Some (config', adds) ->
           let affected = affected_queries tr in
           let ctx =
             if affected = [] then None
@@ -729,7 +730,7 @@ let rank_candidates st (n : node) : candidate list =
                    ~old_config:n.config ~new_config:config' tr)
             end
           in
-          Some (tr, config', affected, ctx))
+          Some (tr, config', adds, affected, ctx))
       transforms
   in
   (* The one walk over a candidate's affected plans: fold
@@ -801,12 +802,9 @@ let rank_candidates st (n : node) : candidate list =
      table.  It returns the memo misses its bounds computed, and, when
      scored, the candidate with its ΔT lower bound and what the sweep
      needs to refine it. *)
-  let score (tr, config', affected, ctx) =
-    let removed =
-      Index.Set.diff (Config.index_set n.config) (Config.index_set config')
-    in
-    let added =
-      Index.Set.diff (Config.index_set config') (Config.index_set n.config)
+  let score (tr, config', adds, affected, ctx) =
+    let removed, added =
+      Transform.changed_indexes n.config tr (config', adds)
     in
     let clustered (i : Index.t) = i.clustered in
     let heap' =

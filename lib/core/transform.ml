@@ -88,29 +88,31 @@ let promote_index_onto_merged ~(remap : column -> column option) (i : Index.t) :
     in
     Some (Index.make ~clustered:i.clustered ~keys ~suffix ())
 
-(** Apply a transformation.  [estimate_rows] supplies the cardinality
-    estimate for a freshly merged view (§3.3.1 uses the optimizer's
-    cardinality module for this).  Returns [None] when the transformation
-    no longer applies to [config]. *)
-let apply ~(estimate_rows : View.t -> float) (config : Config.t) (t : t) :
-    Config.t option =
+(** Apply a transformation, returning the new configuration with the
+    indexes it adds.  [estimate_rows] supplies the cardinality estimate for
+    a freshly merged view (§3.3.1 uses the optimizer's cardinality module
+    for this).  Returns [None] when the transformation no longer applies
+    to [config]. *)
+let apply_delta ~(estimate_rows : View.t -> float) (config : Config.t) (t : t)
+    : (Config.t * Index.t list) option =
   match t with
   | Remove_index i ->
-    if Config.mem_index config i then Some (Config.remove_index config i)
+    if Config.mem_index config i then Some (Config.remove_index config i, [])
     else None
   | Remove_view v ->
-    if Config.mem_view config v then Some (Config.remove_view config v)
+    if Config.mem_view config v then Some (Config.remove_view config v, [])
     else None
   | Prefix_index (i, p) ->
     if Config.mem_index config i then
-      Some (Config.add_index (Config.remove_index config i) p)
+      Some (Config.add_index (Config.remove_index config i) p, [ p ])
     else None
   | Promote_clustered i ->
     if
       Config.mem_index config i && (not i.clustered)
       && Config.clustered_on config (Index.owner i) = None
     then
-      Some (Config.add_index (Config.remove_index config i) (Index.promote i))
+      let p = Index.promote i in
+      Some (Config.add_index (Config.remove_index config i) p, [ p ])
     else None
   | Merge_indexes (a, b) ->
     if Config.mem_index config a && Config.mem_index config b then begin
@@ -122,7 +124,7 @@ let apply ~(estimate_rows : View.t -> float) (config : Config.t) (t : t) :
         then Index.demote m
         else m
       in
-      Some (Config.add_index config m)
+      Some (Config.add_index config m, [ m ])
     end
     else None
   | Split_indexes (a, b) ->
@@ -130,14 +132,9 @@ let apply ~(estimate_rows : View.t -> float) (config : Config.t) (t : t) :
       match Index.split a b with
       | None -> None
       | Some (ic, ir1, ir2) ->
+        let added = ic :: List.filter_map Fun.id [ ir1; ir2 ] in
         let config = Config.remove_index (Config.remove_index config a) b in
-        let config = Config.add_index config ic in
-        let config =
-          List.fold_left
-            (fun acc -> function Some i -> Config.add_index acc i | None -> acc)
-            config [ ir1; ir2 ]
-        in
-        Some config
+        Some (List.fold_left Config.add_index config added, added)
     else None
   | Merge_views (a, b) ->
     if Config.mem_view config a && Config.mem_view config b then
@@ -156,28 +153,41 @@ let apply ~(estimate_rows : View.t -> float) (config : Config.t) (t : t) :
             @ List.filter_map (promote_index_onto_merged ~remap:remap2) ib
           in
           (* exactly one clustered index on the merged view *)
-          let config, has_clustered =
-            List.fold_left
-              (fun (cfg, seen) (i : Index.t) ->
+          let has_clustered, added =
+            List.fold_left_map
+              (fun seen (i : Index.t) ->
                 let i = if i.clustered && seen then Index.demote i else i in
-                (Config.add_index cfg i, seen || i.clustered))
-              (config, false) promoted
+                (seen || i.clustered, i))
+              false promoted
           in
-          let config =
-            if has_clustered then config
+          let added =
+            if has_clustered then added
             else begin
               match View.outputs merged with
-              | [] -> config
+              | [] -> added
               | (_, first) :: _ ->
-                Config.add_index config
-                  (Index.make ~clustered:true
-                     ~keys:[ View.column_of_item merged first ]
-                     ~suffix:Column_set.empty ())
+                added
+                @ [
+                    Index.make ~clustered:true
+                      ~keys:[ View.column_of_item merged first ]
+                      ~suffix:Column_set.empty ();
+                  ]
             end
           in
-          Some config
+          Some (List.fold_left Config.add_index config added, added)
         end
     else None
+
+let apply ~estimate_rows config t =
+  Option.map fst (apply_delta ~estimate_rows config t)
+
+let changed_indexes config t (config', added) =
+  let absent_from c =
+    List.fold_left
+      (fun s i -> if Config.mem_index c i then s else Index.Set.add i s)
+      Index.Set.empty
+  in
+  (absent_from config' (removed_indexes config t), absent_from config added)
 
 (* ------------------------------------------------------------------ *)
 (* enumeration                                                         *)

@@ -37,12 +37,33 @@ val removed_indexes : Config.t -> t -> Index.t list
 
 val removed_views : t -> View.t list
 
+val apply_delta :
+  estimate_rows:(View.t -> float) ->
+  Config.t ->
+  t ->
+  (Config.t * Index.t list) option
+(** Apply to a configuration, returning the new configuration with the
+    indexes the transformation adds to it; [None] when no longer
+    applicable (stale structures).  View merging promotes the inputs'
+    indexes onto the merged view through the column remapping and keeps
+    exactly one clustered index per view; [estimate_rows] supplies the
+    merged view's cardinality (§3.3.1 reuses the optimizer's cardinality
+    module).  An added index may already be in the input configuration
+    (a merge that yields one of its parents); {!changed_indexes} reads
+    what actually changed. *)
+
 val apply : estimate_rows:(View.t -> float) -> Config.t -> t -> Config.t option
-(** Apply to a configuration; [None] when no longer applicable (stale
-    structures).  View merging promotes the inputs' indexes onto the merged
-    view through the column remapping and keeps exactly one clustered index
-    per view; [estimate_rows] supplies the merged view's cardinality
-    (§3.3.1 reuses the optimizer's cardinality module). *)
+(** [Option.map fst] of {!apply_delta}. *)
+
+val changed_indexes :
+  Config.t -> t -> Config.t * Index.t list -> Index.Set.t * Index.Set.t
+(** [changed_indexes c t (c', added)], for [Some (c', added)] =
+    {!apply_delta}[ c t]: the indexes [t] takes out of [c] and those it
+    puts into [c'].  They equal [Index.Set.diff] of the two
+    configurations' index sets in each direction, but are found without
+    walking either: the first are those of {!removed_indexes}[ c t] not in
+    [c'] (a merge may yield one of its parents, which then survives), the
+    second those of [added] not in [c]. *)
 
 val enumerate : ?protected:Config.t -> Config.t -> t list
 (** Every applicable transformation; structures in [protected] (the base

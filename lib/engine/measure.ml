@@ -36,16 +36,11 @@ let distinct_pages env rel indices =
 let index_geometry env (i : Index.t) =
   let rel = Index.owner i in
   let rows = O.Env.rows env rel in
-  let leaf =
-    Size_model.leaf_pages ~rows ~width_of:(O.Env.width_of env)
+  let leaf, height =
+    Size_model.geometry ~rows ~width_of:(O.Env.width_of env)
       ~row_width:(O.Env.row_width env rel) i
   in
-  let height =
-    float_of_int
-      (Size_model.height ~rows ~width_of:(O.Env.width_of env)
-         ~row_width:(O.Env.row_width env rel) i)
-  in
-  (rows, leaf, height)
+  (rows, leaf, float_of_int height)
 
 (* measured cost of one index usage given the TRUE matched fraction *)
 let usage_cost env (u : O.Plan.index_usage) ~true_matched =

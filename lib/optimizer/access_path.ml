@@ -143,22 +143,38 @@ let seek_of env (r : Request.t) (i : Index.t) : seek option =
 
 type candidate = { plan : Plan.t; usages : Plan.index_usage list }
 
-let index_stats env (i : Index.t) =
-  let rel = Index.owner i in
-  let rows = Env.rows env rel in
-  let width_of = Env.width_of env in
-  let row_width = Env.row_width env rel in
-  let leaf = Size_model.leaf_pages ~rows ~width_of ~row_width i in
-  let height = Size_model.height ~rows ~width_of ~row_width i in
-  (rows, leaf, float_of_int height)
+(* What every path over one index reads of it, computed once per
+   selection: the relation's rows, the index's leaf pages and height, the
+   columns it makes available, and the seek its keys allow. *)
+type index_info = {
+  index : Index.t;
+  rows : float;
+  leaf : float;
+  height : float;
+  avail : Column_set.t;
+  seek : seek option;
+}
 
-let available_columns env (i : Index.t) =
-  if i.clustered then Column_set.of_list (Env.columns_of env (Index.owner i))
-  else Index.columns i
+let index_info env (r : Request.t) ~rows ~row_width (i : Index.t) =
+  let leaf, height =
+    Size_model.geometry ~rows ~width_of:(Env.width_of env) ~row_width i
+  in
+  let avail =
+    if i.clustered then Column_set.of_list (Env.columns_of env r.rel)
+    else Index.columns i
+  in
+  {
+    index = i;
+    rows;
+    leaf;
+    height = float_of_int height;
+    avail;
+    seek = seek_of env r i;
+  }
 
 (* Finish an index access: pre-lookup filter on index columns, rid lookup if
    the index does not cover, post-lookup filter, and a sort when the request
-   demands an unsatisfied order. *)
+   demands an unsatisfied order.  Every step adds a non-negative cost. *)
 let finish_index_access env (r : Request.t) ~base ~avail ~consumed_ranges
     ~consumed_params ?(consumed_others = []) () : Plan.t =
   let residual_ranges =
@@ -202,8 +218,9 @@ let heap_candidate env (r : Request.t) : candidate =
   let rows = Env.rows env rel in
   let pages = Env.table_pages env rel in
   let all_cols = Column_set.of_list (Env.columns_of env rel) in
+  let clustered = Env.clustered_on env rel in
   let order =
-    match Env.clustered_on env rel with
+    match clustered with
     | Some ci -> List.map (fun c -> (c, Asc)) ci.keys
     | None -> []
   in
@@ -217,96 +234,96 @@ let heap_candidate env (r : Request.t) : candidate =
   in
   let plan = add_sort env plan ~required:r.order in
   let usages =
-    match Env.clustered_on env rel with
+    match clustered with
     | Some ci -> [ { Plan.index = ci; kind = Scan; rows_touched = rows } ]
     | None -> []
   in
   { plan; usages }
 
-let seek_candidate env (r : Request.t) (i : Index.t) : candidate option =
-  match seek_of env r i with
-  | None -> None
-  | Some s ->
-    let rows, leaf, height = index_stats env i in
-    let touched = Float.max 1.0 (rows *. s.seek_sel) in
-    let io =
-      (height *. P.rand_page)
-      +. (Float.max 1.0 (Float.ceil (s.seek_sel *. leaf)) *. P.seq_page)
-    in
-    let base =
-      mk
-        (Plan.Index_seek { index = i; sel = s.seek_sel; seek_cols = s.seek_cols })
-        ~rows:touched
-        ~cost:(io +. (touched *. P.cpu_tuple))
-        ~order:(List.map (fun c -> (c, Asc)) i.keys)
-        ~cols:(available_columns env i)
-    in
-    let plan =
-      finish_index_access env r ~base ~avail:(available_columns env i)
-        ~consumed_ranges:s.used_ranges ~consumed_params:s.used_params ()
-    in
-    Some
-      {
-        plan;
-        usages =
-          [
-            {
-              Plan.index = i;
-              kind = Seek { sel = s.seek_sel; seek_cols = s.seek_cols };
-              rows_touched = touched;
-            };
-          ];
-      }
-
-let scan_candidate env (r : Request.t) (i : Index.t) : candidate =
-  let rows, leaf, _ = index_stats env i in
-  let base =
-    mk (Plan.Index_scan i) ~rows
-      ~cost:((leaf *. P.seq_page) +. (rows *. P.cpu_tuple))
-      ~order:(List.map (fun c -> (c, Asc)) i.keys)
-      ~cols:(available_columns env i)
+(* the bare seek of [x.seek]'s key prefix *)
+let seek_plan (x : index_info) (s : seek) : Plan.t =
+  let touched = Float.max 1.0 (x.rows *. s.seek_sel) in
+  let io =
+    (x.height *. P.rand_page)
+    +. (Float.max 1.0 (Float.ceil (s.seek_sel *. x.leaf)) *. P.seq_page)
   in
+  mk
+    (Plan.Index_seek { index = x.index; sel = s.seek_sel; seek_cols = s.seek_cols })
+    ~rows:touched
+    ~cost:(io +. (touched *. P.cpu_tuple))
+    ~order:(List.map (fun c -> (c, Asc)) x.index.keys)
+    ~cols:x.avail
+
+let seek_candidate env (r : Request.t) (x : index_info) (s : seek) : candidate
+    =
+  let base = seek_plan x s in
   let plan =
-    finish_index_access env r ~base ~avail:(available_columns env i)
-      ~consumed_ranges:[] ~consumed_params:[] ()
+    finish_index_access env r ~base ~avail:x.avail
+      ~consumed_ranges:s.used_ranges ~consumed_params:s.used_params ()
   in
   {
     plan;
-    usages = [ { Plan.index = i; kind = Scan; rows_touched = rows } ];
+    usages =
+      [
+        {
+          Plan.index = x.index;
+          kind = Seek { sel = s.seek_sel; seek_cols = s.seek_cols };
+          rows_touched = base.rows;
+        };
+      ];
+  }
+
+(* A full scan's cost before finishing: what [scan_candidate] starts
+   from, and so a floor under the scan path's cost. *)
+let scan_base_cost (x : index_info) =
+  (x.leaf *. P.seq_page) +. (x.rows *. P.cpu_tuple)
+
+let scan_candidate env (r : Request.t) (x : index_info) : candidate =
+  let base =
+    mk (Plan.Index_scan x.index) ~rows:x.rows ~cost:(scan_base_cost x)
+      ~order:(List.map (fun c -> (c, Asc)) x.index.keys)
+      ~cols:x.avail
+  in
+  let plan =
+    finish_index_access env r ~base ~avail:x.avail ~consumed_ranges:[]
+      ~consumed_params:[] ()
+  in
+  {
+    plan;
+    usages = [ { Plan.index = x.index; kind = Scan; rows_touched = x.rows } ];
   }
 
 (* Multi-point seeks for IN-list predicates (the "unions" of the paper's
    plan template, Figure 1): one seek per listed value on an index whose
    leading key is the listed column, rids unioned. *)
-let union_candidates env (r : Request.t) indexes : candidate list =
+let union_candidates env (r : Request.t) infos : candidate list =
   List.concat_map
     (fun e ->
       match e with
       | Expr.In_list (Expr.Col c, vs) when c.tbl = r.rel && vs <> [] ->
         List.filter_map
-          (fun (i : Index.t) ->
-            match i.keys with
+          (fun (x : index_info) ->
+            match x.index.keys with
             | k :: _ when Column.equal k c ->
-              let rows, _leaf, height = index_stats env i in
               let sel = Selectivity.other env e in
-              let out_rows = Float.max 1.0 (rows *. sel) in
+              let out_rows = Float.max 1.0 (x.rows *. sel) in
               let points = List.length vs in
               let io =
                 float_of_int points
-                *. ((height *. P.rand_page) +. P.seq_page)
+                *. ((x.height *. P.rand_page) +. P.seq_page)
               in
               let base =
                 mk
-                  (Plan.Rid_union { index = i; points; rows = out_rows })
+                  (Plan.Rid_union { index = x.index; points; rows = out_rows })
                   ~rows:out_rows
                   ~cost:(io +. (out_rows *. (P.cpu_tuple +. P.cpu_hash)))
                   ~order:[]
-                  ~cols:(available_columns env i)
+                  ~cols:x.avail
               in
               let plan =
-                finish_index_access env r ~base
-                  ~avail:(available_columns env i) ~consumed_ranges:[]
-                  ~consumed_params:[] ~consumed_others:[ e ] ()
+                finish_index_access env r ~base ~avail:x.avail
+                  ~consumed_ranges:[] ~consumed_params:[]
+                  ~consumed_others:[ e ] ()
               in
               Some
                 {
@@ -314,14 +331,14 @@ let union_candidates env (r : Request.t) indexes : candidate list =
                   usages =
                     [
                       {
-                        Plan.index = i;
+                        Plan.index = x.index;
                         kind = Seek { sel; seek_cols = [ c ] };
                         rows_touched = out_rows;
                       };
                     ];
                 }
             | _ -> None)
-          indexes
+          infos
       | _ -> [])
     r.others
 
@@ -335,32 +352,20 @@ let intersection_candidates env (r : Request.t) seekable : candidate list =
   let top = List.filteri (fun k _ -> k < 4) sorted in
   let pairs =
     List.concat_map
-      (fun (i1, s1) ->
+      (fun ((x1 : index_info), s1) ->
         List.filter_map
-          (fun (i2, s2) ->
-            if Index.compare i1 i2 < 0 then Some ((i1, s1), (i2, s2)) else None)
+          (fun ((x2 : index_info), s2) ->
+            if Index.compare x1.index x2.index < 0 then
+              Some ((x1, s1), (x2, s2))
+            else None)
           top)
       top
   in
   List.filter_map
-    (fun ((i1, s1), (i2, s2)) ->
+    (fun (((x1 : index_info), s1), ((x2 : index_info), s2)) ->
       if s1.seek_sel >= 0.5 || s2.seek_sel >= 0.5 then None
       else begin
-        let mk_seek i (s : seek) =
-          let rows, leaf, height = index_stats env i in
-          let touched = Float.max 1.0 (rows *. s.seek_sel) in
-          let io =
-            (height *. P.rand_page)
-            +. (Float.max 1.0 (Float.ceil (s.seek_sel *. leaf)) *. P.seq_page)
-          in
-          mk
-            (Plan.Index_seek { index = i; sel = s.seek_sel; seek_cols = s.seek_cols })
-            ~rows:touched
-            ~cost:(io +. (touched *. P.cpu_tuple))
-            ~order:(List.map (fun c -> (c, Asc)) i.keys)
-            ~cols:(available_columns env i)
-        in
-        let p1 = mk_seek i1 s1 and p2 = mk_seek i2 s2 in
+        let p1 = seek_plan x1 s1 and p2 = seek_plan x2 s2 in
         let rows_base = Env.rows env r.rel in
         (* combined selectivity over the *distinct* predicates the two seeks
            consumed: both indexes may seek the same range (e.g. two indexes
@@ -410,12 +415,12 @@ let intersection_candidates env (r : Request.t) seekable : candidate list =
             usages =
               [
                 {
-                  Plan.index = i1;
+                  Plan.index = x1.index;
                   kind = Seek { sel = s1.seek_sel; seek_cols = s1.seek_cols };
                   rows_touched = p1.rows;
                 };
                 {
-                  Plan.index = i2;
+                  Plan.index = x2.index;
                   kind = Seek { sel = s2.seek_sel; seek_cols = s2.seek_cols };
                   rows_touched = p2.rows;
                 };
@@ -428,6 +433,10 @@ let intersection_candidates env (r : Request.t) seekable : candidate list =
 (* entry point                                                         *)
 (* ------------------------------------------------------------------ *)
 
+(* the strictly cheaper of two paths; a tie keeps the earlier one *)
+let cheaper (acc : candidate) (c : candidate) =
+  if c.plan.cost < acc.plan.cost then c else acc
+
 (** Pick the cheapest physical strategy for an index request; fires the
     [on_index_request] hook first, so by the time plans are generated the
     tuner may already have simulated new structures (the caller re-invokes
@@ -435,24 +444,34 @@ let intersection_candidates env (r : Request.t) seekable : candidate list =
 let best env ?hooks ?via_view (r : Request.t) : Plan.t =
   Relax_obs.Probe.count "access_path.requests";
   Hooks.fire_index hooks r;
-  let indexes = Env.indexes_on env r.rel in
-  let heap = heap_candidate env r in
+  let rows = Env.rows env r.rel and row_width = Env.row_width env r.rel in
+  let infos =
+    List.map (index_info env r ~rows ~row_width) (Env.indexes_on env r.rel)
+  in
   let seekable =
     List.filter_map
-      (fun i -> match seek_of env r i with Some s -> Some (i, s) | None -> None)
-      indexes
+      (fun (x : index_info) -> Option.map (fun s -> (x, s)) x.seek)
+      infos
   in
-  let candidates =
-    (heap :: List.filter_map (seek_candidate env r) indexes)
-    @ List.map (scan_candidate env r) indexes
-    @ intersection_candidates env r seekable
-    @ union_candidates env r indexes
-  in
+  let heap = heap_candidate env r in
   let best =
     List.fold_left
-      (fun (acc : candidate) (c : candidate) ->
-        if c.plan.cost < acc.plan.cost then c else acc)
-      heap candidates
+      (fun acc (x, s) -> cheaper acc (seek_candidate env r x s))
+      heap seekable
+  in
+  (* a scan whose unfinished cost already reaches the best so far cannot
+     win: finishing only adds *)
+  let best, pruned =
+    List.fold_left
+      (fun (best, pruned) x ->
+        if scan_base_cost x >= best.plan.cost then (best, pruned + 1)
+        else (cheaper best (scan_candidate env r x), pruned))
+      (best, 0) infos
+  in
+  if pruned > 0 then Relax_obs.Probe.count_n "access_path.paths_pruned" pruned;
+  let best =
+    List.fold_left cheaper best
+      (intersection_candidates env r seekable @ union_candidates env r infos)
   in
   let sorted =
     match best.plan.node with Plan.Sort _ -> true | _ -> false

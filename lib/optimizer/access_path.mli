@@ -46,7 +46,24 @@ val best :
   Plan.t
 (** Pick the cheapest physical strategy for a request, firing the
     [on_index_request] hook first.  The result is wrapped in an
-    [Plan.Access] node carrying the usage records. *)
+    [Plan.Access] node carrying the usage records.
+
+    {b Candidate order.}  Paths are considered in a fixed order, and a
+    later one replaces the best so far only when strictly cheaper, so a
+    tie goes to the earlier: the heap (or clustered) scan; one seek per
+    index whose keys the request can seek, in {!Env.indexes_on} order;
+    one full scan per index, in the same order; the rid intersections
+    of the most selective seeks; the IN-list unions.  Each index's leaf
+    pages, height, available columns and seek are computed once per
+    call.
+
+    {b Pruning.}  A full index scan starts from
+    [leaf × seq_page + rows × cpu_tuple], and its filters, rid lookup and
+    sort each add a non-negative cost.  A scan whose starting cost is
+    already at least the best so far therefore cannot replace it, and is
+    not built; the chosen path and its plan are the ones the unpruned
+    order picks.  The skipped scans of one call are counted once, as
+    [access_path.paths_pruned]. *)
 
 val selection_key : Env.t -> Request.t -> string
 (** [Digest.string] of everything [best env r]'s cost and rows depend on

@@ -48,14 +48,31 @@ let remove_view t v =
     views = String_map.remove vname t.views;
   }
 
-(** Indexes over a given relation (base table or view). *)
-let indexes_on t name =
-  Index.Set.elements (Index.Set.filter (fun i -> Index.owner i = name) t.indexes)
+(* The indexes over one relation, in set order.  [Index.compare] orders
+   by key columns and [Column.compare] by table first, so an index's owner
+   (its first key's table) is monotone in set order: one relation's
+   indexes form a contiguous run, found by one descent. *)
+let run_on t name =
+  match
+    Index.Set.find_first_opt
+      (fun i -> String.compare (Index.owner i) name >= 0)
+      t.indexes
+  with
+  | Some first when String.equal (Index.owner first) name ->
+    Seq.take_while
+      (fun i -> String.equal (Index.owner i) name)
+      (Index.Set.to_seq_from first t.indexes)
+  | Some _ | None -> Seq.empty
 
+(** Indexes over a given relation (base table or view). *)
+let indexes_on t name = List.of_seq (run_on t name)
+
+(* the last clustered index of the run, as a fold over the whole set
+   would find *)
 let clustered_on t name =
-  Index.Set.fold
-    (fun i acc -> if Index.owner i = name && i.clustered then Some i else acc)
-    t.indexes None
+  Seq.fold_left
+    (fun acc (i : Index.t) -> if i.clustered then Some i else acc)
+    None (run_on t name)
 
 let union a b =
   {

@@ -23,7 +23,15 @@ val mem_index : t -> Index.t -> bool
 val mem_view : t -> View.t -> bool
 val find_view : t -> string -> (View.t * float) option
 val indexes_on : t -> string -> Index.t list
+(** The indexes over a relation (base table or view), in {!Index.compare}
+    order.  Only the relation's run of the index set is walked: the order
+    sorts an index by its key columns, and a column by its table first,
+    so the indexes sharing an owner are contiguous. *)
+
 val clustered_on : t -> string -> Index.t option
+(** The clustered index over a relation, read from the same run; should
+    a configuration hold several, the last in {!Index.compare} order. *)
+
 val cardinal : t -> int
 val is_empty : t -> bool
 

@@ -39,6 +39,11 @@ let internal_capacity p key_width =
   Float.max 2.0
     (Float.floor (usable p /. Float.max 1.0 (key_width +. p.pointer_width)))
 
+(* Pages holding [rows] leaf entries (or heap rows) of width
+   [leaf_width]. *)
+let leaf_count p ~rows leaf_width =
+  Float.ceil (Float.max 1.0 rows /. leaf_capacity p leaf_width)
+
 (** Pages of a B-tree with [rows] leaf entries of width [leaf_width] and
     internal entries of width [key_width]. *)
 let btree_pages ?(params = default_params) ~rows ~leaf_width ~key_width () =
@@ -89,19 +94,19 @@ let index_bytes ?(params = default_params) ~rows ~width_of ~row_width
 let leaf_pages ?(params = default_params) ~rows ~width_of ~row_width
     (i : Index.t) =
   let _, leaf_width = index_widths ~width_of ~row_width i in
-  let pl = leaf_capacity params leaf_width in
-  Float.ceil (Float.max 1.0 rows /. pl)
+  leaf_count params ~rows leaf_width
 
-(** Height of an index's B-tree (seek descent cost in page reads). *)
-let height ?(params = default_params) ~rows ~width_of ~row_width (i : Index.t)
-    =
+(** Leaf pages and B-tree height (seek descent cost in page reads) from
+    one width resolution. *)
+let geometry ?(params = default_params) ~rows ~width_of ~row_width
+    (i : Index.t) =
   let key_width, leaf_width = index_widths ~width_of ~row_width i in
-  btree_height ~params ~rows ~leaf_width ~key_width ()
+  ( leaf_count params ~rows leaf_width,
+    btree_height ~params ~rows ~leaf_width ~key_width () )
 
 (** Pages of a heap holding [rows] rows of width [row_width]. *)
 let heap_pages ?(params = default_params) ~rows ~row_width () =
-  let per = leaf_capacity params row_width in
-  Float.ceil (Float.max 1.0 rows /. per)
+  leaf_count params ~rows row_width
 
 let mb bytes = bytes /. (1024.0 *. 1024.0)
 let gb bytes = bytes /. (1024.0 *. 1024.0 *. 1024.0)

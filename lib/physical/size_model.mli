@@ -47,13 +47,15 @@ val leaf_pages :
   float
 (** Leaf page count: what scans and range seeks touch. *)
 
-val height :
+val geometry :
   ?params:params ->
   rows:float ->
   width_of:(Relax_sql.Types.column -> float) ->
   row_width:float ->
   Index.t ->
-  int
+  float * int
+(** [(leaf_pages, height)]: the {!leaf_pages} count and the levels above
+    the leaves, resolving the index's widths once. *)
 
 val heap_pages : ?params:params -> rows:float -> row_width:float -> unit -> float
 

@@ -238,6 +238,86 @@ let prop_touches_sound =
       let compared, differ = shell_chain ~views picks in
       compared > 0 && differ = 0)
 
+(* --- transformation deltas --------------------------------------------------- *)
+
+let tpch_views =
+  lazy
+    (let module W = Relax_workloads in
+     let cat = W.Tpch.catalog ~scale:0.01 () in
+     let optimal =
+       (Relax_tuner.Instrument.optimal_configuration cat ~base:Config.empty
+          ~views:true (W.Tpch.workload ()))
+         .optimal
+     in
+     (cat, optimal))
+
+(* Walk a relaxation chain from [config] (one step per pick) and, at each
+   configuration C, apply every enumerated transformation to get C'.
+   Compare the change [Transform.changed_indexes] derives from
+   [apply_delta] with the two set differences of C and C'.  Returns
+   (transformations compared, deltas that differ, transformations
+   removing an index that survives in C' — a merge whose result equals
+   one of its parents). *)
+let delta_chain cat config picks =
+  let module View = Relax_physical.View in
+  let module Tr = Relax_tuner.Transform in
+  let est v =
+    O.Cardinality.spjg (O.Env.make cat Config.empty) (View.definition v)
+  in
+  let rec go config (compared, differ, survivors) picks =
+    let relaxed =
+      Array.of_list
+        (List.filter_map
+           (fun tr ->
+             Option.map
+               (fun delta -> (tr, delta))
+               (Tr.apply_delta ~estimate_rows:est config tr))
+           (Tr.enumerate config))
+    in
+    let acc =
+      Array.fold_left
+        (fun (compared, differ, survivors) (tr, ((config', _) as delta)) ->
+          let removed, added = Tr.changed_indexes config tr delta in
+          let same =
+            Index.Set.equal removed
+              (Index.Set.diff (Config.index_set config) (Config.index_set config'))
+            && Index.Set.equal added
+                 (Index.Set.diff (Config.index_set config')
+                    (Config.index_set config))
+          in
+          ( compared + 1,
+            (if same then differ else differ + 1),
+            if
+              Index.Set.cardinal removed
+              < List.length (Tr.removed_indexes config tr)
+            then survivors + 1
+            else survivors ))
+        (compared, differ, survivors) relaxed
+    in
+    match picks with
+    | pick :: rest when Array.length relaxed > 0 ->
+      let _, (config', _) = relaxed.(pick mod Array.length relaxed) in
+      go config' acc rest
+    | _ -> acc
+  in
+  go config (0, 0, 0) picks
+
+(* the change ranking reads from [apply_delta] is the two set
+   differences, in TPC-H views mode (view merges, and merges of a view's
+   clustered and unclustered index on one key, whose result is a parent)
+   and on a generated workload in indexes-only mode *)
+let prop_delta_is_diff =
+  QCheck.Test.make ~name:"transformation delta equals the configuration diffs"
+    ~count:4
+    QCheck.(list_of_size Gen.(int_range 0 3) (int_bound 10_000))
+    (fun picks ->
+      let cat, optimal = Lazy.force tpch_views in
+      let compared, differ, survivors = delta_chain cat optimal picks in
+      let gcat, _, goptimal = Lazy.force update_workload in
+      let gcompared, gdiffer, _ = delta_chain gcat (goptimal false) picks in
+      compared > 0 && differ = 0 && survivors > 0 && gcompared > 0
+      && gdiffer = 0)
+
 (* --- DDL ---------------------------------------------------------------------- *)
 
 let test_ddl_index () =
@@ -414,6 +494,7 @@ let suite =
     Alcotest.test_case "update: shell monotone" `Quick
       test_shell_cost_monotone_in_indexes;
     QCheck_alcotest.to_alcotest prop_touches_sound;
+    QCheck_alcotest.to_alcotest prop_delta_is_diff;
     Alcotest.test_case "ddl: index" `Quick test_ddl_index;
     Alcotest.test_case "ddl: clustered" `Quick test_ddl_clustered;
     Alcotest.test_case "ddl: drop" `Quick test_ddl_drop_script;

@@ -472,6 +472,96 @@ let test_selection_key_scope () =
     (String.equal (key ~config:on_r r0)
        (key ~config:(Config.add_index on_r (Index.on "s" [ "x" ])) r0))
 
+(* --- plan lock ------------------------------------------------------------ *)
+
+(* Every node of a plan, pre-order: its shape (the operator, the relation
+   or index it reads, whether a grouping streams) and the bits of its cost
+   and row count, and of each access decision's cost and rows. *)
+let put_plan b =
+  let str s =
+    Buffer.add_string b s;
+    Buffer.add_char b '\000'
+  in
+  let num x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  let rec put (p : O.Plan.t) =
+    (match p.node with
+    | Seq_scan rel -> str "seq"; str rel
+    | Index_scan i -> str "scan"; str (Index.name i)
+    | Index_seek { index; sel; _ } -> str "seek"; str (Index.name index); num sel
+    | Rid_intersect (l, r) -> str "intersect"; put l; put r
+    | Rid_union { index; points; rows } ->
+      str "union"; str (Index.name index); num (float_of_int points); num rows
+    | Rid_lookup { input; rel } -> str "lookup"; str rel; put input
+    | Filter { input; _ } -> str "filter"; put input
+    | Sort { input; _ } -> str "sort"; put input
+    | Hash_join { build; probe; _ } -> str "hash"; put build; put probe
+    | Merge_join { left; right; _ } -> str "merge"; put left; put right
+    | Nl_join { outer; inner; _ } -> str "nl"; put outer; put inner
+    | Group { input; streaming; _ } ->
+      str (if streaming then "sgroup" else "hgroup"); put input
+    | Access { info; input } ->
+      str "access"; str info.rel; num info.access_cost; num info.access_rows;
+      put input);
+    num p.cost;
+    num p.rows
+  in
+  put
+
+(* The optimal configuration of [w] and [steps] relaxations of it, each
+   applying the first enumerated transformation that applies. *)
+let relaxation_chain cat ~views ~steps w =
+  let module Tr = Relax_tuner.Transform in
+  let est v =
+    O.Cardinality.spjg (O.Env.make cat Config.empty) (View.definition v)
+  in
+  let optimal =
+    (Relax_tuner.Instrument.optimal_configuration cat ~base:Config.empty
+       ~views w)
+      .optimal
+  in
+  let rec go config k =
+    if k = 0 then [ config ]
+    else
+      match
+        List.find_map (Tr.apply ~estimate_rows:est config) (Tr.enumerate config)
+      with
+      | Some next -> config :: go next (k - 1)
+      | None -> [ config ]
+  in
+  go optimal steps
+
+(* Hex digest of every plan of [w] under each configuration of its
+   relaxation chain. *)
+let plan_lock_digest cat ~views w =
+  let chain = relaxation_chain cat ~views ~steps:3 w in
+  Alcotest.(check int) "four distinct configurations" 4
+    (List.length (List.sort_uniq String.compare (List.map Config.fingerprint chain)));
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun config ->
+      Buffer.add_string b (Config.fingerprint config);
+      List.iter
+        (fun (qid, _, q) ->
+          Buffer.add_string b qid;
+          put_plan b (O.Optimizer.optimize cat config q))
+        (Query.plannable_selects w))
+    chain;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Access-path selection must pick the same path, and build the same
+   plan, however much of the candidate space it skips.  Digests recorded
+   by this test before access-path pruning existed. *)
+let test_plan_lock () =
+  let module W = Relax_workloads in
+  Alcotest.(check string) "TPC-H, 22 queries, views mode"
+    "b95d504369890d5a3076a70ed920f60b"
+    (plan_lock_digest (W.Tpch.catalog ~scale:0.02 ()) ~views:true
+       (W.Tpch.workload ()));
+  Alcotest.(check string) "substrate SF-1, 13 templates, indexes only"
+    "5cf89e85b00fd4d223d2d2b885f43216"
+    (plan_lock_digest (W.Substrate.catalog ~sf:1.0 ()) ~views:false
+       (W.Substrate.pool ~sf:1.0 ~templates:13 ~reps:1 ()))
+
 let suite =
   [
     Alcotest.test_case "scan baseline" `Quick test_scan_baseline;
@@ -515,6 +605,7 @@ let suite =
     Alcotest.test_case "update maintenance charged" `Quick test_update_costs_charged;
     Alcotest.test_case "update helpful index" `Quick test_update_irrelevant_index_free;
     Alcotest.test_case "selection key scope" `Quick test_selection_key_scope;
+    Alcotest.test_case "plan lock: TPC-H and substrate" `Quick test_plan_lock;
     QCheck_alcotest.to_alcotest prop_more_indexes_never_hurt;
     QCheck_alcotest.to_alcotest prop_cost_positive;
   ]

@@ -230,7 +230,7 @@ let test_size_clustered_uses_row_width () =
 let test_height_grows () =
   let i = Index.on "t" [ "id" ] in
   let h rows =
-    Size_model.height ~rows ~width_of:(fun _ -> 4.0) ~row_width:16.0 i
+    snd (Size_model.geometry ~rows ~width_of:(fun _ -> 4.0) ~row_width:16.0 i)
   in
   Alcotest.(check bool) "height grows" true (h 100.0 <= h 10_000_000.0)
 
@@ -326,6 +326,73 @@ let prop_size_positive =
         ~row_width:64.0 i
       > 0.0)
 
+(* Per-relation lookups against the whole-set filter and fold they
+   replace, on random configurations over TPC-H tables (part and partsupp:
+   one name prefixes the other) and two views, the first sometimes holding
+   a clustered and an unclustered index on one key. *)
+let prop_indexes_on_run =
+  let cat = Relax_workloads.Tpch.catalog ~scale:0.01 () in
+  let view sql = View.make (spjg_of sql) in
+  let v1 =
+    view "SELECT part.p_partkey, part.p_size FROM part WHERE part.p_size < 10"
+  and v2 =
+    view
+      "SELECT partsupp.ps_partkey, SUM(partsupp.ps_supplycost) FROM partsupp \
+       GROUP BY partsupp.ps_partkey"
+  in
+  let view_columns v = List.map (fun (_, it) -> View.column_of_item v it) (View.outputs v) in
+  let relations =
+    List.map
+      (fun t -> (t, Relax_catalog.Catalog.columns_of cat t))
+      [ "part"; "partsupp"; "lineitem"; "orders"; "supplier" ]
+    @ [ (View.name v1, view_columns v1); (View.name v2, view_columns v2) ]
+  in
+  let gen_index =
+    QCheck.Gen.(
+      let* _, columns = oneofl relations in
+      let* perm = shuffle_l columns in
+      let* nk = int_range 1 (min 3 (List.length perm)) in
+      let* ns = int_range 0 2 in
+      let* clustered = bool in
+      let keys = List.filteri (fun i _ -> i < nk) perm in
+      let suffix = List.filteri (fun i _ -> i >= nk && i < nk + ns) perm in
+      return
+        (Index.make ~clustered ~keys ~suffix:(Column_set.of_list suffix) ()))
+  in
+  let gen_config =
+    QCheck.Gen.(
+      let* indexes = list_size (int_range 0 30) gen_index in
+      let* same_key = bool in
+      let k = List.hd (view_columns v1) in
+      let pair =
+        if same_key then
+          [ Index.make ~clustered:true ~keys:[ k ] ~suffix:Column_set.empty ();
+            Index.make ~keys:[ k ] ~suffix:Column_set.empty () ]
+        else []
+      in
+      let config = Config.of_indexes (pair @ indexes) in
+      return
+        (Config.add_view (Config.add_view config v1 ~rows:100.0) v2 ~rows:50.0))
+  in
+  let owned name i = String.equal (Index.owner i) name in
+  QCheck.Test.make ~name:"indexes_on and clustered_on equal a whole-set scan"
+    ~count:300
+    (QCheck.make ~print:(Fmt.str "%a" Config.pp) gen_config)
+    (fun config ->
+      let all = Config.indexes config in
+      List.for_all
+        (fun name ->
+          List.equal Index.equal
+            (List.filter (owned name) all)
+            (Config.indexes_on config name)
+          && Option.equal Index.equal
+               (List.fold_left
+                  (fun acc (i : Index.t) ->
+                    if owned name i && i.clustered then Some i else acc)
+                  None all)
+               (Config.clustered_on config name))
+        ("" :: "par" :: "parts" :: "zzz" :: List.map fst relations))
+
 let suite =
   [
     Alcotest.test_case "merge: paper example" `Quick test_merge_paper_example;
@@ -362,4 +429,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_split_no_new_columns;
     QCheck_alcotest.to_alcotest prop_split_common_is_common;
     QCheck_alcotest.to_alcotest prop_size_positive;
+    QCheck_alcotest.to_alcotest prop_indexes_on_run;
   ]
