@@ -56,6 +56,7 @@ end)
 type entry = {
   def : table_def;
   columns : column list;
+  column_set : Column_set.t;
   row_width : float;
 }
 
@@ -105,7 +106,7 @@ let create ?(seed = 42) (tables : table_def list) : t =
         (fun acc c -> acc +. (Column_tbl.find stats c).width)
         0.0 columns
     in
-    { def = td; columns; row_width }
+    { def = td; columns; column_set = Column_set.of_list columns; row_width }
   in
   { tables = String_map.map entry defs; stats; seed }
 
@@ -124,6 +125,8 @@ let table_exn t name = (entry_exn t name).def
 let rows t name = float_of_int (table_exn t name).rows
 
 let columns_of t name = (entry_exn t name).columns
+
+let column_set t name = (entry_exn t name).column_set
 
 let mem_table t name = String_map.mem name t.tables
 

@@ -44,9 +44,9 @@ val create : ?seed:int -> table_def list -> t
 (** Build a catalog, constructing statistics for every column.  Everything
     the lookups below answer is resolved here, once: each column's
     statistics, keyed by the column itself (hashing and comparing its two
-    strings, no tuple per lookup), and each table's column list and row
-    width (its columns' widths summed in declaration order).  A lookup
-    then costs one map or hash-table probe and builds nothing.
+    strings, no tuple per lookup), and each table's column list, column
+    set and row width (its columns' widths summed in declaration order).
+    A lookup then costs one map or hash-table probe and builds nothing.
     @raise Invalid_argument on duplicate table names. *)
 
 (** {1 Lookup} *)
@@ -57,6 +57,11 @@ val table_exn : t -> string -> table_def
 val mem_table : t -> string -> bool
 val rows : t -> string -> float
 val columns_of : t -> string -> column list
+
+val column_set : t -> string -> Column_set.t
+(** {!columns_of} as a set, built once by {!create}: every plan that
+    reads a whole row shares it. *)
+
 val col_stats : t -> column -> col_stats
 val col_stats_opt : t -> column -> col_stats option
 val col_width : t -> column -> float

@@ -70,7 +70,7 @@ let add_lookup env (plan : Plan.t) ~rel : Plan.t =
   let cost =
     plan.cost +. P.rid_lookup_cost ~rows:plan.rows ~table_pages ~clustered
   in
-  let cols = Column_set.of_list (Env.columns_of env rel) in
+  let cols = Env.column_set env rel in
   mk (Rid_lookup { input = plan; rel }) ~rows:plan.rows ~cost ~order:[]
     ~cols
 
@@ -160,7 +160,7 @@ let index_info env (r : Request.t) ~rows ~row_width (i : Index.t) =
     Size_model.geometry ~rows ~width_of:(Env.width_of env) ~row_width i
   in
   let avail =
-    if i.clustered then Column_set.of_list (Env.columns_of env r.rel)
+    if i.clustered then Env.column_set env r.rel
     else Index.columns i
   in
   {
@@ -217,7 +217,7 @@ let heap_candidate env (r : Request.t) : candidate =
   let rel = r.rel in
   let rows = Env.rows env rel in
   let pages = Env.table_pages env rel in
-  let all_cols = Column_set.of_list (Env.columns_of env rel) in
+  let all_cols = Env.column_set env rel in
   let clustered = Env.clustered_on env rel in
   let order =
     match clustered with
@@ -493,23 +493,24 @@ let best env ?hooks ?via_view (r : Request.t) : Plan.t =
     node = Plan.Access { info; input = best.plan };
   }
 
-(* Everything [best] reads besides the catalog: the request, the indexes
-   on [r.rel] in the order [Env.indexes_on] lists them (ties between
-   equally cheap paths go to the first), and the row estimate of every
-   view the request's statistics come from.  A view's definition is its
-   name, a digest of the definition.  The writers close over one local
-   buffer and length-prefix strings as [Request.fingerprint] does; an
-   index's columns are [r.rel]'s, so only their names are written.  The
+(* Everything [best] reads besides the catalog, in two parts: the
+   request, and the indexes on [r.rel] in the order [Env.indexes_on] lists
+   them (ties between equally cheap paths go to the first) with the row
+   estimate of [r.rel] when it is a view.  A view's definition is its
+   name, a digest of the definition.  A request whose sargable columns
+   name another relation adds that relation's row estimate.  The writers
+   close over one local buffer and length-prefix strings as
+   [Request.fingerprint] does. *)
+
+let request_key r = Digest.string (Request.fingerprint r)
+
+(* An index's columns are [rel]'s, so only their names are written.  The
    buffer is sized for the usual few columns per index and stays below
    the minor heap's largest block: a key built in the major heap would
    churn it. *)
-let selection_key env (r : Request.t) =
-  let fingerprint = Request.fingerprint r in
-  let indexes = Env.indexes_on env r.rel in
-  let b =
-    Buffer.create
-      (min 2000 (String.length fingerprint + (64 * List.length indexes) + 32))
-  in
+let relation_key env rel =
+  let indexes = Env.indexes_on env rel in
+  let b = Buffer.create (min 2000 ((64 * List.length indexes) + 16)) in
   let rec uint n =
     if n < 128 then Buffer.add_char b (Char.unsafe_chr n)
     else begin
@@ -521,14 +522,6 @@ let selection_key env (r : Request.t) =
     uint (String.length s);
     Buffer.add_string b s
   in
-  let relation rel =
-    match Config.find_view env.Env.config rel with
-    | Some (_, rows) ->
-      Buffer.add_char b 'v';
-      Buffer.add_int64_le b (Int64.bits_of_float rows)
-    | None -> Buffer.add_char b 't'
-  in
-  str fingerprint;
   List.iter
     (fun (i : Index.t) ->
       Buffer.add_char b (if i.clustered then 'c' else 'n');
@@ -537,11 +530,43 @@ let selection_key env (r : Request.t) =
       uint (Column_set.cardinal i.suffix);
       Column_set.iter (fun (c : column) -> str c.col) i.suffix)
     indexes;
-  relation r.rel;
-  (* sargable columns are [r.rel]'s in every request the optimizer and
-     the bounds build; one of another view would read that view's row
-     estimate *)
-  let foreign (c : column) = if c.tbl <> r.rel then relation c.tbl in
-  List.iter (fun (rg : Predicate.range) -> foreign rg.rcol) r.ranges;
-  List.iter foreign r.param_eq;
+  (match Config.find_view env.Env.config rel with
+  | Some (_, rows) ->
+    Buffer.add_char b 'v';
+    Buffer.add_int64_le b (Int64.bits_of_float rows)
+  | None -> Buffer.add_char b 't');
   Digest.string (Buffer.contents b)
+
+(* sargable columns are [r.rel]'s in every request the optimizer and the
+   bounds build; one of another relation reads that relation's row
+   estimate when it is a view *)
+let foreign_free (r : Request.t) =
+  let own (c : column) = String.equal c.tbl r.rel in
+  List.for_all (fun (rg : Predicate.range) -> own rg.rcol) r.ranges
+  && List.for_all own r.param_eq
+
+(* The key is a digest itself, not the two parts side by side: a memo
+   holds tens of thousands of keys, and 16 bytes each keep it as small as
+   a whole-selection digest did. *)
+let compose_key env ~request_key ~relation_key (r : Request.t) =
+  if foreign_free r then Digest.string (request_key ^ relation_key)
+  else begin
+    let b = Buffer.create 64 in
+    Buffer.add_string b request_key;
+    Buffer.add_string b relation_key;
+    let foreign (c : column) =
+      if not (String.equal c.tbl r.rel) then
+        match Config.find_view env.Env.config c.tbl with
+        | Some (_, rows) ->
+          Buffer.add_char b 'v';
+          Buffer.add_int64_le b (Int64.bits_of_float rows)
+        | None -> Buffer.add_char b 't'
+    in
+    List.iter (fun (rg : Predicate.range) -> foreign rg.rcol) r.ranges;
+    List.iter foreign r.param_eq;
+    Digest.string (Buffer.contents b)
+  end
+
+let selection_key env (r : Request.t) =
+  compose_key env ~request_key:(request_key r)
+    ~relation_key:(relation_key env r.rel) r

@@ -65,10 +65,31 @@ val best :
     order picks.  The skipped scans of one call are counted once, as
     [access_path.paths_pruned]. *)
 
+val request_key : Request.t -> string
+(** The request part of a selection key: [Digest.string] of
+    {!Request.fingerprint}.  It depends on the request alone, so a caller
+    that asks about one request under many configurations computes it
+    once. *)
+
+val relation_key : Env.t -> string -> string
+(** The sub-configuration part of a selection key for relation [rel]:
+    [Digest.string] of each index on [rel], in {!Env.indexes_on} order
+    (clustered flag, key and suffix column names), and of [rel]'s row
+    estimate when it is a view of the configuration.  It depends on the
+    configuration and [rel] alone, so a caller that asks many selections
+    on [rel] under one configuration computes it once. *)
+
+val compose_key :
+  Env.t -> request_key:string -> relation_key:string -> Request.t -> string
+(** [compose_key env ~request_key ~relation_key r] is [selection_key env r]
+    given [r]'s {!request_key} and the {!relation_key} of [r.rel] under
+    [env]: [Digest.string] of the two digests, followed by the row
+    estimate tag of every other relation a sargable column of [r] names.
+    No request the optimizer or the §3.3.2 bounds build has such a
+    column, so for them the key digests the two parts alone. *)
+
 val selection_key : Env.t -> Request.t -> string
-(** [Digest.string] of everything [best env r]'s cost and rows depend on
-    within one catalog (see the module preamble): {!Request.fingerprint}
-    of [r], each index on [r.rel] (clustered flag, key and suffix columns) and the
-    row estimate of every view the selection reads.  [hooks] and
-    [via_view] do not enter it: neither changes the chosen path's cost or
-    rows. *)
+(** Everything [best env r]'s cost and rows depend on within one catalog
+    (see the module preamble): {!compose_key} of [r]'s {!request_key} and
+    [r.rel]'s {!relation_key}.  [hooks] and [via_view] do not enter it:
+    neither changes the chosen path's cost or rows. *)

@@ -90,6 +90,11 @@ let columns_of t rel =
   | Some (v, _) -> List.map (fun (_, it) -> View.column_of_item v it) (View.outputs v)
   | None -> Catalog.columns_of t.cat rel
 
+let column_set t rel =
+  match Config.find_view t.config rel with
+  | Some _ -> Column_set.of_list (columns_of t rel)
+  | None -> Catalog.column_set t.cat rel
+
 let row_width t rel = Config.relation_row_width t.cat t.config rel
 
 let width_of t c = Config.column_width t.cat t.config c

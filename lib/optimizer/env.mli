@@ -31,6 +31,10 @@ val columns_of : t -> string -> column list
 (** A relation's columns: the outputs of a view in the configuration, or
     a base table's columns. *)
 
+val column_set : t -> string -> Column_set.t
+(** {!columns_of} as a set: the catalog's, built once, for a base table;
+    built on each call for a view. *)
+
 val row_width : t -> string -> float
 val width_of : t -> column -> float
 val indexes_on : t -> string -> Relax_physical.Index.t list

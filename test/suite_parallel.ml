@@ -284,6 +284,7 @@ let check_identical ~label (r1, m1, l1) (r4, m4, l4) =
      its hits — and every access-path request — match too *)
   chk "access-path requests" (named "access_path.requests");
   chk "pruned access paths" (named "access_path.paths_pruned");
+  chk "call-local selection answers" (named "access_path.call_hits");
   chk "bound memo hits" (named "access_path.memo_hits");
   Alcotest.(check (list (pair string int)))
     (label ^ ": trace event counts")
