@@ -274,9 +274,9 @@ let jobs =
     & opt (some (int_from 1)) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the parallel search; 1 = sequential \
-           (default).  The delta sequence is identical whatever the \
-           value.")
+          "Domains for the parallel search: the caller plus N-1 worker \
+           domains; 1 = sequential (default).  The delta sequence is \
+           identical whatever the value.")
 
 let whatif_budget =
   Arg.(

@@ -363,10 +363,10 @@ let jobs =
     & opt (some (int_from 1)) None
     & info [ "jobs" ] ~docv:"N"
         ~doc:
-          "Worker domains for the parallel search (ptt only); 1 = \
-           sequential.  Defaults to \\$(b,RELAX_JOBS) or the machine's \
-           domain count (capped at 8).  The recommendation is identical \
-           whatever the value.")
+          "Domains for the parallel search (ptt only): the caller plus \
+           N-1 worker domains; 1 = sequential.  Defaults to \
+           \\$(b,RELAX_JOBS) or the machine's domain count (capped at 8).  \
+           The recommendation is identical whatever the value.")
 
 let whatif_budget =
   Arg.(

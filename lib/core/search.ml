@@ -173,7 +173,7 @@ type state = {
   whatif : O.Whatif.t;
   prepared : prepared;
   opts : options;
-  pool : Pool.t;  (** worker domains for scoring and re-optimization *)
+  pool : Pool.t;  (** the domains for ranking and re-optimization *)
   mutable nodes : node list;  (** the pool CP, newest first *)
   by_id : (int, node) Hashtbl.t;
   mutable next_id : int;
@@ -251,8 +251,8 @@ let dml_shells st config =
        st.prepared.dmls)
 
 (* CBV: cost of computing a view from scratch under the base configuration.
-   Main domain only: a scoring task reads the CBVs phase 1 of
-   [rank_candidates] froze into its candidate's context. *)
+   Main domain only: a pool task reads the CBVs phase 1 of
+   [rank_candidates] froze into its candidate's CBV list. *)
 let cbv st (v : View.t) =
   let name = View.name v in
   match Hashtbl.find_opt st.cbv_cache name with
@@ -312,7 +312,7 @@ let eval_batch = 16
 exception Over_limit
 
 (** Cost [config] with one decision per workload slot: the plans are
-    produced in [eval_batch]-wide windows on the worker domains, then
+    produced in [eval_batch]-wide pool batches, then
     their weighted costs are folded sequentially in workload order from
     [from], so the float accumulation and the abort point do not depend
     on [opts.jobs].  [Paid] slots are debited per window on the main
@@ -694,44 +694,52 @@ let rank_candidates st (n : node) : candidate list =
          (fun name -> Option.value ~default:[] (Hashtbl.find_opt usage name))
          names)
   in
-  (* Phase 1, on the main domain: the node's heap bytes and per-statement
-     shell costs, which every candidate reuses where it changes nothing
-     they read; then apply each transformation and build its costing
-     context, freezing into it the CBV of every removed view an affected
-     plan reads (the only views its bounds can ask for).  Contexts are
-     plain values — an environment is one too — so the pool may read
-     every value this phase builds. *)
+  (* Phase 1: the node's heap bytes and per-statement shell costs, which
+     every candidate reuses where it changes nothing they read, and the
+     CBV of every removed view an affected plan reads (the only views its
+     bounds can ask for), all on the main domain: [cbv] writes
+     [st.cbv_cache].  CBVs are taken before applying, yet the set is the
+     one the applied candidates need: every view a transformation removes
+     has its own [Remove_view], which always applies.  Then, in the pool,
+     apply each transformation and build its costing context around its
+     candidate's frozen CBV list.  Contexts are plain values — an
+     environment is one too — so the pool may read every value this phase
+     builds. *)
   let heap = heap_bytes st n.config in
   let shells = dml_shells st n.config in
+  let with_cbvs =
+    Array.of_list
+      (List.map
+         (fun tr ->
+           ( tr,
+             List.filter_map
+               (fun v ->
+                 let name = View.name v in
+                 if Hashtbl.mem usage name then Some (name, cbv st v)
+                 else None)
+               (Transform.removed_views tr) ))
+         transforms)
+  in
+  let apply (tr, cbvs) =
+    match
+      Transform.apply_delta ~estimate_rows:(estimate_view_rows st) n.config tr
+    with
+    | None -> None
+    | Some (config', adds) ->
+      let affected = affected_queries tr in
+      let ctx =
+        if affected = [] then None
+        else
+          Some
+            (Cost_bound.make_context st.catalog
+               ~cbv:(fun v -> List.assoc (View.name v) cbvs)
+               ~old_config:n.config ~new_config:config' tr)
+      in
+      Some (tr, config', adds, affected, ctx)
+  in
   let applied =
-    List.filter_map
-      (fun tr ->
-        match
-          Transform.apply_delta ~estimate_rows:(estimate_view_rows st) n.config
-            tr
-        with
-        | None -> None
-        | Some (config', adds) ->
-          let affected = affected_queries tr in
-          let ctx =
-            if affected = [] then None
-            else begin
-              let cbvs =
-                List.filter_map
-                  (fun v ->
-                    let name = View.name v in
-                    if Hashtbl.mem usage name then Some (name, cbv st v)
-                    else None)
-                  (Transform.removed_views tr)
-              in
-              Some
-                (Cost_bound.make_context st.catalog
-                   ~cbv:(fun v -> List.assoc (View.name v) cbvs)
-                   ~old_config:n.config ~new_config:config' tr)
-            end
-          in
-          Some (tr, config', adds, affected, ctx))
-      transforms
+    List.filter_map Fun.id
+      (Array.to_list (Pool.map_array st.pool apply with_cbvs))
   in
   (* Each affected plan's bound walk, built once for every candidate
      that affects it: its accesses with their consumed orders folded in,

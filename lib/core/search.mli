@@ -80,8 +80,8 @@ type options = {
           useful after other structures are relaxed away); default off *)
   selection : selection;  (** {!Penalty} is the paper's *)
   jobs : int;
-      (** worker domains for parallel candidate scoring and plan
-          re-optimization; 1 = fully sequential.  The recommended
+      (** domains for parallel candidate ranking and plan
+          re-optimization, the caller included; 1 = fully sequential.  The recommended
           configuration, costs, frontier and trace event counts are
           identical whatever the value. *)
   whatif_budget : int option;

@@ -11,7 +11,8 @@
     Timestamps are microseconds relative to the recorder's creation, so
     traces start at t=0; thread ids are small integers assigned per
     domain in order of first span, with registered names (main loop
-    first, then [pool-workerN]) on the thread tracks. *)
+    first, which also runs its share of every pool batch, then
+    [pool-worker1] to [pool-worker(jobs-1)]) on the thread tracks. *)
 
 let us ~base t = (t -. base) *. 1e6
 

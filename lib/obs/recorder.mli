@@ -14,7 +14,7 @@
     profiling state and the metrics accumulator are each internally
     locked, and the ambient slot is atomic, so probes firing from the
     parallel search's worker domains aggregate into the same recorder as
-    the main loop.  Each domain gets its own span stack, so nesting and
+    the main loop, which runs its share of every pool batch itself.  Each domain gets its own span stack, so nesting and
     self-time stay well-defined under parallelism.
 
     With [profile:true] the recorder additionally retains every
@@ -57,8 +57,10 @@ val sample_gc : t -> unit
     mode only).  Called automatically at span boundaries. *)
 
 val thread_name : t -> string -> unit
-(** Name the calling domain's thread track in the Chrome export (worker
-    domains register themselves as [pool-workerN]). *)
+(** Name the calling domain's thread track in the Chrome export (a
+    pool's worker domains register themselves as [pool-worker1] to
+    [pool-worker(jobs-1)]; the caller, which runs its share of every
+    batch, keeps its own track). *)
 
 val profile_spans : t -> Span_tree.span list
 (** Completed spans in open order; [[]] unless profiling. *)

@@ -1,30 +1,42 @@
-(** Fixed worker domains over a task queue; see the interface for the
-    contract.  The implementation is deliberately dependency-free: one
-    mutex, two condition variables, a [Queue.t] of closures.
+(** The caller plus [jobs - 1] worker domains, draining each batch from
+    one shared slot counter; see the interface for the contract.  The
+    implementation is deliberately dependency-free: one mutex, two
+    condition variables and an [Atomic] counter per batch.
 
-    A [map_array] call packs each element into a closure writing its slot
-    of a results array, enqueues them all, and blocks until a shared
-    countdown reaches zero.  Writes of the result slots happen-before the
-    caller's reads because both sides go through [lock] (the worker
-    decrements the countdown under it, the caller observes zero under
-    it), so no further synchronization per slot is needed. *)
+    A [map_array] call of two or more tasks publishes a batch under
+    [lock], wakes the workers and drains the batch itself: every
+    participant claims the next slot index with [Atomic.fetch_and_add]
+    until none is left, then reports the slots it ran, its busy time and
+    its first failure once, under [lock].  The caller waits under [lock]
+    until every slot is reported, so the result writes of every
+    participant happen-before the caller's reads. *)
 
 module Obs = Relax_obs
 
-(* a queued task remembers when it was enqueued, so workers can report
-   queue wait separately from run time *)
-type task = { enqueued_at : float; run : unit -> unit }
+(* One parallel [map_array] call.  [run_slot i] computes slot [i] into
+   the caller's results array (the closure hides the result type).
+   [completed] and [first_error] are guarded by the pool's lock. *)
+type batch = {
+  size : int;
+  run_slot : int -> unit;
+  next : int Atomic.t;  (** the next unclaimed slot *)
+  published_at : float;
+  mutable completed : int;
+  mutable first_error : (int * exn) option;
+}
 
 type t = {
   pool_jobs : int;
   lock : Mutex.t;
   work_available : Condition.t;
-  work_done : Condition.t;
-  queue : task Queue.t;
+  batch_done : Condition.t;
+  (* the batch being drained, if any, and how many have been published:
+     a worker drains a batch at most once *)
+  mutable current : batch option;
+  mutable generation : int;
   mutable shutting_down : bool;
-  mutable domains : unit Domain.t array;
-  (* lifetime counters, mutated under [lock] (or by the sole caller when
-     running sequentially) *)
+  mutable workers : unit Domain.t array;
+  (* lifetime counters, mutated under [lock] *)
   mutable n_tasks : int;
   mutable n_batches : int;
   busy : float array;
@@ -51,45 +63,99 @@ let default_jobs () =
     | Some _ | None -> hw)
   | None -> hw
 
-(* Run one task and account for it in domain slot [i]: its queue wait
-   since [enqueued_at] and its run time (the [pool.task.*] histograms),
-   and the slot's busy time.  Worker domains and the caller's inline path
+(* Run [f x], observing its wait since [published_at] and its run time
+   (the [pool.task.*] histograms) and adding the run time to
+   [busy.(0)].  The caller's inline path and every batch participant
    share it, so no run mode is a blind spot. *)
-let run_task t i ~enqueued_at run =
+let timed ~published_at (busy : float array) f x =
   let t0 = Obs.Clock.now () in
-  Obs.Probe.observe "pool.task.wait_s" (Float.max 0.0 (t0 -. enqueued_at));
-  let r = run () in
+  Obs.Probe.observe "pool.task.wait_s" (Float.max 0.0 (t0 -. published_at));
+  let r = f x in
   let dt = Obs.Clock.elapsed_s ~since:t0 in
   Obs.Probe.observe "pool.task.run_s" dt;
-  Mutex.lock t.lock;
-  t.busy.(i) <- t.busy.(i) +. dt;
-  Mutex.unlock t.lock;
+  busy.(0) <- busy.(0) +. dt;
   r
+
+(* Every task without workers, and every single-task map, runs in the
+   caller through [Array.map]: it allocates no per-slot option, and its
+   first exception is the smallest index's. *)
+let inline t f arr =
+  let n = Array.length arr in
+  let published_at = Obs.Clock.now () in
+  let busy = [| 0.0 |] in
+  let report () =
+    Mutex.lock t.lock;
+    t.n_tasks <- t.n_tasks + n;
+    if n > 1 then t.n_batches <- t.n_batches + 1;
+    t.busy.(0) <- t.busy.(0) +. busy.(0);
+    Mutex.unlock t.lock
+  in
+  match Array.map (fun x -> timed ~published_at busy f x) arr with
+  | r ->
+    report ();
+    r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    report ();
+    Printexc.raise_with_backtrace e bt
+
+(* Claim and run slots of [b] until none is left.  Slots are claimed in
+   increasing order, so a participant's first failure is its smallest.
+   Returns how many slots it ran, its busy time and that failure. *)
+let drain b =
+  let busy = [| 0.0 |] in
+  let ran = ref 0 in
+  let error = ref None in
+  let i = ref (Atomic.fetch_and_add b.next 1) in
+  while !i < b.size do
+    Obs.Probe.counter "pool.queue_depth" (float_of_int (b.size - !i - 1));
+    (try timed ~published_at:b.published_at busy b.run_slot !i
+     with e -> if Option.is_none !error then error := Some (!i, e));
+    incr ran;
+    i := Atomic.fetch_and_add b.next 1
+  done;
+  (!ran, busy.(0), !error)
+
+(* Report what participant [i] drained of [b], under [lock]; the report
+   that completes the batch wakes the caller. *)
+let report_locked t b i (ran, busy, error) =
+  t.busy.(i) <- t.busy.(i) +. busy;
+  b.completed <- b.completed + ran;
+  (match (error, b.first_error) with
+  | Some (k, _), Some (k0, _) when k >= k0 -> ()
+  | Some _, _ -> b.first_error <- error
+  | None, _ -> ());
+  if b.completed = b.size then Condition.signal t.batch_done
 
 let worker t i () =
   (* the ambient recorder was installed before this domain was spawned,
      so the registration lands in the run's Chrome thread-name map *)
   Obs.Probe.thread_name (Printf.sprintf "pool-worker%d" i);
-  let rec loop () =
+  let rec loop seen =
     Mutex.lock t.lock;
-    while Queue.is_empty t.queue && not t.shutting_down do
+    while t.generation = seen && not t.shutting_down do
       Condition.wait t.work_available t.lock
     done;
-    if Queue.is_empty t.queue then begin
-      (* shutting down and drained *)
-      Mutex.unlock t.lock;
-      ()
-    end
-    else begin
-      let task = Queue.pop t.queue in
-      let qlen = Queue.length t.queue in
-      Mutex.unlock t.lock;
-      Obs.Probe.counter "pool.queue_depth" (float_of_int qlen);
-      run_task t i ~enqueued_at:task.enqueued_at task.run;
-      loop ()
+    let generation = t.generation in
+    let batch = t.current in
+    let stop = t.shutting_down in
+    Mutex.unlock t.lock;
+    if not stop then begin
+      (* a worker that wakes after the batch was drained finds no slot
+         left and touches nothing shared *)
+      Option.iter
+        (fun b ->
+          let ((ran, _, _) as mine) = drain b in
+          if ran > 0 then begin
+            Mutex.lock t.lock;
+            report_locked t b i mine;
+            Mutex.unlock t.lock
+          end)
+        batch;
+      loop generation
     end
   in
-  loop ()
+  loop 0
 
 let create ~jobs =
   let jobs = max 1 jobs in
@@ -106,17 +172,18 @@ let create ~jobs =
       pool_jobs = jobs;
       lock = Mutex.create ();
       work_available = Condition.create ();
-      work_done = Condition.create ();
-      queue = Queue.create ();
+      batch_done = Condition.create ();
+      current = None;
+      generation = 0;
       shutting_down = false;
-      domains = [||];
+      workers = [||];
       n_tasks = 0;
       n_batches = 0;
-      busy = Array.make (max 1 jobs) 0.0;
+      busy = Array.make jobs 0.0;
     }
   in
-  if jobs > 1 then
-    t.domains <- Array.init jobs (fun i -> Domain.spawn (worker t i));
+  (* the caller is participant 0 *)
+  t.workers <- Array.init (jobs - 1) (fun k -> Domain.spawn (worker t (k + 1)));
   t
 
 let jobs (t : t) = t.pool_jobs
@@ -134,63 +201,39 @@ let stats t : stats =
   Mutex.unlock t.lock;
   s
 
-(* Re-raise the smallest-index exception so failures are deterministic
-   whatever the scheduling. *)
-let reraise_first (errors : exn option array) =
-  Array.iter (function Some e -> raise e | None -> ()) errors
-
-(* Dispatch [n] slot-writing tasks and block until the countdown drains.
-   Writes of the result slots happen-before the caller's reads because
-   both sides go through [lock]. *)
-let dispatch (type b) t (n : int) (run_slot : int -> b) :
-    b option array =
-  let results : b option array = Array.make n None in
-  let errors : exn option array = Array.make n None in
-  let remaining = ref n in
-  let task i () =
-    (try results.(i) <- Some (run_slot i)
-     with e -> errors.(i) <- Some e);
-    Mutex.lock t.lock;
-    decr remaining;
-    if !remaining = 0 then Condition.broadcast t.work_done;
-    Mutex.unlock t.lock
-  in
-  let enqueued_at = Obs.Clock.now () in
-  Mutex.lock t.lock;
-  for i = 0 to n - 1 do
-    (* relax-lint: allow L8 the closure is enqueued, not invoked: a worker runs it after this section ends and takes t.lock afresh, so the acquisition never nests *)
-    Queue.add { enqueued_at; run = task i } t.queue
-  done;
-  t.n_tasks <- t.n_tasks + n;
-  t.n_batches <- t.n_batches + 1;
-  Condition.broadcast t.work_available;
-  while !remaining > 0 do
-    Condition.wait t.work_done t.lock
-  done;
-  Mutex.unlock t.lock;
-  reraise_first errors;
-  results
-
 let map_array (type a b) t (f : a -> b) (arr : a array) : b array =
   let n = Array.length arr in
-  (* a single task, or every task without worker domains, runs inline in
-     the caller and is accounted in slot 0 *)
-  let inline () =
-    let enqueued_at = Obs.Clock.now () in
-    Array.map (fun x -> run_task t 0 ~enqueued_at (fun () -> f x)) arr
-  in
   if n = 0 then [||]
-  else if n = 1 then begin
-    t.n_tasks <- t.n_tasks + 1;
-    inline ()
-  end
-  else if Array.length t.domains = 0 then begin
-    t.n_batches <- t.n_batches + 1;
-    t.n_tasks <- t.n_tasks + n;
-    inline ()
-  end
+  else if n = 1 || Array.length t.workers = 0 then inline t f arr
   else begin
-    let results = dispatch t n (fun i -> f arr.(i)) in
+    let results : b option array = Array.make n None in
+    let b =
+      {
+        size = n;
+        run_slot = (fun i -> results.(i) <- Some (f arr.(i)));
+        next = Atomic.make 0;
+        published_at = Obs.Clock.now ();
+        completed = 0;
+        first_error = None;
+      }
+    in
+    Mutex.lock t.lock;
+    t.current <- Some b;
+    t.generation <- t.generation + 1;
+    t.n_tasks <- t.n_tasks + n;
+    t.n_batches <- t.n_batches + 1;
+    Condition.broadcast t.work_available;
+    Mutex.unlock t.lock;
+    let mine = drain b in
+    Mutex.lock t.lock;
+    report_locked t b 0 mine;
+    while b.completed < n do
+      Condition.wait t.batch_done t.lock
+    done;
+    t.current <- None;
+    Mutex.unlock t.lock;
+    (* the smallest-index exception, after the whole batch has drained *)
+    Option.iter (fun (_, e) -> raise e) b.first_error;
     Array.map
       (function
         | Some r -> r
@@ -199,11 +242,11 @@ let map_array (type a b) t (f : a -> b) (arr : a array) : b array =
   end
 
 let shutdown t =
-  if Array.length t.domains > 0 then begin
+  if Array.length t.workers > 0 then begin
     Mutex.lock t.lock;
     t.shutting_down <- true;
     Condition.broadcast t.work_available;
     Mutex.unlock t.lock;
-    Array.iter Domain.join t.domains;
-    t.domains <- [||]
+    Array.iter Domain.join t.workers;
+    t.workers <- [||]
   end

@@ -1,28 +1,34 @@
-(** A fixed pool of worker domains over a shared task queue.
+(** A fixed pool of [jobs] participants: the calling domain plus
+    [jobs - 1] worker domains.
 
     The search uses it for the two hot loops of the relaxation: scoring
     candidate transformations and re-optimizing the plans a relaxation
-    affected.  Both are independent per-item computations, so the only
+    affects.  Both are independent per-item computations, so the only
     contract that matters is {!map_array}'s: results come back in input
     order and an exception raised by [f] is re-raised in the caller (the
     one with the smallest input index, for determinism).  Parallelism is
     a pure speedup, never a behaviour change: at [jobs = 1] no domains
     are spawned and [map_array] degenerates to [Array.map].
 
+    The caller is one of the [jobs] participants: a batch never runs on
+    more than [jobs] domains.  Every participant claims the next
+    unclaimed slot of the batch until none is left.
+
     Every task reports into the ambient {!Relax_obs} recorder when one is
-    installed — on a worker domain or inline in the caller alike:
-    per-task queue-wait and run-time latency histograms
-    ([pool.task.wait_s] / [pool.task.run_s]) and its domain's busy time.
-    Workers add a [pool.queue_depth] counter track and a [pool-workerN]
-    thread name for the Chrome trace export's domain→tid mapping.  All of
-    it no-ops without a recorder, and none of it changes task order or
-    results. *)
+    installed, whichever participant runs it: per-task wait and run-time
+    latency histograms ([pool.task.wait_s] / [pool.task.run_s]) and its
+    domain's busy time.  Batch participants add a [pool.queue_depth]
+    counter track (the slots still unclaimed), and workers a
+    [pool-workerN] thread name for the Chrome trace export's domain→tid
+    mapping.  All of it no-ops without a recorder, and none of it
+    changes task order or results. *)
 
 type t
 
 val create : jobs:int -> t
-(** Spawn [jobs] worker domains ([jobs <= 1] spawns none: every
-    [map_array] then runs sequentially in the caller).  An explicit request is
+(** Spawn [jobs - 1] worker domains; the caller is the [jobs]-th
+    participant ([jobs <= 1] spawns none: every [map_array] then runs
+    sequentially in the caller).  An explicit request is
     honoured verbatim — even beyond
     [Domain.recommended_domain_count ()], in which case the
     [pool.oversubscribed] / [pool.oversubscribed_by] warning counters
@@ -41,10 +47,12 @@ val default_jobs : unit -> int
 
 val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel map: [map_array t f a] equals
-    [Array.map f a] for pure [f], whatever the parallelism.  Tasks run on
-    the worker domains while the caller blocks; when several tasks raise,
-    the exception of the smallest index is re-raised after the whole
-    batch has drained (so the pool is reusable afterwards).  Only the
+    [Array.map f a] for pure [f], whatever the parallelism.  The caller
+    and the worker domains each claim the next unclaimed slot until none
+    is left; the caller returns once every slot is done.  When several
+    tasks raise, the caller's own included, the exception of the
+    smallest index is re-raised after the whole batch has drained (so
+    the pool is reusable afterwards).  Only the
     domain that created the pool may call [map_array]; worker tasks must
     not. *)
 
@@ -54,9 +62,8 @@ type stats = {
   tasks : int;  (** tasks executed across all [map_array] calls *)
   batches : int;  (** [map_array] calls of two or more tasks *)
   busy_s : float array;
-      (** per-worker-domain busy seconds; slot 0 also counts the tasks
-          run inline by the caller (every task at [jobs = 1], and
-          single-task maps) *)
+      (** busy seconds per participant, [jobs] long: slot 0 is the
+          caller, at every [jobs], and slot [i] is [pool-workeri] *)
 }
 
 val stats : t -> stats

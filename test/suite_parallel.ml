@@ -1,6 +1,6 @@
 (** Tests for the parallel search layer: the domain pool, the what-if
     cache under concurrent domains, the skyline sweep, and the
-    determinism guarantee — tuning at [jobs = 1] and [jobs = 4] must
+    determinism guarantee — tuning at [jobs = 1], [2] and [4] must
     produce bit-identical results (recommendation, costs, frontier,
     counters, trace events). *)
 
@@ -89,10 +89,48 @@ let test_pool_stats () =
       Alcotest.(check int) (label "jobs") jobs s.Pool.pool_jobs;
       Alcotest.(check int) (label "tasks") 16 s.Pool.tasks;
       Alcotest.(check int) (label "batches") 2 s.Pool.batches;
-      (* sleeping tasks accrue busy time, inline at jobs=1 too *)
-      if jobs = 1 then
-        Alcotest.(check bool) (label "domain 0 busy") true (s.Pool.busy_s.(0) > 0.0))
-    [ 1; 4 ]
+      Alcotest.(check int) (label "one busy slot per participant") jobs
+        (Array.length s.Pool.busy_s);
+      (* the caller is a participant at every [jobs]: its sleeping tasks
+         accrue busy time in slot 0 *)
+      Alcotest.(check bool) (label "domain 0 busy") true (s.Pool.busy_s.(0) > 0.0))
+    [ 1; 2; 4 ]
+
+(* the caller is one of the [jobs] participants, so a batch never runs on
+   more than [jobs] domains *)
+let test_pool_domains () =
+  let caller = (Domain.self () :> int) in
+  List.iter
+    (fun jobs ->
+      with_pool ~jobs @@ fun pool ->
+      let caller_ran = Atomic.make false in
+      let task _ =
+        let me = (Domain.self () :> int) in
+        if me = caller then Atomic.set caller_ran true
+        else begin
+          (* a worker holds its slot until the caller has run one (or
+             for at most a second), so whether the caller ran a task
+             does not depend on scheduling *)
+          let waits = ref 0 in
+          while (not (Atomic.get caller_ran)) && !waits < 2000 do
+            Unix.sleepf 0.0005;
+            incr waits
+          done
+        end;
+        Unix.sleepf 0.001;
+        me
+      in
+      let ran_on = Pool.map_array pool task (Array.init (8 * jobs) Fun.id) in
+      let domains = List.sort_uniq compare (Array.to_list ran_on) in
+      Alcotest.(check bool)
+        (Printf.sprintf "at most %d domains at jobs=%d (got %d)" jobs jobs
+           (List.length domains))
+        true
+        (List.length domains <= jobs);
+      Alcotest.(check bool)
+        (Printf.sprintf "the caller ran tasks at jobs=%d" jobs)
+        true (List.mem caller domains))
+    [ 2; 4 ]
 
 let test_pool_shutdown_idempotent () =
   let pool = Pool.create ~jobs:4 in
@@ -290,7 +328,7 @@ let check_identical ~label (r1, m1, l1) (r4, m4, l4) =
     (label ^ ": trace event counts")
     (event_histogram l1) (event_histogram l4)
 
-let test_determinism_tpch () =
+let test_determinism_tpch ~jobs () =
   let cat = W.Tpch.catalog ~scale:0.01 () in
   let w = W.Tpch.workload_subset [ 1; 3; 6; 10; 14 ] in
   let budget =
@@ -299,13 +337,13 @@ let test_determinism_tpch () =
   List.iter
     (fun (label, mode) ->
       let run jobs = tune_with_jobs ~jobs ~mode ~budget ~iters:60 cat w in
-      check_identical ~label (run 1) (run 4))
+      check_identical ~label (run 1) (run jobs))
     [
       ("tpch indexes", T.Tuner.Indexes_only);
       ("tpch views", T.Tuner.Indexes_and_views);
     ]
 
-let test_determinism_updates () =
+let test_determinism_updates ~jobs () =
   let schema = W.Star.schema ~scale:0.01 () in
   let profile =
     { W.Generator.default_profile with update_fraction = 0.4; max_tables = 2 }
@@ -324,7 +362,7 @@ let test_determinism_updates () =
         (label ^ ": views in the optimal configuration")
         (mode = T.Tuner.Indexes_and_views)
         (Config.views r1.T.Tuner.optimal <> []);
-      check_identical ~label one (run 4))
+      check_identical ~label one (run jobs))
     [
       ("updates indexes", T.Tuner.Indexes_only);
       ("updates views", T.Tuner.Indexes_and_views);
@@ -342,6 +380,8 @@ let suite =
     Alcotest.test_case "pool: usable after exception" `Quick
       test_pool_usable_after_exception;
     Alcotest.test_case "pool: stats counters" `Quick test_pool_stats;
+    Alcotest.test_case "pool: at most jobs domains run tasks" `Quick
+      test_pool_domains;
     Alcotest.test_case "pool: shutdown idempotent, then sequential" `Quick
       test_pool_shutdown_idempotent;
     Alcotest.test_case "whatif: cache under concurrent domains" `Quick
@@ -353,7 +393,12 @@ let suite =
     Alcotest.test_case "skyline: survivors keep input order" `Quick
       test_skyline_preserves_order;
     Alcotest.test_case "determinism: TPC-H, jobs=1 vs jobs=4" `Slow
-      test_determinism_tpch;
+      (test_determinism_tpch ~jobs:4);
     Alcotest.test_case "determinism: update workload, jobs=1 vs jobs=4" `Slow
-      test_determinism_updates;
+      (test_determinism_updates ~jobs:4);
+    (* the benchmark's setting: the caller plus exactly one worker *)
+    Alcotest.test_case "determinism: TPC-H, jobs=1 vs jobs=2" `Slow
+      (test_determinism_tpch ~jobs:2);
+    Alcotest.test_case "determinism: update workload, jobs=1 vs jobs=2" `Slow
+      (test_determinism_updates ~jobs:2);
   ]
