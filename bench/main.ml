@@ -2,7 +2,8 @@
     paper's evaluation (§4) on the simulated substrate.
 
     Usage: [main.exe [table1|table2|table3|fig3|fig4|fig6|fig7|fig8|fig9|
-    fig10|micro|all]].  With no argument (or [all]) every experiment runs.
+    fig10|compress|validate|ablation|all]].  With no argument (or [all])
+    every experiment runs.
 
     Absolute numbers differ from the paper's (different optimizer, cost
     model, and hardware); the claims being reproduced are the {e shapes}:
@@ -46,15 +47,15 @@ let effective_jobs () =
   | Some j -> j
   | None -> Relax_parallel.Pool.default_jobs ()
 
-(* --validate: attach the differential invariant checker to every PTT run;
+(* --validate: attach the differential invariant checker to every tune;
    any violation anywhere makes the whole harness exit non-zero *)
 let validate_flag = ref false
 let check_iterations = ref 0
 let check_violations = ref 0
 
-let ptt ?(mode = T.Tuner.Indexes_and_views) ?(budget = infinity)
-    ?(iters = ptt_iterations) cat w =
-  let opts = T.Tuner.default_options ~mode ~space_budget:budget () in
+(* Every relaxation tune of the harness runs through here, so --validate
+   checks each one. *)
+let tune cat w (opts : T.Tuner.options) =
   let checker =
     if !validate_flag then
       Some
@@ -63,12 +64,7 @@ let ptt ?(mode = T.Tuner.Indexes_and_views) ?(budget = infinity)
   in
   let r =
     T.Tuner.tune cat w
-      {
-        opts with
-        max_iterations = iters;
-        jobs = effective_jobs ();
-        on_iteration = Option.map Relax_check.Checker.hook checker;
-      }
+      { opts with on_iteration = Option.map Relax_check.Checker.hook checker }
   in
   (match checker with
   | None -> ()
@@ -80,6 +76,11 @@ let ptt ?(mode = T.Tuner.Indexes_and_views) ?(budget = infinity)
       Printf.printf "  !! differential check: %s\n"
         (Fmt.str "%a" Relax_check.Checker.pp_report rep));
   r
+
+let ptt ?(mode = T.Tuner.Indexes_and_views) ?(budget = infinity)
+    ?(iters = ptt_iterations) cat w =
+  let opts = T.Tuner.default_options ~mode ~space_budget:budget () in
+  tune cat w { opts with max_iterations = iters; jobs = effective_jobs () }
 
 let ctt ?(views = true) ?(budget = infinity) cat w =
   B.Ctt.tune cat w (B.Ctt.default_options ~with_views:views ~space_budget:budget ())
@@ -281,7 +282,7 @@ let fig3 () =
         transforms_per_iteration = 4;
       }
     in
-    T.Tuner.tune cat w opts
+    tune cat w opts
   in
   Printf.printf
     "\nPTT under a %s budget reaches its final quality in %d iterations:\n"
@@ -380,7 +381,7 @@ let fig7 () =
               (O.Optimizer.optimize cat Config.empty
                  { Query.body = Relax_physical.View.definition v; order_by = [] })
                 .cost)
-            ~old_config:inst.optimal ~new_config:config' tr
+            ~new_config:config' [ (inst.optimal, tr) ]
         in
         List.iter
           (fun (_, sq, plan) ->
@@ -584,7 +585,7 @@ let ablation () =
       }
     in
     let t0 = now () in
-    let r = T.Tuner.tune cat w (opts_patch base) in
+    let r = tune cat w (opts_patch base) in
     Printf.printf "%-28s %9.1f%% %10.1f %9d %8.2fs\n" label r.improvement
       r.recommended_cost
       (Config.cardinal r.recommended)
@@ -603,77 +604,6 @@ let ablation () =
       { o with shrink_configurations = true; transforms_per_iteration = 3 })
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  section "Micro-benchmarks (Bechamel)"
-    "per-operation latencies of the pieces the search loop multiplies: \
-     optimizer calls must be milliseconds, access-path costing and size \
-     estimation micro-seconds";
-  let open Bechamel in
-  let cat = Lazy.force tpch_cat in
-  let q3 =
-    match (List.nth (W.Tpch.workload ()) 2).stmt with
-    | Query.Select q -> q
-    | _ -> assert false
-  in
-  let q6 =
-    match (List.nth (W.Tpch.workload ()) 5).stmt with
-    | Query.Select q -> q
-    | _ -> assert false
-  in
-  let idx = Relax_physical.Index.on "lineitem" [ "l_shipdate" ] ~suffix:[ "l_extendedprice" ] in
-  let config = Config.of_indexes [ idx ] in
-  let env = O.Env.make cat config in
-  let request =
-    O.Request.make ~rel:"lineitem"
-      ~ranges:
-        [
-          Relax_sql.Predicate.range
-            ~lo:(Relax_sql.Predicate.bound (Relax_sql.Types.VInt 9000))
-            (Relax_sql.Types.Column.make "lineitem" "l_shipdate");
-        ]
-      ~cols:
-        (Relax_sql.Types.Column_set.singleton
-           (Relax_sql.Types.Column.make "lineitem" "l_extendedprice"))
-      ()
-  in
-  let tests =
-    [
-      Test.make ~name:"optimize Q3 (3-way join)" (Staged.stage (fun () ->
-          ignore (O.Optimizer.optimize cat config q3)));
-      Test.make ~name:"optimize Q6 (single table)" (Staged.stage (fun () ->
-          ignore (O.Optimizer.optimize cat config q6)));
-      Test.make ~name:"access-path selection" (Staged.stage (fun () ->
-          ignore (O.Access_path.best env request)));
-      Test.make ~name:"index size estimate" (Staged.stage (fun () ->
-          ignore (Config.index_bytes cat config idx)));
-    ]
-  in
-  List.iter
-    (fun test ->
-      let raw_results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ())
-          Toolkit.Instance.[ monotonic_clock ]
-          test
-      in
-      Hashtbl.iter
-        (fun name raw ->
-          let stats =
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false
-                 ~predictors:[| Measure.run |])
-              Toolkit.Instance.monotonic_clock raw
-          in
-          match Analyze.OLS.estimates stats with
-          | Some [ est ] -> Printf.printf "%-32s %12.1f ns/run\n" name est
-          | _ -> ignore name)
-        raw_results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
@@ -690,7 +620,6 @@ let experiments =
     ("compress", compress_bench);
     ("validate", validate);
     ("ablation", ablation);
-    ("micro", micro);
   ]
 
 (* Run one experiment under its own recorder so its metrics snapshot can be

@@ -191,21 +191,52 @@ let hook t (r : T.Search.iteration_report) =
       in
       Option.iter check_invariants r.it_applied;
       (match (r.it_applied, r.it_result) with
-      | Some applied, Some (result_config, _, _)
-        when Config.fingerprint applied <> Config.fingerprint result_config ->
+      | Some applied, Some n
+        when Config.fingerprint applied <> Config.fingerprint n.config ->
         (* batched transformations or shrinking produced a different
            configuration: check it too *)
-        check_invariants result_config
+        check_invariants n.config
       | _ -> ());
-      (* 3. bound soundness: the §3.3.2 bound vs what-if re-optimization *)
+      (* 3. plan validity: every access of the evaluated node's plans
+         reads only structures its configuration holds.  Exact, with no
+         optimizer: a plan reading a missing structure is no plan of the
+         configuration, and its cost is no cost of it either. *)
+      Option.iter
+        (fun (n : T.Search.node) ->
+          List.iteri
+            (fun slot (qid, _, _) ->
+              let missing = ref [] in
+              O.Plan.iter_accesses
+                (fun (a : O.Plan.access_info) ->
+                  List.iter
+                    (fun (u : O.Plan.index_usage) ->
+                      if not (Config.mem_index n.config u.index) then
+                        missing := Index.name u.index :: !missing)
+                    a.usages;
+                  if
+                    (not (Catalog.mem_table t.cat a.rel))
+                    && Option.is_none (Config.find_view n.config a.rel)
+                  then missing := a.rel :: !missing)
+                n.plans.(slot);
+              List.iter
+                (fun name ->
+                  add "plan_validity" ~subject:(qid ^ " / " ^ name)
+                    ~detail:
+                      "the evaluated node's plan reads a structure its \
+                       configuration does not hold"
+                    ~expected:Float.nan ~actual:Float.nan)
+                (List.sort_uniq String.compare !missing))
+            t.selects)
+        r.it_result;
+      (* 4. bound soundness: the §3.3.2 bound vs what-if re-optimization *)
       (match reapplied with
       | None -> ()
       | Some config' ->
         let ctx =
           (* rebuilt from scratch over the checker's own CBV memo, not
              shared with the search's *)
-          T.Cost_bound.make_context t.cat ~cbv:(cbv t)
-            ~old_config:r.it_parent ~new_config:config' r.it_transform
+          T.Cost_bound.make_context t.cat ~cbv:(cbv t) ~new_config:config'
+            [ (r.it_parent, r.it_transform) ]
         in
         List.iter
           (fun (qid, _w, sq) ->
@@ -253,14 +284,14 @@ let hook t (r : T.Search.iteration_report) =
               end
             end)
           t.selects);
-      (* 4. penalty consistency on evaluated nodes (only when the result is
+      (* 5. penalty consistency on evaluated nodes (only when the result is
          exactly the applied configuration: the §3.5 extension and
          shrinking legitimately change ΔT/ΔS) *)
       (match (reapplied, r.it_result) with
-      | Some mine, Some (result_config, cost', size')
-        when Config.fingerprint mine = Config.fingerprint result_config ->
-        let realized_dt = cost' -. r.it_parent_cost in
-        let realized_ds = r.it_parent_size -. size' in
+      | Some mine, Some n
+        when Config.fingerprint mine = Config.fingerprint n.config ->
+        let realized_dt = n.cost -. r.it_parent_cost in
+        let realized_ds = r.it_parent_size -. n.size in
         (* a zero prediction (no plan affected) has no meaningful ratio;
            the consistency check below still covers it *)
         if Float.abs r.it_predicted_delta_cost > 0.0 then
@@ -282,7 +313,7 @@ let hook t (r : T.Search.iteration_report) =
             ~detail:"realized ΔS diverges from the predicted space saving"
             ~expected:r.it_predicted_delta_space ~actual:realized_ds
       | _ -> ());
-      (* 5. size fidelity: cross-size every structure once *)
+      (* 6. size fidelity: cross-size every structure once *)
       match r.it_applied with
       | None -> ()
       | Some config ->

@@ -12,6 +12,9 @@
       built;
     - {b structural invariants}: every produced configuration passes
       {!Invariants.check};
+    - {b plan validity}: every access in the evaluated node's plans reads
+      only indexes and views its configuration holds (exact, no
+      optimizer);
     - {b size fidelity}: every structure's §3.3.1 closed-form size agrees
       with {!Size_check}'s packing simulation within [size_tolerance],
       with small relations materialized through the engine;

@@ -22,14 +22,15 @@ module Expr = Relax_sql.Expr
 module O = Relax_optimizer
 module P = O.Cost_params
 
-(** Context describing one candidate relaxation [C -> C']. *)
+(** Context describing one relaxation step [C -> C'], of one or more
+    transformations. *)
 type context = {
   env' : O.Env.t;  (** environment under the relaxed configuration *)
   old_env : O.Env.t;  (** environment under the current configuration *)
   removed_indexes : Index.t list;
   removed_views : View.t list;
   view_merge : (View.merge_result * View.t * View.t) option;
-      (** set when the transformation merges two views (result, v1, v2) *)
+      (** set when the step merges two views (result, v1, v2) *)
   cbv : View.t -> float;
       (** cost of computing a view under the base configuration *)
   expands : bool;
@@ -40,21 +41,34 @@ type context = {
           genuinely get cheaper and the lower bound must account for it *)
 }
 
-let make_context cat ~cbv ~old_config ~new_config (tr : Transform.t) =
+let make_context cat ~cbv ~new_config steps =
+  let old_config =
+    match steps with
+    | (c, _) :: _ -> c
+    | [] -> invalid_arg "Cost_bound.make_context: no transformation"
+  in
+  (* A merged view a later step removed again is not there to remap
+     onto: accesses on its inputs then take the CBV bound. *)
   let view_merge =
-    match tr with
-    | Merge_views (a, b) -> (
-      match View.merge a b with Some m -> Some (m, a, b) | None -> None)
-    | _ -> None
+    List.find_map
+      (fun (_, (tr : Transform.t)) ->
+        match tr with
+        | Merge_views (a, b) -> (
+          match View.merge a b with
+          | Some m when Config.mem_view new_config m.merged -> Some (m, a, b)
+          | _ -> None)
+        | _ -> None)
+      steps
   in
   {
     env' = O.Env.make cat new_config;
     old_env = O.Env.make cat old_config;
-    removed_indexes = Transform.removed_indexes old_config tr;
-    removed_views = Transform.removed_views tr;
+    removed_indexes =
+      List.concat_map (fun (c, tr) -> Transform.removed_indexes c tr) steps;
+    removed_views = List.concat_map (fun (_, tr) -> Transform.removed_views tr) steps;
     view_merge;
     cbv;
-    expands = Transform.adds_structures tr;
+    expands = List.exists (fun (_, tr) -> Transform.adds_structures tr) steps;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -273,10 +287,12 @@ let select memo misses env' ?request_key (request : O.Request.t) =
       let s = compute () in
       (s, (key, s) :: misses))
 
-(* [access_bound] with its access-path selections through [select] *)
-let access_bound_in memo misses ?(consumed_order = []) ?request_key ctx
-    (a : O.Plan.access_info) : float * misses =
-  let a = with_consumed_order a consumed_order in
+(* Upper bound on re-implementing one affected access under the relaxed
+   configuration (per execution), with its access-path selections through
+   [select].  The access comes from a {!walk}, so the output order its
+   enclosing plan consumes is already part of its request. *)
+let access_bound memo misses ?request_key ctx (a : O.Plan.access_info) :
+    float * misses =
   match ctx.view_merge with
   | Some (m, v1, v2) when a.rel = View.name v1 || a.rel = View.name v2 -> (
     let v, remap =
@@ -306,13 +322,6 @@ let access_bound_in memo misses ?(consumed_order = []) ?request_key ctx
       let s, misses = select memo misses ctx.env' ?request_key a.request in
       (s.cost, misses)
     end
-
-(** Upper bound on the cost of re-implementing one affected access under the
-    relaxed configuration (per execution).  [consumed_order] is the output
-    order the enclosing plan relies on this access to deliver (empty when
-    none): the replacement must provide it too. *)
-let access_bound ?consumed_order ctx a =
-  fst (access_bound_in None [] ?consumed_order ctx a)
 
 (* One affected access's share of a query bound, given its access bound
    [b].  Access-path selection under [C'] may find a *cheaper* path than
@@ -360,7 +369,7 @@ let query_bound_walk_in memo misses ctx w =
   List.fold_left
     (fun (acc, misses) { access; request_key } ->
       if affected ctx access then begin
-        let b, misses = access_bound_in memo misses ?request_key ctx access in
+        let b, misses = access_bound memo misses ?request_key ctx access in
         (acc +. patch access b, misses)
       end
       else (acc, misses))

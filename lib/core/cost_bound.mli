@@ -14,14 +14,15 @@ module Index = Relax_physical.Index
 module View = Relax_physical.View
 module O = Relax_optimizer
 
-(** Context describing one candidate relaxation [C -> C']. *)
+(** Context describing one relaxation step [C -> C'], of one or more
+    transformations. *)
 type context = {
   env' : O.Env.t;  (** environment under the relaxed configuration *)
   old_env : O.Env.t;  (** environment under the current configuration *)
   removed_indexes : Index.t list;
   removed_views : View.t list;
   view_merge : (View.merge_result * View.t * View.t) option;
-      (** set when the transformation merges two views *)
+      (** set when the step merges two views into one [C'] keeps *)
   cbv : View.t -> float;
       (** cost of computing a view under the base configuration *)
   expands : bool;
@@ -33,13 +34,19 @@ type context = {
 val make_context :
   Relax_catalog.Catalog.t ->
   cbv:(View.t -> float) ->
-  old_config:Relax_physical.Config.t ->
   new_config:Relax_physical.Config.t ->
-  Transform.t ->
+  (Relax_physical.Config.t * Transform.t) list ->
   context
-(** The context of relaxing [old_config] to [new_config] by one
-    transformation.  [cbv] answers every view the transformation removes
-    that an affected plan reads; the context only stores it. *)
+(** The context of one relaxation step, given each transformation the step
+    applied with the configuration it was applied to, in order: [C] is the
+    first configuration and [C'] = [new_config] the last one's result.
+    It removes the structures every transformation removed, so a plan
+    that reads any of them is affected, and it expands when any
+    transformation adds structures.  The first view merge whose merged
+    view [C'] still holds is the [view_merge]; the inputs of any other
+    merge take the CBV bound.  [cbv] answers every view the step removes that an
+    affected plan reads; the context only stores it.  Raises
+    [Invalid_argument] on an empty list. *)
 
 val float_eq : ?eps:float -> float -> float -> bool
 (** Tolerant equality for cost/size values: true when the two values agree
@@ -57,17 +64,6 @@ val float_lt : ?eps:float -> float -> float -> bool
 
 val affected : context -> O.Plan.access_info -> bool
 val plan_affected : context -> O.Plan.t -> bool
-
-val access_bound :
-  ?consumed_order:(Relax_sql.Types.column * Relax_sql.Types.order_dir) list ->
-  context ->
-  O.Plan.access_info ->
-  float
-(** Upper bound on re-implementing one affected access under [C'], per
-    execution.  [consumed_order] is the output order the enclosing plan
-    consumes from this access without re-sorting (a merge join's input, a
-    streaming aggregate's input, the query's ORDER BY): the replacement is
-    required to deliver it too, or the patched plan would not be valid. *)
 
 val removed_view_bound : context -> O.Plan.access_info -> View.t -> float
 (** The CBV bound for an access whose view the relaxation removes: compute

@@ -59,47 +59,6 @@ type selection =
   | Space_greedy  (** maximize ΔS only (ignores cost) *)
   | Random of int  (** uniformly random applicable transformation (seeded) *)
 
-(** Everything a differential checker needs to replay one iteration of the
-    search against independent oracles (see [Relax_check]).  [it_applied]
-    is the configuration right after applying [it_transform] to the parent
-    — before the §3.5 multi-transformation extension and shrinking — so a
-    checker can re-derive it and compare; [it_result] is the evaluated
-    node's (configuration, cost, size) when the outcome is ["evaluated"]. *)
-type iteration_report = {
-  it_iteration : int;
-  it_parent : Config.t;
-  it_parent_cost : float;
-  it_parent_size : float;
-  it_transform : Transform.t;
-  it_applied : Config.t option;
-  it_predicted_delta_cost : float;  (** ΔT: the §3.3.2 upper bound *)
-  it_predicted_delta_space : float;  (** ΔS: the §3.3.1 estimate *)
-  it_penalty : float;
-  it_outcome : string;
-      (** [evaluated], [shortcut], [duplicate] or [inapplicable] *)
-  it_result : (Config.t * float * float) option;
-      (** (configuration, cost, size) of the evaluated node *)
-}
-
-type mode = Indexes_only | Indexes_and_views
-
-(* documented in the interface *)
-type options = {
-  mode : mode;
-  space_budget : float;
-  base_config : Config.t;
-  max_iterations : int;
-  time_budget_s : float option;
-  transforms_per_iteration : int;
-  shrink_configurations : bool;
-  selection : selection;
-  jobs : int;
-  whatif_budget : int option;
-  initial_config : Config.t option;
-  whatif : O.Whatif.t option;
-  on_iteration : (iteration_report -> unit) option;
-}
-
 (* cap on ranked transformations kept per configuration *)
 let max_candidates_per_node = 256
 
@@ -124,11 +83,17 @@ type node = {
   slots : (string, int) Hashtbl.t;
       (** shared qid → slot table (never mutated after [prepare]) *)
   select_cost : float;
-  shell_cost : float;
+  shells : float array;
+      (** the unweighted §3.6 shell cost of each update statement under
+          [config], in {!prepared} [dmls] order *)
+  shell_cost : float;  (** their weighted sum *)
   cost : float;
   size : float;
+  heap : float;  (** heap bytes of the base tables [config] leaves unclustered *)
   parent : int option;
-  via : Transform.t option;
+  via : Transform.t list;
+      (** the transformations the step from [parent] applied, in order;
+          empty for a parentless node *)
   actual_penalty : float;
       (** realized (cost increase)/(space saved) when created *)
   pseudo : Bitset.t;
@@ -136,6 +101,46 @@ type node = {
           re-optimized) cost; always empty under the unbounded ledger *)
   mutable untried : candidate list;  (** sorted by increasing penalty *)
   mutable candidates_ready : bool;
+}
+
+(** Everything a differential checker needs to replay one iteration of the
+    search against independent oracles (see [Relax_check]).  [it_applied]
+    is the configuration right after applying [it_transform] to the parent
+    — before the §3.5 multi-transformation extension and shrinking — so a
+    checker can re-derive it and compare; [it_result] is the evaluated
+    node when the outcome is ["evaluated"]. *)
+type iteration_report = {
+  it_iteration : int;
+  it_parent : Config.t;
+  it_parent_cost : float;
+  it_parent_size : float;
+  it_transform : Transform.t;
+  it_applied : Config.t option;
+  it_predicted_delta_cost : float;  (** ΔT: the §3.3.2 upper bound *)
+  it_predicted_delta_space : float;  (** ΔS: the §3.3.1 estimate *)
+  it_penalty : float;
+  it_outcome : string;
+      (** [evaluated], [shortcut], [duplicate] or [inapplicable] *)
+  it_result : node option;  (** the evaluated node *)
+}
+
+type mode = Indexes_only | Indexes_and_views
+
+(* documented in the interface *)
+type options = {
+  mode : mode;
+  space_budget : float;
+  base_config : Config.t;
+  max_iterations : int;
+  time_budget_s : float option;
+  transforms_per_iteration : int;
+  shrink_configurations : bool;
+  selection : selection;
+  jobs : int;
+  whatif_budget : int option;
+  initial_config : Config.t option;
+  whatif : O.Whatif.t option;
+  on_iteration : (iteration_report -> unit) option;
 }
 
 type prepared = {
@@ -193,25 +198,6 @@ type state = {
   started : float;
 }
 
-(* structures referenced by any plan: what "shrinking" keeps *)
-let used_structure_names (plans : O.Plan.t array) =
-  let used = Hashtbl.create 32 in
-  Array.iter
-    (fun plan ->
-      O.Plan.iter_accesses
-        (fun (a : O.Plan.access_info) ->
-          Hashtbl.replace used a.rel ();
-          (match a.via_view with
-          | Some v -> Hashtbl.replace used (View.name v) ()
-          | None -> ());
-          List.iter
-            (fun (u : O.Plan.index_usage) ->
-              Hashtbl.replace used (Index.name u.index) ())
-            a.usages)
-        plan)
-    plans;
-  used
-
 (* Heap bytes of every base table, in catalog order: they depend only on
    the catalog, which never changes during a search. *)
 let base_heaps catalog =
@@ -232,23 +218,27 @@ let heap_bytes st config =
       if Config.clustered_on config name <> None then acc else acc +. h)
     0.0 st.heaps
 
-let shell_cost_of st config =
-  if st.prepared.dmls = [] then 0.0
-  else begin
+(* The one pricing of update shells: the unweighted §3.6 shell cost of
+   each update statement under [config], in [st.prepared.dmls] order, and
+   their weighted sum, folded in that order.  [known k d] is statement
+   [k]'s term when the caller already knows it. *)
+let price_shells ?(known = fun _ _ -> None) st config =
+  match st.prepared.dmls with
+  | [] -> ([||], 0.0)
+  | dmls ->
     let env = O.Env.make st.catalog config in
-    List.fold_left
-      (fun acc (w, d) -> acc +. (w *. O.Update_cost.shell_cost env config d))
-      0.0 st.prepared.dmls
-  end
-
-(* The unweighted shell cost of each update statement under [config], in
-   [st.prepared.dmls] order: the terms [shell_cost_of] sums. *)
-let dml_shells st config =
-  let env = O.Env.make st.catalog config in
-  Array.of_list
-    (List.map
-       (fun (_, d) -> O.Update_cost.shell_cost env config d)
-       st.prepared.dmls)
+    let shells =
+      Array.of_list
+        (List.mapi
+           (fun k (_, d) ->
+             match known k d with
+             | Some c -> c
+             | None -> O.Update_cost.shell_cost env config d)
+           dmls)
+    in
+    let sum = ref 0.0 in
+    List.iteri (fun k (w, _) -> sum := !sum +. (w *. shells.(k))) dmls;
+    (shells, !sum)
 
 (* CBV: cost of computing a view from scratch under the base configuration.
    Main domain only: a pool task reads the CBVs phase 1 of
@@ -503,76 +493,109 @@ let classify st ~(parent : node) ~ctx ~shell ~best_cost config =
   end;
   decisions
 
-(** Evaluate a fresh configuration obtained by relaxing [parent] with [tr]:
-    cost it from the slot decisions — only the plans the relaxation
-    affected are re-costed — and abort as soon as the running total
-    exceeds three times the best known cost (§3.5). *)
-let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
-    node option =
-  let ctx =
-    Cost_bound.make_context st.catalog ~cbv:(cbv st) ~old_config:parent.config
-      ~new_config:config tr
+(* §3.5 shrinking variant: drop the structures no plan uses *)
+let shrink st (plans : O.Plan.t array) config =
+  let used = Hashtbl.create 32 in
+  Array.iter
+    (O.Plan.iter_accesses (fun (a : O.Plan.access_info) ->
+         Hashtbl.replace used a.rel ();
+         Option.iter (fun v -> Hashtbl.replace used (View.name v) ()) a.via_view;
+         List.iter
+           (fun (u : O.Plan.index_usage) ->
+             Hashtbl.replace used (Index.name u.index) ())
+           a.usages))
+    plans;
+  let keep_index i =
+    Config.mem_index st.opts.base_config i
+    || Hashtbl.mem used (Index.name i)
+    ||
+    (* a clustered index is the storage of a used view *)
+    (i.clustered && Hashtbl.mem used (Index.owner i))
   in
-  let best_cost =
-    match st.best with Some b -> b.cost | None -> infinity
+  let config =
+    List.fold_left
+      (fun cfg i -> if keep_index i then cfg else Config.remove_index cfg i)
+      config (Config.indexes config)
   in
-  let shell = shell_cost_of st config in
-  match
-    cost_plans st config
-      (classify st ~parent ~ctx ~shell ~best_cost config)
-      ~parent_pseudo:parent.pseudo ~from:shell
-      ~limit:(best_cost *. 3.0)
-  with
+  List.fold_left
+    (fun cfg v ->
+      if Config.mem_view st.opts.base_config v || Hashtbl.mem used (View.name v)
+      then cfg
+      else Config.remove_view cfg v)
+    config (Config.views config)
+
+(** The one way a pool node is built and costed.  [parent] is [None] for
+    the root and the warm-start seed, whose every plan is re-optimized.
+    A child's [steps] are the transformations its step applied, each with
+    the configuration it was applied to: the costing context covers the
+    structures every one of them removed, so only the plans reading none
+    of them are kept, and the rest get the slot decisions of [classify].
+    The fold aborts as soon as the running total exceeds three times the
+    best known cost (§3.5).  With [shrink_configurations] a child drops
+    the structures no plan uses, and its update shells are priced on the
+    configuration it keeps. *)
+let cost_node st ~(parent : node option) ~steps config : node option =
+  let shells, shell = price_shells st config in
+  let nsel = Array.length st.prepared.selects_arr in
+  (* a child's fold starts from its shell cost, so the abort sees the
+     whole cost; a parentless node adds it after its selects *)
+  let decisions, parent_pseudo, from, limit =
+    match parent with
+    | None -> (Array.make nsel Reoptimize, Bitset.create nsel, 0.0, infinity)
+    | Some parent ->
+      let ctx =
+        Cost_bound.make_context st.catalog ~cbv:(cbv st) ~new_config:config
+          steps
+      in
+      let best_cost =
+        match st.best with Some b -> b.cost | None -> infinity
+      in
+      ( classify st ~parent ~ctx ~shell ~best_cost config,
+        parent.pseudo,
+        shell,
+        best_cost *. 3.0 )
+  in
+  match cost_plans st config decisions ~parent_pseudo ~from ~limit with
   | exception Over_limit ->
     Obs.Probe.shortcut_abort ();
     None
   | plans, pseudo, total ->
-    let select_cost = total -. shell in
-    (* §3.5 shrinking variant: drop structures no surviving plan uses *)
-    let config =
-      if not st.opts.shrink_configurations then config
+    let select_cost = total -. from in
+    let kept =
+      if st.opts.shrink_configurations && Option.is_some parent then
+        shrink st plans config
+      else config
+    in
+    let shells, shell_cost, cost =
+      if kept == config then (shells, shell, total +. (shell -. from))
       else begin
-        let used = used_structure_names plans in
-        let keep_index i =
-          Config.mem_index st.opts.base_config i
-          || Hashtbl.mem used (Index.name i)
-          ||
-          (* a clustered index is the storage of a used view *)
-          (i.clustered && Hashtbl.mem used (Index.owner i))
-        in
-        let config =
-          List.fold_left
-            (fun cfg i -> if keep_index i then cfg else Config.remove_index cfg i)
-            config (Config.indexes config)
-        in
-        List.fold_left
-          (fun cfg v ->
-            if
-              Config.mem_view st.opts.base_config v
-              || Hashtbl.mem used (View.name v)
-            then cfg
-            else Config.remove_view cfg v)
-          config (Config.views config)
+        let shells, shell = price_shells st kept in
+        (shells, shell, select_cost +. shell)
       end
     in
-    let size = Config.total_bytes st.catalog config in
+    let size = Config.total_bytes st.catalog kept in
     let actual_penalty =
-      let d_s = parent.size -. size in
-      let d_t = total -. parent.cost in
-      if d_s > 0.0 then d_t /. d_s else d_t
+      match parent with
+      | None -> 0.0
+      | Some p ->
+        let d_s = p.size -. size in
+        let d_t = cost -. p.cost in
+        if d_s > 0.0 then d_t /. d_s else d_t
     in
     let node =
       {
         id = st.next_id;
-        config;
+        config = kept;
         plans;
         slots = st.prepared.slots;
         select_cost;
-        shell_cost = shell;
-        cost = total;
+        shells;
+        shell_cost;
+        cost;
         size;
-        parent = Some parent.id;
-        via = Some tr;
+        heap = heap_bytes st kept;
+        parent = Option.map (fun p -> p.id) parent;
+        via = List.map snd steps;
         actual_penalty;
         pseudo;
         untried = [];
@@ -581,37 +604,6 @@ let evaluate st ~(parent : node) ~(tr : Transform.t) (config : Config.t) :
     in
     st.next_id <- st.next_id + 1;
     Some node
-
-(* A parentless pool node — the root, or the warm-start seed: every plan
-   re-optimized, folded from zero with the shell cost added afterwards. *)
-let parentless_node st config =
-  let nsel = Array.length st.prepared.selects_arr in
-  let shell = shell_cost_of st config in
-  let plans, pseudo, select_cost =
-    cost_plans st config
-      (Array.make nsel Reoptimize)
-      ~parent_pseudo:(Bitset.create nsel) ~from:0.0 ~limit:infinity
-  in
-  let node =
-    {
-      id = st.next_id;
-      config;
-      plans;
-      slots = st.prepared.slots;
-      select_cost;
-      shell_cost = shell;
-      cost = select_cost +. shell;
-      size = Config.total_bytes st.catalog config;
-      parent = None;
-      via = None;
-      actual_penalty = 0.0;
-      pseudo;
-      untried = [];
-      candidates_ready = false;
-    }
-  in
-  st.next_id <- st.next_id + 1;
-  node
 
 (* ------------------------------------------------------------------ *)
 (* candidate ranking (§3.4, §3.6)                                      *)
@@ -694,10 +686,8 @@ let rank_candidates st (n : node) : candidate list =
          (fun name -> Option.value ~default:[] (Hashtbl.find_opt usage name))
          names)
   in
-  (* Phase 1: the node's heap bytes and per-statement shell costs, which
-     every candidate reuses where it changes nothing they read, and the
-     CBV of every removed view an affected plan reads (the only views its
-     bounds can ask for), all on the main domain: [cbv] writes
+  (* Phase 1: the CBV of every removed view an affected plan reads (the
+     only views its bounds can ask for), on the main domain: [cbv] writes
      [st.cbv_cache].  CBVs are taken before applying, yet the set is the
      one the applied candidates need: every view a transformation removes
      has its own [Remove_view], which always applies.  Then, in the pool,
@@ -705,8 +695,6 @@ let rank_candidates st (n : node) : candidate list =
      candidate's frozen CBV list.  Contexts are plain values — an
      environment is one too — so the pool may read every value this phase
      builds. *)
-  let heap = heap_bytes st n.config in
-  let shells = dml_shells st n.config in
   let with_cbvs =
     Array.of_list
       (List.map
@@ -733,7 +721,7 @@ let rank_candidates st (n : node) : candidate list =
           Some
             (Cost_bound.make_context st.catalog
                ~cbv:(fun v -> List.assoc (View.name v) cbvs)
-               ~old_config:n.config ~new_config:config' tr)
+               ~new_config:config' [ (n.config, tr) ])
       in
       Some (tr, config', adds, affected, ctx)
   in
@@ -798,10 +786,10 @@ let rank_candidates st (n : node) : candidate list =
     in
     ((Cost_bound.query_lower_bound ctx plan, hi), misses)
   in
-  (* The shell cost of [config'] summed like [shell_cost_of]: a statement
-     keeps the node's term unless [Update_cost.touches] finds a removed or
-     added structure on its table, so the sum is the one [shell_cost_of]
-     would compute, bit for bit. *)
+  (* The shell cost of [config']: a statement keeps the node's term unless
+     [Update_cost.touches] finds a removed or added structure on its
+     table, so the sum is the one [price_shells] computes from scratch,
+     bit for bit. *)
   let shell_cost' tr config' ~removed ~added =
     let views_out = Transform.removed_views tr in
     let views_in =
@@ -811,22 +799,16 @@ let rank_candidates st (n : node) : candidate list =
           (fun v -> not (Config.mem_view n.config v))
           (Config.views config')
     in
-    let env' = O.Env.make st.catalog config' in
     snd
-      (List.fold_left
-         (fun (k, acc) (w, d) ->
+      (price_shells st config' ~known:(fun k d ->
            let table = Query.dml_table d in
-           let c =
-             if
-               O.Update_cost.touches n.config ~table ~indexes:removed
-                 ~views:views_out
-               || O.Update_cost.touches config' ~table ~indexes:added
-                    ~views:views_in
-             then O.Update_cost.shell_cost env' config' d
-             else shells.(k)
-           in
-           (k + 1, acc +. (w *. c)))
-         (0, 0.0) st.prepared.dmls)
+           if
+             O.Update_cost.touches n.config ~table ~indexes:removed
+               ~views:views_out
+             || O.Update_cost.touches config' ~table ~indexes:added
+                  ~views:views_in
+           then None
+           else Some n.shells.(k)))
   in
   (* Phase 2, parallel: score each applied transformation — incremental
      size (only the structures that changed are re-measured; heaps are
@@ -847,10 +829,10 @@ let rank_candidates st (n : node) : candidate list =
     let heap' =
       if Index.Set.exists clustered removed || Index.Set.exists clustered added
       then heap_bytes st config'
-      else heap
+      else n.heap
     in
     let size' =
-      n.size -. heap +. heap'
+      n.size -. n.heap +. heap'
       -. Index.Set.fold
            (fun i a -> a +. Config.index_bytes st.catalog n.config i)
            removed 0.0
@@ -862,10 +844,7 @@ let rank_candidates st (n : node) : candidate list =
     let (delta_selects_lo, delta_selects), misses =
       walk_affected affected ctx ~init:(0.0, 0.0) bounds
     in
-    let delta_shell =
-      if st.prepared.dmls = [] then 0.0
-      else shell_cost' tr config' ~removed ~added -. n.shell_cost
-    in
+    let delta_shell = shell_cost' tr config' ~removed ~added -. n.shell_cost in
     let delta_cost = delta_selects +. delta_shell in
     ( misses,
       if delta_space <= 0.0 && delta_cost >= 0.0 then None
@@ -1066,28 +1045,29 @@ let pick_candidate st (c : node) : candidate option =
     c.untried <- List.filter (fun x -> x != chosen) l;
     Some chosen
 
-(* §3.5 variant: greedily pile further candidates of the same node onto a
-   partially-relaxed configuration.  Conflicting transformations (ones whose
-   structures are already gone) simply fail to apply and are skipped. *)
-let extend_with_transforms st (c : node) config k =
-  let applied = ref [] in
-  let config = ref config in
-  let rec go remaining k =
-    match (remaining, k) with
-    | [], _ | _, 0 -> ()
-    | cand :: rest, k -> (
+(* §3.5 variant: greedily pile up to [k] further candidates of the same
+   node onto [config], the result of its first step.  Conflicting
+   transformations (ones whose structures are already gone) simply fail
+   to apply and are skipped.  Returns [steps] extended with each step
+   applied, with the configuration it was applied to, and the final
+   configuration. *)
+let extend_with_transforms st (c : node) steps config k =
+  let rec go applied config remaining k =
+    match remaining with
+    | cand :: rest when k > 0 -> (
       match
-        Transform.apply ~estimate_rows:(estimate_view_rows st) !config cand.tr
+        Transform.apply ~estimate_rows:(estimate_view_rows st) config cand.tr
       with
-      | Some cfg' ->
-        config := cfg';
-        applied := cand :: !applied;
-        go rest (k - 1)
-      | None -> go rest k)
+      | Some config' -> go ((config, cand) :: applied) config' rest (k - 1)
+      | None -> go applied config rest k)
+    | _ -> (List.rev applied, config)
   in
-  go c.untried k;
-  c.untried <- List.filter (fun x -> not (List.memq x !applied)) c.untried;
-  !config
+  let applied, config = go [] config c.untried k in
+  c.untried <-
+    List.filter
+      (fun x -> not (List.exists (fun (_, y) -> x == y) applied))
+      c.untried;
+  (steps @ List.map (fun (cfg, cand) -> (cfg, cand.tr)) applied, config)
 
 (* ------------------------------------------------------------------ *)
 (* the main loop (Figure 5)                                            *)
@@ -1233,7 +1213,7 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
     end
   in
   Hashtbl.replace st.seen (Config.fingerprint initial) ();
-  let root = parentless_node st initial in
+  let root = Option.get (cost_node st ~parent:None ~steps:[] initial) in
   admit ~iteration:0 root;
   (* Warm start: seed the previously deployed configuration as a second
      parentless pool node.  On an incremental re-tune its plans are
@@ -1247,7 +1227,7 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
   | Some cfg when Hashtbl.mem st.seen (Config.fingerprint cfg) -> ()
   | Some cfg ->
     Hashtbl.replace st.seen (Config.fingerprint cfg) ();
-    admit ~iteration:0 (parentless_node st cfg));
+    Option.iter (admit ~iteration:0) (cost_node st ~parent:None ~steps:[] cfg));
   let time_ok () =
     match opts.time_budget_s with
     | None -> true
@@ -1278,10 +1258,9 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
              | Some config' -> (
                (* §3.5 variant: pile up to k−1 further non-conflicting
                   transformations before evaluating *)
-               let config' =
-                 if opts.transforms_per_iteration <= 1 then config'
-                 else extend_with_transforms st c config'
-                        (opts.transforms_per_iteration - 1)
+               let steps, config' =
+                 extend_with_transforms st c [ (c.config, cand.tr) ] config'
+                   (opts.transforms_per_iteration - 1)
                in
                Obs.Probe.transform_applied ~kind:(Transform.kind cand.tr);
                let fp = Config.fingerprint config' in
@@ -1290,7 +1269,7 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
                  Hashtbl.replace st.seen fp ();
                  match
                    Obs.Probe.span "search.evaluate" (fun () ->
-                       evaluate st ~parent:c ~tr:cand.tr config')
+                       cost_node st ~parent:(Some c) ~steps config')
                  with
                  | None -> ("shortcut", None) (* shortcut-pruned *)
                  | Some node ->
@@ -1317,8 +1296,7 @@ let run ?obs catalog ~(workload : Query.workload) ~(initial : Config.t)
                  it_predicted_delta_space = cand.delta_space;
                  it_penalty = cand.penalty;
                  it_outcome = status;
-                 it_result =
-                   Option.map (fun n -> (n.config, n.cost, n.size)) produced;
+                 it_result = produced;
                })
      done
    with Exit -> ());

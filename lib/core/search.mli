@@ -33,13 +33,50 @@ type selection =
   | Space_greedy  (** maximize ΔS only *)
   | Random of int  (** uniformly random, seeded *)
 
+type candidate = {
+  tr : Transform.t;
+  penalty : float;
+  delta_cost : float;  (** ΔT: upper-bound cost increase *)
+  delta_space : float;  (** ΔS: space saved *)
+}
+
+(** A configuration in the pool, with its evaluated plans and costs.
+    Plans are held in a slot-indexed array (one slot per workload select,
+    in {!prepared.selects_arr} order) — the flat representation the
+    scoring loops scan; use {!plan_of} / {!is_pseudo} for qid-keyed
+    access. *)
+type node = {
+  id : int;
+  config : Config.t;
+  plans : O.Plan.t array;  (** slot-indexed *)
+  slots : (string, int) Hashtbl.t;
+      (** shared qid → slot table; never mutated after {!prepare} *)
+  select_cost : float;
+  shells : float array;
+      (** the unweighted §3.6 shell cost of each update statement under
+          [config], in {!prepared} [dmls] order *)
+  shell_cost : float;  (** their weighted sum *)
+  cost : float;  (** [select_cost] + [shell_cost] *)
+  size : float;
+  heap : float;  (** heap bytes of the base tables [config] leaves unclustered *)
+  parent : int option;
+  via : Transform.t list;
+      (** the transformations the step from [parent] applied, in order;
+          empty for a parentless node *)
+  actual_penalty : float;
+  pseudo : Bitset.t;
+      (** the select slots whose plan carries a bound-substituted (not
+          re-optimized) cost; always empty under the unbounded ledger *)
+  mutable untried : candidate list;
+  mutable candidates_ready : bool;
+}
+
 (** Everything a differential checker needs to replay one iteration of the
     search against independent oracles (see [Relax_check]).  [it_applied]
     is the configuration right after applying [it_transform] to the parent
     — before the §3.5 multi-transformation extension and shrinking — so a
     checker can re-derive and compare it; [it_result] is the evaluated
-    node's (configuration, cost, size) when the outcome is
-    ["evaluated"]. *)
+    node when the outcome is ["evaluated"]. *)
 type iteration_report = {
   it_iteration : int;
   it_parent : Config.t;
@@ -52,8 +89,7 @@ type iteration_report = {
   it_penalty : float;
   it_outcome : string;
       (** [evaluated], [shortcut], [duplicate] or [inapplicable] *)
-  it_result : (Config.t * float * float) option;
-      (** (configuration, cost, size) of the evaluated node *)
+  it_result : node option;  (** the evaluated node *)
 }
 
 (** Which structures the §2 instrumentation proposes (see {!Tuner.tune}). *)
@@ -73,11 +109,19 @@ type options = {
   time_budget_s : float option;
   transforms_per_iteration : int;
       (** §3.5 variant: apply up to this many non-conflicting
-          transformations before re-evaluating (1 = the paper's default) *)
+          transformations before re-evaluating (1 = the paper's default).
+          The node is costed against its final configuration: a plan
+          that reads a structure any of the step's transformations
+          removed is re-costed, whichever transformation removed it. *)
   shrink_configurations : bool;
       (** §3.5 variant: drop structures unused by any query after each
           evaluation (may hurt quality: an unused structure can become
-          useful after other structures are relaxed away); default off *)
+          useful after other structures are relaxed away); default off.
+          The node keeps the shrunk configuration and is costed against
+          it: its plans read only structures it keeps, and its update
+          shells are priced on it, not on the configuration before
+          shrinking.  The §3.5 abort still compares the pre-shrink
+          running total. *)
   selection : selection;  (** {!Penalty} is the paper's *)
   jobs : int;
       (** domains for parallel candidate ranking and plan
@@ -114,38 +158,6 @@ type options = {
       (** invoked once per iteration, after evaluation and trace emission,
           from the main domain (never from workers).  Used by the
           differential invariant checker ([Relax_check]). *)
-}
-
-type candidate = {
-  tr : Transform.t;
-  penalty : float;
-  delta_cost : float;  (** ΔT: upper-bound cost increase *)
-  delta_space : float;  (** ΔS: space saved *)
-}
-
-(** A configuration in the pool, with its evaluated plans and costs.
-    Plans are held in a slot-indexed array (one slot per workload select,
-    in {!prepared.selects_arr} order) — the flat representation the
-    scoring loops scan; use {!plan_of} / {!is_pseudo} for qid-keyed
-    access. *)
-type node = {
-  id : int;
-  config : Config.t;
-  plans : O.Plan.t array;  (** slot-indexed *)
-  slots : (string, int) Hashtbl.t;
-      (** shared qid → slot table; never mutated after {!prepare} *)
-  select_cost : float;
-  shell_cost : float;
-  cost : float;
-  size : float;
-  parent : int option;
-  via : Transform.t option;
-  actual_penalty : float;
-  pseudo : Bitset.t;
-      (** the select slots whose plan carries a bound-substituted (not
-          re-optimized) cost; always empty under the unbounded ledger *)
-  mutable untried : candidate list;
-  mutable candidates_ready : bool;
 }
 
 (** Workload split into optimizable selects (including update select

@@ -123,7 +123,7 @@ let tpch_bound_context cat config config' tr =
       (O.Optimizer.optimize cat Config.empty
          { Query.body = View.definition v; order_by = [] })
         .cost)
-    ~old_config:config ~new_config:config' tr
+    ~new_config:config' [ (config, tr) ]
 
 (* the central §3.3.2 claim on a real workload: for any relaxation of the
    TPC-H optimal configuration, the bound dominates the re-optimized cost *)
@@ -460,6 +460,47 @@ let test_checker_does_not_pollute_metrics () =
   Alcotest.(check int) "same iterations" it1 it2;
   Alcotest.(check int) "same what-if calls" whatif1 whatif2
 
+(* §3.5 multi-transformation steps, on the ablation's TPC-H setup at
+   three transformations per iteration: every evaluated node's plans read
+   only structures its configuration holds.  A step costed from its first
+   transformation alone keeps plans on indexes a later one removed. *)
+let test_multi_step_plans_valid () =
+  let cat = W.Tpch.catalog ~scale:0.02 () in
+  let workload = W.Tpch.workload_subset [ 1; 3; 5; 6; 10; 12; 14; 15 ] in
+  let checker = C.Checker.create cat ~workload ~protected:Config.empty () in
+  let multi = ref 0 in
+  let hook (r : T.Search.iteration_report) =
+    (match (r.it_applied, r.it_result) with
+    | Some applied, Some n
+      when Config.fingerprint applied <> Config.fingerprint n.config ->
+      incr multi
+    | _ -> ());
+    C.Checker.hook checker r
+  in
+  let opts =
+    {
+      (T.Tuner.default_options ~mode:T.Tuner.Indexes_only
+         ~space_budget:(1.6 *. Config.total_bytes cat Config.empty)
+         ())
+      with
+      max_iterations = 250;
+      transforms_per_iteration = 3;
+      on_iteration = Some hook;
+    }
+  in
+  ignore (T.Tuner.tune cat workload opts);
+  let report = C.Checker.report checker in
+  Alcotest.(check bool) "multi-transformation nodes evaluated" true (!multi > 0);
+  match
+    List.filter
+      (fun (v : C.Checker.violation) -> v.rule = "plan_validity")
+      report.violations
+  with
+  | [] -> ()
+  | vs ->
+    Alcotest.failf "%d plan_validity violations, first: %a" (List.length vs)
+      C.Checker.pp_violation (List.hd vs)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_size_monotone_rows;
@@ -487,4 +528,6 @@ let suite =
     Alcotest.test_case "checker: clean run" `Quick test_checked_run_clean;
     Alcotest.test_case "checker: no metric pollution" `Quick
       test_checker_does_not_pollute_metrics;
+    Alcotest.test_case "checker: multi-transformation plans valid" `Quick
+      test_multi_step_plans_valid;
   ]

@@ -159,7 +159,7 @@ let bound_context cat config config' tr =
       (O.Optimizer.optimize cat Config.empty
          { Query.body = View.definition v; order_by = [] })
         .cost)
-    ~old_config:config ~new_config:config' tr
+    ~new_config:config' [ (config, tr) ]
 
 (* the frugal tier's central claim: for any relaxation of the TPC-H
    optimal configuration, the re-optimized cost lands inside the cheap

@@ -9,6 +9,7 @@ module View = Relax_physical.View
 module Config = Relax_physical.Config
 module O = Relax_optimizer
 module T = Relax_tuner
+module W = Relax_workloads
 
 let c = Column.make
 let cat = lazy (Fixtures.small_catalog ())
@@ -402,6 +403,65 @@ let test_variant_shrink () =
   Alcotest.(check bool) "fits" true (r.recommended_size <= mb 9.0);
   Alcotest.(check bool) "improves" true (r.improvement > 0.0)
 
+(* §3.5 shrinking on an update workload, with three transformations per
+   step: a node is costed against the configuration it keeps.  Its update
+   shells are priced on the shrunk configuration, not on the one before
+   shrinking, and its cost is its plans' plus those shells — for every
+   evaluated node, and for the best one the search returns. *)
+let test_shrink_prices_kept_shells () =
+  let schema = W.Bench_db.schema ~scale:0.02 () in
+  let cat = schema.catalog in
+  let workload =
+    W.Generator.workload ~seed:8
+      ~profile:{ W.Generator.default_profile with update_fraction = 0.5 }
+      schema ~n:24
+  in
+  let prepared = T.Search.prepare workload in
+  Alcotest.(check bool) "the workload has updates" true prepared.has_updates;
+  let check_node (n : T.Search.node) =
+    let env = O.Env.make cat n.config in
+    let shells =
+      List.fold_left
+        (fun acc (w, d) -> acc +. (w *. O.Update_cost.shell_cost env n.config d))
+        0.0 prepared.dmls
+    in
+    Fixtures.check_float
+      (Printf.sprintf "node %d: shell cost of the kept configuration" n.id)
+      shells n.shell_cost;
+    let selects =
+      List.fold_left
+        (fun acc (qid, w, _) ->
+          match T.Search.plan_of n ~qid with
+          | Some (p : O.Plan.t) -> acc +. (w *. p.cost)
+          | None -> Alcotest.failf "no plan for %s" qid)
+        0.0 prepared.selects
+    in
+    Fixtures.check_float
+      (Printf.sprintf "node %d: cost = plans + shells" n.id)
+      (selects +. n.shell_cost) n.cost
+  in
+  let inst =
+    T.Instrument.optimal_configuration cat ~base:Config.empty ~views:false
+      workload
+  in
+  let opts =
+    {
+      (T.Tuner.default_options ~mode:T.Tuner.Indexes_only
+         ~space_budget:(1.3 *. Config.total_bytes cat Config.empty)
+         ())
+      with
+      max_iterations = 200;
+      transforms_per_iteration = 3;
+      shrink_configurations = true;
+      on_iteration =
+        Some (fun r -> Option.iter check_node r.T.Search.it_result);
+    }
+  in
+  let outcome = T.Search.run cat ~workload ~initial:inst.optimal opts in
+  match outcome.best with
+  | Some n -> check_node n
+  | None -> Alcotest.fail "no configuration fits the budget"
+
 let test_variant_random_deterministic () =
   let run () =
     tune_with (fun o -> { o with selection = T.Search.Random 7 }) small_workload
@@ -527,6 +587,8 @@ let suite =
       test_updates_drop_expensive_indexes;
     Alcotest.test_case "variant: multi-transform" `Quick test_variant_multi_transform;
     Alcotest.test_case "variant: shrink" `Quick test_variant_shrink;
+    Alcotest.test_case "variant: shrink prices the kept shells" `Quick
+      test_shrink_prices_kept_shells;
     Alcotest.test_case "variant: random deterministic" `Quick
       test_variant_random_deterministic;
     Alcotest.test_case "variant: all selections valid" `Quick
