@@ -194,40 +194,22 @@ let removed_view_bound ctx (a : O.Plan.access_info) (v : View.t) : float =
    Patching such an access with an unordered replacement silently
    invalidates the surrounding plan — the optimizer's true best can then
    exceed the "bound" (the checker caught exactly this on a TPC-H merge
-   join fed by an index scan's key order).  [go] threads whether the
-   parent still needs this subtree's order; at each access that order, if
-   needed, becomes part of the replacement's request. *)
-let accesses_with_consumed_order ~order_by (plan : O.Plan.t) :
-    (O.Plan.access_info * (column * order_dir) list) list =
-  let rec go needed (p : O.Plan.t) acc =
-    match p.node with
-    | O.Plan.Seq_scan _ | Index_scan _ | Index_seek _ | Rid_union _ -> acc
-    | Access { info; input } ->
-      let consumed = if needed then p.out_order else [] in
-      (info, consumed) :: go needed input acc
-    | Sort { input; _ } -> go false input acc
-    | Filter { input; _ } | Rid_lookup { input; _ } -> go needed input acc
-    | Rid_intersect (a, b) -> go false a (go false b acc)
-    | Hash_join { build; probe; _ } -> go false build (go needed probe acc)
-    | Merge_join { left; right; _ } -> go true left (go true right acc)
-    | Nl_join { outer; inner; _ } -> go needed outer (go false inner acc)
-    | Group { input; streaming; _ } -> go streaming input acc
-  in
-  go (order_by <> []) plan []
-
-(* Fold the consumed order into the access's request, so every bounding
-   strategy below (access-path re-selection, view remapping, CBV) prices
-   the sort needed to keep the enclosing plan valid. *)
-let with_consumed_order (a : O.Plan.access_info)
-    (consumed : (column * order_dir) list) : O.Plan.access_info =
-  if consumed = [] || a.request.order <> [] then a
+   join fed by an index scan's key order).  Both walks below thread, by
+   {!O.Plan.inputs}, whether the parent still needs a subtree's order; at
+   an access [p] whose order is needed, that order is folded into its
+   request, so every bounding strategy below (access-path re-selection,
+   view remapping, CBV) prices the sort needed to keep the enclosing plan
+   valid. *)
+let with_consumed_order ~needed (p : O.Plan.t) (a : O.Plan.access_info) :
+    O.Plan.access_info =
+  if (not needed) || p.out_order = [] || a.request.order <> [] then a
   else
     {
       a with
       request =
         O.Request.make ~rel:a.request.rel ~ranges:a.request.ranges
           ~param_eq:a.request.param_eq ~others:a.request.others
-          ~order:consumed ~cols:a.request.cols ();
+          ~order:p.out_order ~cols:a.request.cols ();
     }
 
 (* --- the bound memo --------------------------------------------------- *)
@@ -348,20 +330,23 @@ type step = { access : O.Plan.access_info; request_key : string option }
 type walk = { cost : float; steps : step list }
 
 let walk ?(order_by = []) ~keyed (plan : O.Plan.t) =
-  {
-    cost = plan.cost;
-    steps =
-      List.map
-        (fun (a, consumed) ->
-          let access = with_consumed_order a consumed in
-          let request_key =
-            if keyed access then
-              Some (O.Access_path.request_key access.request)
-            else None
-          in
-          { access; request_key })
-        (accesses_with_consumed_order ~order_by plan);
-  }
+  let rec go needed (p : O.Plan.t) steps =
+    let steps =
+      List.fold_right
+        (fun (needed, input) steps -> go needed input steps)
+        (O.Plan.inputs ~needed p) steps
+    in
+    match p.node with
+    | Access { info; _ } ->
+      let access = with_consumed_order ~needed p info in
+      let request_key =
+        if keyed access then Some (O.Access_path.request_key access.request)
+        else None
+      in
+      { access; request_key } :: steps
+    | _ -> steps
+  in
+  { cost = plan.cost; steps = go (order_by <> []) plan [] }
 
 (* The one fold of a query bound: patch every affected access of the
    walk, with its access-path selections through [select]. *)
@@ -388,10 +373,6 @@ let query_bound ?order_by ctx plan =
 let query_bound_walk memo misses relation_keys ctx w =
   query_bound_walk_in (Some (memo, relation_keys)) misses ctx w
 
-let query_bound_memo memo misses ?order_by ctx plan =
-  query_bound_walk memo misses (relation_keys ctx) ctx
-    (walk ?order_by ~keyed:(fun _ -> false) plan)
-
 (** Does this plan touch any structure the relaxation removes? *)
 let plan_affected ctx (plan : O.Plan.t) =
   List.exists (affected ctx) (O.Plan.accesses plan)
@@ -416,17 +397,7 @@ exception Unpatchable
     from-scratch view computation, not a plan). *)
 let patched_plan ?(order_by = []) ctx (plan : O.Plan.t) : O.Plan.t option =
   let rec go needed (p : O.Plan.t) : O.Plan.t * float =
-    let lift mk kids =
-      let kids' = List.map (fun (needed, k) -> go needed k) kids in
-      let d = List.fold_left (fun acc (_, dk) -> acc +. dk) 0.0 kids' in
-      ({ p with node = mk (List.map fst kids'); cost = p.cost +. d }, d)
-    in
-    let one mk needed_k k = lift (function [ k' ] -> mk k' | _ -> assert false) [ (needed_k, k) ] in
-    let two mk na a nb b =
-      lift (function [ a'; b' ] -> mk a' b' | _ -> assert false) [ (na, a); (nb, b) ]
-    in
     match p.node with
-    | O.Plan.Seq_scan _ | Index_scan _ | Index_seek _ | Rid_union _ -> (p, 0.0)
     | Access { info; input = _ } when affected ctx info ->
       if
         view_removed ctx info.rel
@@ -436,46 +407,24 @@ let patched_plan ?(order_by = []) ctx (plan : O.Plan.t) : O.Plan.t option =
            | None -> false)
       then raise Unpatchable
       else begin
-        let consumed = if needed then p.out_order else [] in
-        let info = with_consumed_order info consumed in
+        let info = with_consumed_order ~needed p info in
         let repl =
           O.Access_path.best ctx.env' ?via_view:info.via_view info.request
         in
         (* the replacement runs as many times as the access it replaces *)
-        let repl =
-          match repl.node with
-          | O.Plan.Access { info = ri; input } ->
-            { repl with
-              node =
-                O.Plan.Access
-                  { info = { ri with executions = info.executions }; input }
-            }
-          | _ -> repl
-        in
-        ( repl,
-          Float.max 0.0 (info.executions *. (repl.cost -. info.access_cost)) )
+        ( O.Plan.with_executions repl info.executions,
+          patch info repl.cost )
       end
     | Access _ -> (p, 0.0)
-    | Sort s -> one (fun input -> O.Plan.Sort { s with input }) false s.input
-    | Filter f -> one (fun input -> O.Plan.Filter { f with input }) needed f.input
-    | Rid_lookup r ->
-      one (fun input -> O.Plan.Rid_lookup { r with input }) needed r.input
-    | Rid_intersect (a, b) ->
-      two (fun a' b' -> O.Plan.Rid_intersect (a', b')) false a false b
-    | Hash_join h ->
-      two
-        (fun build probe -> O.Plan.Hash_join { h with build; probe })
-        false h.build needed h.probe
-    | Merge_join m ->
-      two
-        (fun left right -> O.Plan.Merge_join { m with left; right })
-        true m.left true m.right
-    | Nl_join n ->
-      two
-        (fun outer inner -> O.Plan.Nl_join { n with outer; inner })
-        needed n.outer false n.inner
-    | Group g ->
-      one (fun input -> O.Plan.Group { g with input }) g.streaming g.input
+    | _ -> (
+      match O.Plan.inputs ~needed p with
+      | [] -> (p, 0.0)
+      | inputs ->
+        let inputs' = List.map (fun (needed, k) -> go needed k) inputs in
+        let d = List.fold_left (fun acc (_, dk) -> acc +. dk) 0.0 inputs' in
+        ( { (O.Plan.with_inputs p (List.map fst inputs')) with
+            cost = p.cost +. d },
+          d ))
   in
   match go (order_by <> []) plan with
   | p, _ -> Some p

@@ -113,23 +113,6 @@ type misses = (string * selection) list
 (** Selections a walk computed that its memo did not hold, newest
     first. *)
 
-val query_bound_memo :
-  memo ->
-  misses ->
-  ?order_by:(Relax_sql.Types.column * Relax_sql.Types.order_dir) list ->
-  context ->
-  O.Plan.t ->
-  float * misses
-(** {!query_bound}, with each access-path selection answered from the
-    memo or from [misses] when either holds its key, and computed
-    otherwise.  Returns the bound, bit for bit the one {!query_bound}
-    gives, and [misses] extended with the selections it computed.
-    [access_path.requests] still counts every selection asked for;
-    [access_path.memo_hits] counts those answered without computing.
-    It computes both key parts of every selection it makes:
-    [query_bound_walk memo misses (relation_keys ctx) ctx
-     (walk ?order_by ~keyed:(fun _ -> false) plan)]. *)
-
 (** {2 Walks: each key part computed once}
 
     A search bounds the same node plans for every candidate of the node,
@@ -153,11 +136,14 @@ val reselects : context -> O.Plan.access_info -> bool
     onto the merged view or takes the CBV bound. *)
 
 type walk
-(** A plan's accesses in the order {!query_bound} visits them, each with
-    the output order its enclosing plan consumes folded into its request,
-    and, for the accesses the walk was asked to key, that request's
-    {!Relax_optimizer.Access_path.request_key}.  It depends on the plan,
-    the query's order and [keyed] alone. *)
+(** A plan's accesses in the order {!query_bound} visits them (pre-order,
+    inputs left to right), each with the output order its enclosing plan
+    consumes folded into its request, and, for the accesses the walk was
+    asked to key, that request's
+    {!Relax_optimizer.Access_path.request_key}.  Which accesses have
+    their order consumed is {!Relax_optimizer.Plan.inputs}'s rule, the
+    one {!patched_plan} follows too.  It depends on the plan, the query's
+    order and [keyed] alone. *)
 
 val walk :
   ?order_by:(Relax_sql.Types.column * Relax_sql.Types.order_dir) list ->
@@ -180,10 +166,16 @@ val relation_keys : context -> relation_keys
 
 val query_bound_walk :
   memo -> misses -> relation_keys -> context -> walk -> float * misses
-(** {!query_bound_memo} of the walk's plan and order, with each memo key
-    composed from the walk's request key (computed in place for an access
-    the walk did not key) and the context's relation key, so a walk and
-    the relation keys can serve many bounds. *)
+(** {!query_bound} of the walk's plan and order, with each access-path
+    selection answered from the memo or from [misses] when either holds
+    its key, and computed otherwise.  Returns the bound, bit for bit the
+    one {!query_bound} gives, and [misses] extended with the selections
+    it computed.  [access_path.requests] still counts every selection
+    asked for; [access_path.memo_hits] counts those answered without
+    computing.  Each memo key is composed from the walk's request key
+    (computed in place for an access the walk did not key) and the
+    context's relation key, so a walk and the relation keys can serve
+    many bounds. *)
 
 val patched_plan :
   ?order_by:(Relax_sql.Types.column * Relax_sql.Types.order_dir) list ->
@@ -192,7 +184,8 @@ val patched_plan :
   O.Plan.t option
 (** Materialize the §3.3.2 patched plan: every affected access sub-plan is
     replaced by the best surviving access path under [C'] (consumed order
-    folded into its request, execution count preserved) and every
+    folded into its request by {!Relax_optimizer.Plan.inputs}'s rule, as
+    in a {!walk}; execution count preserved) and every
     ancestor's cumulative cost absorbs the clamped per-access delta, so
     the result's top-level cost equals {!query_bound}.  The result is a
     valid plan under [C'] with real accesses, so later affected-tests and

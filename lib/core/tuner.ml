@@ -111,28 +111,28 @@ let tune_spanned recorder (catalog : Catalog.t) (workload : Query.workload)
       (options.base_config, initial_size)
   in
   (* Per-entry weighted costs of a node's configuration, read straight off
-     its evaluated plans — no optimizer calls. *)
+     its evaluated plans and its update shells (one per DML statement, in
+     workload order) — no optimizer calls. *)
   let entries_of_node (n : Search.node) =
-    let env = O.Env.make catalog n.Search.config in
-    List.map
-      (fun (e : Query.entry) ->
-        let cost =
-          match e.stmt with
-          | Query.Select _ -> (
-            match Search.plan_of n ~qid:e.qid with
-            | Some (p : O.Plan.t) -> p.cost
-            | None -> invalid_arg ("entries_of_node: no plan for " ^ e.qid))
-          | Query.Dml d ->
-            let select_cost =
-              match Search.plan_of n ~qid:(Query.select_qid e.qid) with
-              | Some (p : O.Plan.t) -> p.cost
-              | None -> 0.0
-            in
-            select_cost
-            +. O.Update_cost.shell_cost env n.Search.config d
-        in
-        (e.qid, e.weight *. cost))
-      workload
+    snd
+      (List.fold_left_map
+         (fun dml (e : Query.entry) ->
+           let dml, cost =
+             match e.stmt with
+             | Query.Select _ -> (
+               match Search.plan_of n ~qid:e.qid with
+               | Some (p : O.Plan.t) -> (dml, p.cost)
+               | None -> invalid_arg ("entries_of_node: no plan for " ^ e.qid))
+             | Query.Dml _ ->
+               let select_cost =
+                 match Search.plan_of n ~qid:(Query.select_qid e.qid) with
+                 | Some (p : O.Plan.t) -> p.cost
+                 | None -> 0.0
+               in
+               (dml + 1, select_cost +. n.Search.shells.(dml))
+           in
+           (dml, (e.qid, e.weight *. cost)))
+         0 workload)
   in
   (* The recommended cost is read off the node's plans, except where a
      frugal run bound-costed a plan (a pseudo plan): those entries are

@@ -125,6 +125,53 @@ let sub_block info mask : Query.spjg =
     ~ranges:(ranges_in info mask) ~others:(others_in info mask) ()
 
 (* ------------------------------------------------------------------ *)
+(* operators                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Each join operator with its cost and the order it delivers; the
+   caller gives it its rows and columns. *)
+let hash_join ~(build : Plan.t) ~(probe : Plan.t) joins =
+  ( Plan.Hash_join { build; probe; joins },
+    build.cost +. probe.cost
+    +. (build.rows *. P.cpu_hash)
+    +. (probe.rows *. P.cpu_hash),
+    probe.out_order )
+
+let merge_join ~(left : Plan.t) ~(right : Plan.t) joins =
+  ( Plan.Merge_join { left; right; joins },
+    left.cost +. right.cost +. ((left.rows +. right.rows) *. P.cpu_tuple),
+    left.out_order )
+
+(* [inner] runs once per outer row; [rows_out] rows leave the join *)
+let nl_join ~(outer : Plan.t) ~inner ~rows_out joins =
+  let inner = Plan.with_executions inner outer.rows in
+  ( Plan.Nl_join { outer; inner; joins },
+    outer.cost +. (outer.rows *. inner.cost) +. (rows_out *. P.cpu_tuple),
+    outer.out_order )
+
+(* A grouping of [input] into [groups] rows: streaming over an input
+   already ordered on [keys], else hashing. *)
+let group (input : Plan.t) ~keys ~aggs ~streaming ~groups : Plan.t =
+  {
+    node = Group { input; keys; aggs; streaming };
+    rows = groups;
+    cost =
+      (if streaming then input.cost +. (input.rows *. P.cpu_agg)
+       else input.cost +. (input.rows *. P.cpu_hash) +. (groups *. P.cpu_agg));
+    out_order = (if streaming then input.out_order else []);
+    out_cols =
+      List.fold_left
+        (fun acc it -> Column_set.union acc (Query.item_columns it))
+        (Column_set.of_list keys) aggs;
+  }
+
+(* Keep [p] in DP cell [mask] unless the cell holds a plan no dearer. *)
+let keep (cells : Plan.t option array) mask (p : Plan.t) =
+  match cells.(mask) with
+  | Some best when best.cost <= p.cost -> ()
+  | _ -> cells.(mask) <- Some p
+
+(* ------------------------------------------------------------------ *)
 (* view-based alternatives                                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -139,23 +186,9 @@ let view_plan env ?hooks (m : View_match.result) ~rows_out : Plan.t =
   let plan =
     match m.regroup with
     | None -> access
-    | Some (keys, items) ->
-      let groups =
-        Cardinality.group_rows env ~input_rows:access.rows keys
-      in
-      let cost =
-        access.cost +. (access.rows *. P.cpu_hash) +. (groups *. P.cpu_agg)
-      in
-      {
-        Plan.node = Group { input = access; keys; aggs = items; streaming = false };
-        rows = groups;
-        cost;
-        out_order = [];
-        out_cols =
-          List.fold_left
-            (fun acc it -> Column_set.union acc (Query.item_columns it))
-            (Column_set.of_list keys) items;
-      }
+    | Some (keys, aggs) ->
+      group access ~keys ~aggs ~streaming:false
+        ~groups:(Cardinality.group_rows env ~input_rows:access.rows keys)
   in
   { plan with rows = Float.max 1.0 rows_out }
 
@@ -177,8 +210,7 @@ let view_alternatives env ?hooks ~interesting (block : Query.spjg) ~rows_out :
 (* join enumeration                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let base_request env info i ~order : Request.t =
-  ignore env;
+let base_request info i ~order : Request.t =
   let t = info.tables.(i) in
   let mask = 1 lsl i in
   Request.make ~rel:t ~ranges:(ranges_in info mask)
@@ -253,17 +285,12 @@ let optimize_select env ?hooks (sq : Query.select_query) : Plan.t =
   in
   for i = 0 to n - 1 do
     let order = if n = 1 then top_order else [] in
-    let r = base_request env info i ~order in
+    let r = base_request info i ~order in
     dp.(1 lsl i) <- Some (select r);
     if n > 1 && order_tbl = Some info.tables.(i) then
       dpo.(1 lsl i) <- Some (select { r with order = top_order })
   done;
   (* enumerate masks by size *)
-  let consider mask (p : Plan.t) =
-    match dp.(mask) with
-    | Some best when best.cost <= p.cost -> ()
-    | _ -> dp.(mask) <- Some p
-  in
   for mask = 1 to full do
     if popcount mask >= 2 then begin
       (* join splits *)
@@ -287,13 +314,7 @@ let optimize_select env ?hooks (sq : Query.select_query) : Plan.t =
                   (others_in info mask)
               in
               let out_cols = Column_set.union lp.out_cols rp.out_cols in
-              let consider_o (p : Plan.t) =
-                match dpo.(mask) with
-                | Some best when best.cost <= p.cost -> ()
-                | _ -> dpo.(mask) <- Some p
-              in
-              let finish ?(sink = consider mask) (node : Plan.node) ~cost
-                  ~order =
+              let finish ?(cells = dp) (node, cost, order) =
                 let p =
                   {
                     Plan.node;
@@ -314,17 +335,11 @@ let optimize_select env ?hooks (sq : Query.select_query) : Plan.t =
                       out_cols;
                     }
                 in
-                sink p
+                keep cells mask p
               in
               (* hash join: build on the smaller input *)
               let build, probe = if lp.rows <= rp.rows then (lp, rp) else (rp, lp) in
-              finish
-                (Hash_join { build; probe; joins })
-                ~cost:
-                  (lp.cost +. rp.cost
-                  +. (build.rows *. P.cpu_hash)
-                  +. (probe.rows *. P.cpu_hash))
-                ~order:probe.out_order;
+              finish (hash_join ~build ~probe joins);
               (* merge join: exploits inputs already sorted on the join
                  keys (an index delivering key order avoids both sorts) *)
               if joins <> [] then begin
@@ -356,19 +371,14 @@ let optimize_select env ?hooks (sq : Query.select_query) : Plan.t =
                     let i =
                       table_index info (List.hd (tables_of_mask info sub))
                     in
-                    let r = base_request env info i ~order:required in
+                    let r = base_request info i ~order:required in
                     let ordered = select r in
                     if ordered.cost < sorted.cost then ordered else sorted
                   end
                 in
                 let ls = sorted_input left lp left_keys
                 and rs = sorted_input right rp right_keys in
-                finish
-                  (Merge_join { left = ls; right = rs; joins })
-                  ~cost:
-                    (ls.cost +. rs.cost
-                    +. ((ls.rows +. rs.rows) *. P.cpu_tuple))
-                  ~order:ls.out_order
+                finish (merge_join ~left:ls ~right:rs joins)
               end;
               (* index nested-loop join when the inner side is one table *)
               let nlj_inner () =
@@ -390,60 +400,22 @@ let optimize_select env ?hooks (sq : Query.select_query) : Plan.t =
                 in
                 select r
               in
-              let with_executions (inner : Plan.t) executions =
-                (* record the multiplicity so cost-bounding can attribute
-                   the inner access its true share of the plan cost *)
-                match inner.node with
-                | Plan.Access { info; input } ->
-                  {
-                    inner with
-                    node = Plan.Access { info = { info with executions }; input };
-                  }
-                | _ -> inner
-              in
-              if popcount right = 1 && joins <> [] then begin
-                let inner = with_executions (nlj_inner ()) lp.rows in
-                finish
-                  (Nl_join { outer = lp; inner; joins })
-                  ~cost:
-                    (lp.cost
-                    +. (lp.rows *. inner.cost)
-                    +. (rows_out *. P.cpu_tuple))
-                  ~order:lp.out_order
-              end;
+              if popcount right = 1 && joins <> [] then
+                finish (nl_join ~outer:lp ~inner:(nlj_inner ()) ~rows_out joins);
               (* the interesting-order track: joins that stream an ordered
                  input preserve its order (hash probe side, nested-loop
                  outer), letting an order-providing index absorb the
                  top-level sort *)
               (match dpo.(left) with
               | Some lpo when joins <> [] ->
-                finish ~sink:consider_o
-                  (Hash_join { build = rp; probe = lpo; joins })
-                  ~cost:
-                    (lpo.cost +. rp.cost
-                    +. (rp.rows *. P.cpu_hash)
-                    +. (lpo.rows *. P.cpu_hash))
-                  ~order:lpo.out_order;
-                if popcount right = 1 then begin
-                  let inner = with_executions (nlj_inner ()) lpo.rows in
-                  finish ~sink:consider_o
-                    (Nl_join { outer = lpo; inner; joins })
-                    ~cost:
-                      (lpo.cost
-                      +. (lpo.rows *. inner.cost)
-                      +. (rows_out *. P.cpu_tuple))
-                    ~order:lpo.out_order
-                end
+                finish ~cells:dpo (hash_join ~build:rp ~probe:lpo joins);
+                if popcount right = 1 then
+                  finish ~cells:dpo
+                    (nl_join ~outer:lpo ~inner:(nlj_inner ()) ~rows_out joins)
               | _ -> ());
               (match dpo.(right) with
               | Some rpo when joins <> [] ->
-                finish ~sink:consider_o
-                  (Hash_join { build = lp; probe = rpo; joins })
-                  ~cost:
-                    (lp.cost +. rpo.cost
-                    +. (lp.rows *. P.cpu_hash)
-                    +. (rpo.rows *. P.cpu_hash))
-                  ~order:rpo.out_order
+                finish ~cells:dpo (hash_join ~build:lp ~probe:rpo joins)
               | _ -> ())
             end
           | _ -> ()
@@ -472,7 +444,7 @@ let optimize_select env ?hooks (sq : Query.select_query) : Plan.t =
           1.0 (tables_of_mask info mask)
       in
       let interesting = card.(mask) <= 0.8 *. max_base_rows in
-      List.iter (consider mask)
+      List.iter (keep dp mask)
         (view_alternatives env ?hooks ~interesting block ~rows_out:card.(mask))
     end
   done;
@@ -480,11 +452,7 @@ let optimize_select env ?hooks (sq : Query.select_query) : Plan.t =
      matching user-supplied single-table views for the full block *)
   if n = 1 then begin
     let block = sub_block info full in
-    List.iter
-      (fun (p : Plan.t) ->
-        match dp.(full) with
-        | Some best when best.cost <= p.cost -> ()
-        | _ -> dp.(full) <- Some p)
+    List.iter (keep dp full)
       (view_alternatives env ?hooks ~interesting:false block
          ~rows_out:card.(full))
   end;
@@ -498,33 +466,14 @@ let optimize_select env ?hooks (sq : Query.select_query) : Plan.t =
     if info.q.group_by = [] && not (Query.has_aggregates info.q) then joined
     else begin
       let keys = info.q.group_by in
-      let streaming =
-        keys <> []
-        && Access_path.order_satisfied ~delivered:joined.out_order
-             ~required:(List.map (fun c -> (c, Asc)) keys)
-      in
-      let groups =
-        if keys = [] then 1.0
-        else Cardinality.group_rows env ~input_rows:joined.rows keys
-      in
-      let cost =
-        if streaming then joined.cost +. (joined.rows *. P.cpu_agg)
-        else
-          joined.cost +. (joined.rows *. P.cpu_hash) +. (groups *. P.cpu_agg)
-      in
-      let out_cols =
-        List.fold_left
-          (fun acc it -> Column_set.union acc (Query.item_columns it))
-          (Column_set.of_list keys) info.q.select
-      in
-      {
-        Plan.node =
-          Group { input = joined; keys; aggs = info.q.select; streaming };
-        rows = groups;
-        cost;
-        out_order = (if streaming then joined.out_order else []);
-        out_cols;
-      }
+      group joined ~keys ~aggs:info.q.select
+        ~streaming:
+          (keys <> []
+          && Access_path.order_satisfied ~delivered:joined.out_order
+               ~required:(List.map (fun c -> (c, Asc)) keys))
+        ~groups:
+          (if keys = [] then 1.0
+           else Cardinality.group_rows env ~input_rows:joined.rows keys)
     end
   in
   let grouped = apply_grouping joined in
@@ -545,7 +494,7 @@ let optimize_select env ?hooks (sq : Query.select_query) : Plan.t =
   in
   (* compare all top alternatives with the output order enforced *)
   let candidates =
-    (grouped :: whole_block_alternatives)
+    whole_block_alternatives
     @ (match ordered_alternative with Some p -> [ p ] | None -> [])
   in
   let final =

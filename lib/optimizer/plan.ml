@@ -129,21 +129,57 @@ let exists_access pred t =
 (** All index usages in the plan. *)
 let index_usages t = List.concat_map (fun a -> a.usages) (accesses t)
 
-(** Does the plan use this physical structure (index, or any index over the
-    named view / the view itself)? *)
-let uses_index t i =
-  exists_access
-    (fun a -> List.exists (fun u -> Index.equal u.index i) a.usages)
-    t
-
-let uses_relation t rel = exists_access (fun (a : access_info) -> a.rel = rel) t
-
+(** Does the plan read the view, directly or through a matched sub-join? *)
 let uses_view t v =
   exists_access
     (fun (a : access_info) ->
       a.rel = View.name v
       || match a.via_view with Some v' -> View.equal v v' | None -> false)
     t
+
+(* The order rule, stated once.  An operator that streams an input
+   without reordering it hands the order its consumer needs down to that
+   input; a Sort or a rid intersection establishes its own order, and a
+   merge join needs both inputs on the join keys whatever its consumer
+   needs.  The bound walk and the patched plan (§3.3.2) recurse through
+   this, so both agree on which accesses must keep their order. *)
+let inputs ~needed t =
+  match t.node with
+  | Seq_scan _ | Index_scan _ | Index_seek _ | Rid_union _ -> []
+  | Access { input; _ } | Filter { input; _ } | Rid_lookup { input; _ } ->
+    [ (needed, input) ]
+  | Sort { input; _ } -> [ (false, input) ]
+  | Rid_intersect (a, b) -> [ (false, a); (false, b) ]
+  | Hash_join { build; probe; _ } -> [ (false, build); (needed, probe) ]
+  | Merge_join { left; right; _ } -> [ (true, left); (true, right) ]
+  | Nl_join { outer; inner; _ } -> [ (needed, outer); (false, inner) ]
+  | Group { input; streaming; _ } -> [ (streaming, input) ]
+
+let with_inputs t inputs =
+  let node =
+    match (t.node, inputs) with
+    | (Seq_scan _ | Index_scan _ | Index_seek _ | Rid_union _), [] -> t.node
+    | Access a, [ input ] -> Access { a with input }
+    | Filter f, [ input ] -> Filter { f with input }
+    | Rid_lookup r, [ input ] -> Rid_lookup { r with input }
+    | Sort s, [ input ] -> Sort { s with input }
+    | Group g, [ input ] -> Group { g with input }
+    | Rid_intersect _, [ a; b ] -> Rid_intersect (a, b)
+    | Hash_join h, [ build; probe ] -> Hash_join { h with build; probe }
+    | Merge_join m, [ left; right ] -> Merge_join { m with left; right }
+    | Nl_join n, [ outer; inner ] -> Nl_join { n with outer; inner }
+    | _ -> invalid_arg "Plan.with_inputs: wrong number of inputs"
+  in
+  { t with node }
+
+(* The access runs [executions] times per execution of its enclosing
+   plan: recorded so that cost bounding attributes the access its true
+   share of the plan cost. *)
+let with_executions t executions =
+  match t.node with
+  | Access { info; input } ->
+    { t with node = Access { info = { info with executions }; input } }
+  | _ -> t
 
 let rec pp ppf t =
   let child = Fmt.pf ppf "@,@[<v2>  %a@]" pp in

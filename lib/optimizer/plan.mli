@@ -83,8 +83,40 @@ val accesses : t -> access_info list
 (** Every access decision in the plan ({!iter_accesses} order). *)
 
 val index_usages : t -> index_usage list
-val uses_index : t -> Index.t -> bool
-val uses_relation : t -> string -> bool
+
 val uses_view : t -> View.t -> bool
+(** Does the plan read the view, directly or through a matched sub-join? *)
+
+(** {1 The order rule}
+
+    A plan may consume an input's delivered order without sorting it:
+    a merge join its inputs', a streaming group its input's, the query's
+    ORDER BY the top operator's.  Replacing an access whose order is
+    consumed by one that does not deliver it leaves an invalid plan, so
+    the §3.3.2 bound must know, at every access, whether its order is
+    consumed.  [needed] says whether a node's own output order is
+    consumed; its inputs inherit it as follows:
+    - no input of a [Sort] or a [Rid_intersect] (each sets its own
+      order);
+    - both [Merge_join] inputs, always;
+    - the [Hash_join] probe, not its build;
+    - the [Nl_join] outer, not its inner;
+    - a [Group]'s input only when the group streams;
+    - the input of an [Access], a [Filter] and a [Rid_lookup] (each
+      passes it through). *)
+
+val inputs : needed:bool -> t -> (bool * t) list
+(** The node's inputs, left to right ({!iter_accesses} order), each with
+    whether its output order is consumed, given [needed] for the node. *)
+
+val with_inputs : t -> t list -> t
+(** The node with its inputs replaced, in {!inputs} order; every other
+    field is kept.  Raises [Invalid_argument] on the wrong number of
+    inputs. *)
+
+val with_executions : t -> float -> t
+(** An [Access] plan whose access runs the given number of times per
+    execution of its enclosing plan (a nested-loop inner runs once per
+    outer row); any other plan unchanged. *)
 
 val pp : Format.formatter -> t -> unit

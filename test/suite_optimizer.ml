@@ -569,6 +569,70 @@ let test_plan_lock () =
   Alcotest.(check string) "substrate SF-1, 13 templates, indexes only"
     "5cf89e85b00fd4d223d2d2b885f43216" (plan_lock_digest substrate)
 
+(* --- bound lock ----------------------------------------------------------- *)
+
+(* Hex digest of the §3.3.2 bounds over each configuration of [chain]:
+   for every transformation that applies and every plan of [w] it
+   affects, the bits of the upper and the lower bound and the patched
+   plan's shape and bits. *)
+let bound_lock_digest (cat, chain, w) =
+  let module Tr = Relax_tuner.Transform in
+  let module CB = Relax_tuner.Cost_bound in
+  let est v =
+    O.Cardinality.spjg (O.Env.make cat Config.empty) (View.definition v)
+  in
+  let cbv v =
+    (O.Optimizer.optimize cat Config.empty
+       { Query.body = View.definition v; order_by = [] })
+      .cost
+  in
+  let b = Buffer.create 65536 and bounds = ref 0 in
+  let num x = Buffer.add_int64_le b (Int64.bits_of_float x) in
+  List.iter
+    (fun config ->
+      let plans =
+        List.map
+          (fun (qid, _, q) -> (qid, q, O.Optimizer.optimize cat config q))
+          (Query.plannable_selects w)
+      in
+      Buffer.add_string b (Config.fingerprint config);
+      List.iter
+        (fun tr ->
+          match Tr.apply ~estimate_rows:est config tr with
+          | None -> ()
+          | Some config' ->
+            let ctx =
+              CB.make_context cat ~cbv ~new_config:config' [ (config, tr) ]
+            in
+            Buffer.add_string b (Tr.id tr);
+            List.iter
+              (fun (qid, (q : Query.select_query), plan) ->
+                if CB.plan_affected ctx plan then begin
+                  incr bounds;
+                  Buffer.add_string b qid;
+                  num (CB.query_bound ~order_by:q.order_by ctx plan);
+                  num (CB.query_lower_bound ctx plan);
+                  match CB.patched_plan ~order_by:q.order_by ctx plan with
+                  | Some p -> put_plan b p
+                  | None -> Buffer.add_string b "unpatchable"
+                end)
+              plans)
+        (Tr.enumerate config))
+    chain;
+  Alcotest.(check bool) "bounds taken" true (!bounds > 0);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The upper bound, the lower bound and the patched plan must come out the
+   same, bit for bit, however the plan walk and the optimizer's operators
+   are written.  Digests recorded by this test before the bound walk and
+   the patched plan shared one order-aware traversal. *)
+let test_bound_lock () =
+  let tpch, substrate = Lazy.force lock_workloads in
+  Alcotest.(check string) "TPC-H, 22 queries, views mode"
+    "bf4a09cc6eaf3afb1e9520a681f6644d" (bound_lock_digest tpch);
+  Alcotest.(check string) "substrate SF-1, 13 templates, indexes only"
+    "fd14999190358f380734424dfdb4d92a" (bound_lock_digest substrate)
+
 (* An optimize call answers a repeated request from its own table, and
    still fires [on_index_request] for it.  Runs with no hooks and with
    hooks that do nothing but count must build the same plans, the hooks
@@ -652,6 +716,8 @@ let suite =
     Alcotest.test_case "update helpful index" `Quick test_update_irrelevant_index_free;
     Alcotest.test_case "selection key scope" `Quick test_selection_key_scope;
     Alcotest.test_case "plan lock: TPC-H and substrate" `Quick test_plan_lock;
+    Alcotest.test_case "bound lock: TPC-H and substrate" `Quick
+      test_bound_lock;
     Alcotest.test_case "call-local selections: same plans, every request"
       `Quick test_call_table;
     QCheck_alcotest.to_alcotest prop_more_indexes_never_hurt;
