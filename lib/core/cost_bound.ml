@@ -28,6 +28,7 @@ type context = {
   env' : O.Env.t;  (** environment under the relaxed configuration *)
   old_env : O.Env.t;  (** environment under the current configuration *)
   removed_indexes : Index.t list;
+      (** taken out and no longer held by [C'] *)
   removed_views : View.t list;
   view_merge : (View.merge_result * View.t * View.t) option;
       (** set when the step merges two views (result, v1, v2) *)
@@ -64,7 +65,9 @@ let make_context cat ~cbv ~new_config steps =
     env' = O.Env.make cat new_config;
     old_env = O.Env.make cat old_config;
     removed_indexes =
-      List.concat_map (fun (c, tr) -> Transform.removed_indexes c tr) steps;
+      List.concat_map
+        (fun (c, tr) -> Transform.gone_indexes c tr new_config)
+        steps;
     removed_views = List.concat_map (fun (_, tr) -> Transform.removed_views tr) steps;
     view_merge;
     cbv;

@@ -20,6 +20,11 @@ type context = {
   env' : O.Env.t;  (** environment under the relaxed configuration *)
   old_env : O.Env.t;  (** environment under the current configuration *)
   removed_indexes : Index.t list;
+      (** the indexes the step's transformations take out that [C'] no
+          longer holds ({!Transform.gone_indexes}, over every
+          transformation, against [C']).  An input a transformation
+          yields back is not listed, so a plan reading it is not
+          affected *)
   removed_views : View.t list;
   view_merge : (View.merge_result * View.t * View.t) option;
       (** set when the step merges two views into one [C'] keeps *)
@@ -40,8 +45,9 @@ val make_context :
 (** The context of one relaxation step, given each transformation the step
     applied with the configuration it was applied to, in order: [C] is the
     first configuration and [C'] = [new_config] the last one's result.
-    It removes the structures every transformation removed, so a plan
-    that reads any of them is affected, and it expands when any
+    It removes every view a transformation removed and every index a
+    transformation took out that [C'] no longer holds, so a plan that
+    reads any of them is affected, and it expands when any
     transformation adds structures.  The first view merge whose merged
     view [C'] still holds is the [view_merge]; the inputs of any other
     merge take the CBV bound.  [cbv] answers every view the step removes that an

@@ -675,10 +675,14 @@ let rank_candidates st (n : node) : candidate list =
           if Config.find_view n.config a.rel <> None then add_usage a.rel slot w)
         n.plans.(slot))
     st.prepared.selects_arr;
-  let affected_queries tr =
+  (* the slots whose plans read an index [removed] names or a view [tr]
+     removes *)
+  let affected_queries removed tr =
     let names =
-      List.map Index.name (Transform.removed_indexes n.config tr)
-      @ List.map View.name (Transform.removed_views tr)
+      Index.Set.fold
+        (fun i names -> Index.name i :: names)
+        removed
+        (List.map View.name (Transform.removed_views tr))
     in
     (* slots sort in workload order, a total order: dedup is exact *)
     List.sort_uniq compare
@@ -691,8 +695,11 @@ let rank_candidates st (n : node) : candidate list =
      [st.cbv_cache].  CBVs are taken before applying, yet the set is the
      one the applied candidates need: every view a transformation removes
      has its own [Remove_view], which always applies.  Then, in the pool,
-     apply each transformation and build its costing context around its
-     candidate's frozen CBV list.  Contexts are plain values — an
+     apply each transformation, take its change once
+     ([Transform.changed_indexes]: the indexes C' no longer holds, and
+     those it gains), find the slots whose plans read a removed structure,
+     and build its costing context around its candidate's frozen CBV
+     list.  Contexts are plain values — an
      environment is one too — so the pool may read every value this phase
      builds. *)
   let with_cbvs =
@@ -714,7 +721,10 @@ let rank_candidates st (n : node) : candidate list =
     with
     | None -> None
     | Some (config', adds) ->
-      let affected = affected_queries tr in
+      let ((removed, _) as change) =
+        Transform.changed_indexes n.config tr (config', adds)
+      in
+      let affected = affected_queries removed tr in
       let ctx =
         if affected = [] then None
         else
@@ -723,7 +733,7 @@ let rank_candidates st (n : node) : candidate list =
                ~cbv:(fun v -> List.assoc (View.name v) cbvs)
                ~new_config:config' [ (n.config, tr) ])
       in
-      Some (tr, config', adds, affected, ctx)
+      Some (tr, config', change, affected, ctx)
   in
   let applied =
     List.filter_map Fun.id
@@ -761,8 +771,8 @@ let rank_candidates st (n : node) : candidate list =
      [w × (cost' − cost)] for the (lower, upper) costs [f] gives each
      affected plan, in workload order, from [init], threading the bound
      memo's misses through [f], which also gets the candidate's relation
-     keys.  Every slot in [affected] uses a structure the transformation
-     removes, so [f] always applies. *)
+     keys.  Every slot in [affected] reads a structure C' no longer
+     holds, so the context has one and [f] always applies. *)
   let walk_affected affected ctx ~init f =
     match ctx with
     | None -> (init, [])
@@ -821,10 +831,7 @@ let rank_candidates st (n : node) : candidate list =
      table.  It returns the memo misses its bounds computed, and, when
      scored, the candidate with its ΔT lower bound and what the sweep
      needs to refine it. *)
-  let score (tr, config', adds, affected, ctx) =
-    let removed, added =
-      Transform.changed_indexes n.config tr (config', adds)
-    in
+  let score (tr, config', (removed, added), affected, ctx) =
     let clustered (i : Index.t) = i.clustered in
     let heap' =
       if Index.Set.exists clustered removed || Index.Set.exists clustered added

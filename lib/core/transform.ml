@@ -42,12 +42,13 @@ let kind = function
   | Merge_views _ -> "merge_views"
   | Remove_view _ -> "remove_view"
 
-(** The index structures a transformation removes from the configuration. *)
 let adds_structures = function
   | Remove_index _ | Remove_view _ -> false
   | Merge_indexes _ | Split_indexes _ | Prefix_index _ | Promote_clustered _
   | Merge_views _ -> true
 
+(** The index structures a transformation takes out of the configuration,
+    an input it yields back included. *)
 let removed_indexes config = function
   | Merge_indexes (a, b) | Split_indexes (a, b) -> [ a; b ]
   | Prefix_index (a, _) -> [ a ]
@@ -181,13 +182,14 @@ let apply_delta ~(estimate_rows : View.t -> float) (config : Config.t) (t : t)
 let apply ~estimate_rows config t =
   Option.map fst (apply_delta ~estimate_rows config t)
 
+let gone_indexes config t config' =
+  List.filter (fun i -> not (Config.mem_index config' i)) (removed_indexes config t)
+
 let changed_indexes config t (config', added) =
-  let absent_from c =
+  ( Index.Set.of_list (gone_indexes config t config'),
     List.fold_left
-      (fun s i -> if Config.mem_index c i then s else Index.Set.add i s)
-      Index.Set.empty
-  in
-  (absent_from config' (removed_indexes config t), absent_from config added)
+      (fun s i -> if Config.mem_index config i then s else Index.Set.add i s)
+      Index.Set.empty added )
 
 (* ------------------------------------------------------------------ *)
 (* enumeration                                                         *)

@@ -32,8 +32,18 @@ val adds_structures : t -> bool
     re-optimized cost (see {!Cost_bound.query_lower_bound}). *)
 
 val removed_indexes : Config.t -> t -> Index.t list
-(** Indexes leaving the configuration (for view transformations: every
-    index over the removed views). *)
+(** The indexes [t] takes out of the configuration (for view
+    transformations: every index over the removed views).  The list may
+    name an input [t] yields back: a merge whose result equals one of its
+    parents, such as a view's clustered and unclustered index on one key,
+    lists that parent although it stays.  Costing reads
+    {!gone_indexes}, or {!changed_indexes}, which drop such survivors. *)
+
+val gone_indexes : Config.t -> t -> Config.t -> Index.t list
+(** [gone_indexes c t c']: the indexes of {!removed_indexes}[ c t] that
+    [c'] no longer holds.  This is what "removed" means wherever a plan
+    is costed: a plan reading only indexes [c'] still holds stays valid
+    under [c'], so it is neither bound-walked nor re-optimized. *)
 
 val removed_views : t -> View.t list
 
@@ -61,9 +71,9 @@ val changed_indexes :
     {!apply_delta}[ c t]: the indexes [t] takes out of [c] and those it
     puts into [c'].  They equal [Index.Set.diff] of the two
     configurations' index sets in each direction, but are found without
-    walking either: the first are those of {!removed_indexes}[ c t] not in
-    [c'] (a merge may yield one of its parents, which then survives), the
-    second those of [added] not in [c]. *)
+    walking either: the first are {!gone_indexes}[ c t c'] (a merge may
+    yield one of its parents, which then survives), the second those of
+    [added] not in [c]. *)
 
 val enumerate : ?protected:Config.t -> Config.t -> t list
 (** Every applicable transformation; structures in [protected] (the base

@@ -252,19 +252,15 @@ let tpch_views =
      (cat, optimal))
 
 (* Walk a relaxation chain from [config] (one step per pick) and, at each
-   configuration C, apply every enumerated transformation to get C'.
-   Compare the change [Transform.changed_indexes] derives from
-   [apply_delta] with the two set differences of C and C'.  Returns
-   (transformations compared, deltas that differ, transformations
-   removing an index that survives in C' — a merge whose result equals
-   one of its parents). *)
-let delta_chain cat config picks =
+   configuration C, apply every enumerated transformation to get C': fold
+   [f acc C tr (C', added)] over every transformation that applies. *)
+let fold_chain cat config picks f init =
   let module View = Relax_physical.View in
   let module Tr = Relax_tuner.Transform in
   let est v =
     O.Cardinality.spjg (O.Env.make cat Config.empty) (View.definition v)
   in
-  let rec go config (compared, differ, survivors) picks =
+  let rec go config acc picks =
     let relaxed =
       Array.of_list
         (List.filter_map
@@ -275,24 +271,7 @@ let delta_chain cat config picks =
            (Tr.enumerate config))
     in
     let acc =
-      Array.fold_left
-        (fun (compared, differ, survivors) (tr, ((config', _) as delta)) ->
-          let removed, added = Tr.changed_indexes config tr delta in
-          let same =
-            Index.Set.equal removed
-              (Index.Set.diff (Config.index_set config) (Config.index_set config'))
-            && Index.Set.equal added
-                 (Index.Set.diff (Config.index_set config')
-                    (Config.index_set config))
-          in
-          ( compared + 1,
-            (if same then differ else differ + 1),
-            if
-              Index.Set.cardinal removed
-              < List.length (Tr.removed_indexes config tr)
-            then survivors + 1
-            else survivors ))
-        (compared, differ, survivors) relaxed
+      Array.fold_left (fun acc (tr, delta) -> f acc config tr delta) acc relaxed
     in
     match picks with
     | pick :: rest when Array.length relaxed > 0 ->
@@ -300,7 +279,33 @@ let delta_chain cat config picks =
       go config' acc rest
     | _ -> acc
   in
-  go config (0, 0, 0) picks
+  go config init picks
+
+(* Compare the change [Transform.changed_indexes] derives from
+   [apply_delta] with the two set differences of C and C'.  Returns
+   (transformations compared, deltas that differ, transformations
+   removing an index that survives in C' — a merge whose result equals
+   one of its parents). *)
+let delta_chain cat config picks =
+  let module Tr = Relax_tuner.Transform in
+  fold_chain cat config picks
+    (fun (compared, differ, survivors) config tr ((config', _) as delta) ->
+      let removed, added = Tr.changed_indexes config tr delta in
+      let same =
+        Index.Set.equal removed
+          (Index.Set.diff (Config.index_set config) (Config.index_set config'))
+        && Index.Set.equal added
+             (Index.Set.diff (Config.index_set config')
+                (Config.index_set config))
+      in
+      ( compared + 1,
+        (if same then differ else differ + 1),
+        if
+          Index.Set.cardinal removed
+          < List.length (Tr.removed_indexes config tr)
+        then survivors + 1
+        else survivors ))
+    (0, 0, 0)
 
 (* the change ranking reads from [apply_delta] is the two set
    differences, in TPC-H views mode (view merges, and merges of a view's
@@ -475,6 +480,79 @@ let test_removed_view_bound_sorts_accessed_rows () =
   Alcotest.(check bool) "50-row sort far below full-view sort" true
     (b_full -. b_selective > 10.0 *. expected_sort)
 
+(* A plan whose one access reads [i] alone: a scan of the whole index. *)
+let plan_reading (i : Index.t) =
+  let rel = Index.owner i in
+  let scan : O.Plan.t =
+    {
+      node = Index_scan i;
+      rows = 1.0;
+      cost = 1.0;
+      out_order = [];
+      out_cols = Index.columns i;
+    }
+  in
+  let info : O.Plan.access_info =
+    {
+      rel;
+      request = O.Request.make ~rel ~cols:(Index.columns i) ();
+      usages = [ { index = i; kind = Scan; rows_touched = 1.0 } ];
+      via_view = None;
+      access_cost = 1.0;
+      access_rows = 1.0;
+      sorted = false;
+      executions = 1.0;
+    }
+  in
+  { scan with node = Access { info; input = scan } }
+
+(* Count, over a relaxation chain, the costing contexts whose removed
+   indexes differ as a set from what [changed_indexes] says the
+   transformation takes out, the inputs a transformation yields back,
+   and the plans reading only such a survivor that the context calls
+   affected. *)
+let removed_chain cat config picks =
+  let module Tr = Relax_tuner.Transform in
+  let module CB = Relax_tuner.Cost_bound in
+  fold_chain cat config picks
+    (fun (differ, survivors, affected) config tr ((config', _) as delta) ->
+      let ctx =
+        CB.make_context cat ~cbv:(fun _ -> 0.0) ~new_config:config'
+          [ (config, tr) ]
+      in
+      let kept =
+        List.filter (Config.mem_index config') (Tr.removed_indexes config tr)
+      in
+      ( (if
+           Index.Set.equal
+             (Index.Set.of_list ctx.removed_indexes)
+             (fst (Tr.changed_indexes config tr delta))
+         then differ
+         else differ + 1),
+        survivors + List.length kept,
+        affected
+        + List.length
+            (List.filter (fun i -> CB.plan_affected ctx (plan_reading i)) kept)
+      ))
+    (0, 0, 0)
+
+(* "Removed" has one meaning wherever a plan is costed: the costing
+   context of every transformation, in TPC-H views mode and on a
+   generated workload in indexes-only mode, removes exactly the indexes
+   C' no longer holds.  An input a merge yields back survives, and a plan
+   that reads only it stays valid under C', so it is not affected. *)
+let prop_context_removes_gone =
+  QCheck.Test.make ~name:"costing context removes what C' lacks"
+    ~count:4
+    QCheck.(list_of_size Gen.(int_range 0 3) (int_bound 10_000))
+    (fun picks ->
+      let cat, optimal = Lazy.force tpch_views in
+      let differ, survivors, affected = removed_chain cat optimal picks in
+      let gcat, _, goptimal = Lazy.force update_workload in
+      let gdiffer, _, gaffected = removed_chain gcat (goptimal false) picks in
+      differ = 0 && gdiffer = 0 && survivors > 0 && affected = 0
+      && gaffected = 0)
+
 let suite =
   [
     Alcotest.test_case "sel: unbounded" `Quick test_sel_full_range_is_one;
@@ -495,6 +573,7 @@ let suite =
       test_shell_cost_monotone_in_indexes;
     QCheck_alcotest.to_alcotest prop_touches_sound;
     QCheck_alcotest.to_alcotest prop_delta_is_diff;
+    QCheck_alcotest.to_alcotest prop_context_removes_gone;
     Alcotest.test_case "ddl: index" `Quick test_ddl_index;
     Alcotest.test_case "ddl: clustered" `Quick test_ddl_clustered;
     Alcotest.test_case "ddl: drop" `Quick test_ddl_drop_script;

@@ -198,9 +198,8 @@ let prop_interval_sound_tpch =
 (* the §3.3.2 patched plan is the bound made concrete: its top-level cost
    equals query_bound, and it is a plan under C' — no affected access
    survives the patch *)
-let prop_patched_plan_matches_bound =
-  QCheck.Test.make ~name:"patched plan realizes query_bound (TPC-H)"
-    ~count:120
+let patched_plan_matches_bound name =
+  QCheck.Test.make ~name ~count:120
     (QCheck.make QCheck.Gen.(pair (int_bound 10_000) (int_bound 10_000)))
     (fun (ti, qi) ->
       let cat, optimal, _, plans, transforms = Lazy.force tpch in
@@ -231,6 +230,22 @@ let prop_patched_plan_matches_bound =
               && not (T.Cost_bound.plan_affected ctx p)
           end
       end)
+
+let prop_patched_plan_matches_bound =
+  patched_plan_matches_bound "patched plan realizes query_bound (TPC-H)"
+
+(* The same property at the seeds where a merge that yields one of its
+   parents listed that parent as removed: a plan reading the survivor was
+   then affected, and its patched plan, which reads the survivor again,
+   still was. *)
+let pinned_patched_plan_matches_bound =
+  List.map
+    (fun seed ->
+      QCheck_alcotest.to_alcotest
+        ~rand:(Random.State.make [| seed |])
+        (patched_plan_matches_bound
+           (Printf.sprintf "patched plan at seed %d (TPC-H)" seed)))
+    [ 880815056; 17; 21 ]
 
 (* --- the bound memo ----------------------------------------------------- *)
 
@@ -597,3 +612,4 @@ let suite =
     Alcotest.test_case "tune: finite budget deterministic across jobs" `Slow
       test_budget_determinism_jobs;
   ]
+  @ pinned_patched_plan_matches_bound

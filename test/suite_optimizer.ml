@@ -574,8 +574,10 @@ let test_plan_lock () =
 (* Hex digest of the §3.3.2 bounds over each configuration of [chain]:
    for every transformation that applies and every plan of [w] it
    affects, the bits of the upper and the lower bound and the patched
-   plan's shape and bits. *)
-let bound_lock_digest (cat, chain, w) =
+   plan's shape and bits.  Without [yields_back], a transformation that
+   yields back one of the indexes it takes out (a merge whose result
+   equals a parent) is left out. *)
+let bound_lock_digest ?(yields_back = true) (cat, chain, w) =
   let module Tr = Relax_tuner.Transform in
   let module CB = Relax_tuner.Cost_bound in
   let est v =
@@ -599,8 +601,11 @@ let bound_lock_digest (cat, chain, w) =
       List.iter
         (fun tr ->
           match Tr.apply ~estimate_rows:est config tr with
-          | None -> ()
-          | Some config' ->
+          | Some config'
+            when yields_back
+                 || not
+                      (List.exists (Config.mem_index config')
+                         (Tr.removed_indexes config tr)) ->
             let ctx =
               CB.make_context cat ~cbv ~new_config:config' [ (config, tr) ]
             in
@@ -616,7 +621,8 @@ let bound_lock_digest (cat, chain, w) =
                   | Some p -> put_plan b p
                   | None -> Buffer.add_string b "unpatchable"
                 end)
-              plans)
+              plans
+          | _ -> ())
         (Tr.enumerate config))
     chain;
   Alcotest.(check bool) "bounds taken" true (!bounds > 0);
@@ -624,14 +630,24 @@ let bound_lock_digest (cat, chain, w) =
 
 (* The upper bound, the lower bound and the patched plan must come out the
    same, bit for bit, however the plan walk and the optimizer's operators
-   are written.  Digests recorded by this test before the bound walk and
-   the patched plan shared one order-aware traversal. *)
+   are written.  The two full digests were re-recorded when an input a
+   merge yields back stopped counting as removed: the plans reading only
+   that input became unaffected, and a patched plan replaces only the
+   accesses on indexes that really leave.  The two digests without such
+   merges were recorded before that change and pin every bound it did
+   not move. *)
 let test_bound_lock () =
   let tpch, substrate = Lazy.force lock_workloads in
+  Alcotest.(check string) "TPC-H, no merge yields back a parent"
+    "5d83dcd1e521a8fedab328965eb31ebb"
+    (bound_lock_digest ~yields_back:false tpch);
+  Alcotest.(check string) "substrate, no merge yields back a parent"
+    "bc92f4a7d462145df512d4810c63e53e"
+    (bound_lock_digest ~yields_back:false substrate);
   Alcotest.(check string) "TPC-H, 22 queries, views mode"
-    "bf4a09cc6eaf3afb1e9520a681f6644d" (bound_lock_digest tpch);
+    "c1d9d998b4254e71bddbc601bf9d2123" (bound_lock_digest tpch);
   Alcotest.(check string) "substrate SF-1, 13 templates, indexes only"
-    "fd14999190358f380734424dfdb4d92a" (bound_lock_digest substrate)
+    "f7cc273a9407d65025edb0aab7a7cf0c" (bound_lock_digest substrate)
 
 (* An optimize call answers a repeated request from its own table, and
    still fires [on_index_request] for it.  Runs with no hooks and with
