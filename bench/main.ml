@@ -361,9 +361,9 @@ let fig7 () =
   let prepared = T.Search.prepare w in
   let whatif = O.Whatif.create cat in
   let plans =
-    List.map
+    Array.map
       (fun (qid, _, sq) -> (qid, sq, O.Whatif.plan_select whatif inst.optimal ~qid sq))
-      prepared.selects
+      prepared.selects_arr
   in
   let est v = O.Cardinality.spjg (O.Env.make cat Config.empty) (Relax_physical.View.definition v) in
   let transforms = T.Transform.enumerate inst.optimal in
@@ -383,7 +383,7 @@ let fig7 () =
                 .cost)
             ~new_config:config' [ (inst.optimal, tr) ]
         in
-        List.iter
+        Array.iter
           (fun (_, sq, plan) ->
             if T.Cost_bound.plan_affected ctx plan then begin
               let bound = T.Cost_bound.query_bound ctx plan in

@@ -15,7 +15,7 @@ module Predicate = Relax_sql.Predicate
 module Index = Relax_physical.Index
 module View = Relax_physical.View
 module Config = Relax_physical.Config
-module O = Relax_optimizer
+module Instrument = Relax_tuner.Instrument
 
 type t =
   | Cand_index of Index.t
@@ -75,17 +75,6 @@ let table_roles (q : Query.spjg) (order_by : (column * order_dir) list) t =
   let needed = Query.spjg_columns_of_table q t in
   (eq_cols, range_cols, join_cols, group_cols, order_cols, needed)
 
-let dedup_cols cols =
-  let seen = Hashtbl.create 8 in
-  List.filter
-    (fun c ->
-      if Hashtbl.mem seen c then false
-      else begin
-        Hashtbl.add seen c ();
-        true
-      end)
-    cols
-
 (** Heuristic index candidates for one query. *)
 let index_candidates (sq : Query.select_query) : Index.t list =
   let q = sq.body in
@@ -94,7 +83,7 @@ let index_candidates (sq : Query.select_query) : Index.t list =
       let eq, range, join, group, order, needed =
         table_roles q sq.order_by t
       in
-      let cap l = List.filteri (fun i _ -> i < max_key_columns) (dedup_cols l) in
+      let cap l = List.filteri (fun i _ -> i < max_key_columns) (Instrument.dedup l) in
       let key_sets =
         [
           cap eq;
@@ -109,7 +98,7 @@ let index_candidates (sq : Query.select_query) : Index.t list =
         |> List.filter (fun ks -> ks <> [])
       in
       (* single-column candidates for every sargable or join column *)
-      let singles = List.map (fun c -> [ c ]) (dedup_cols (eq @ range @ join)) in
+      let singles = List.map (fun c -> [ c ]) (Instrument.dedup (eq @ range @ join)) in
       let all_keys =
         List.sort_uniq compare (key_sets @ singles)
       in
@@ -132,21 +121,12 @@ let view_candidates env (sq : Query.select_query) : t list =
   let q = sq.body in
   if List.length q.tables < 2 && q.group_by = [] then []
   else begin
-    let mk (block : Query.spjg) =
-      let v = View.make block in
-      let rows = O.Cardinality.spjg env block in
-      match View.outputs v with
-      | [] -> None
-      | (_, first) :: _ ->
-        let keys =
-          match
-            List.filter_map (View.view_column_of_base v) block.group_by
-          with
-          | [] -> [ View.column_of_item v first ]
-          | ks -> ks
-        in
-        let ci = Index.make ~clustered:true ~keys ~suffix:Column_set.empty () in
-        Some (Cand_view (v, rows, [ ci ]))
+    (* instrumentation's view builder without its guard: the SPJ core of
+       a single-table grouped query is a single-table ungrouped block *)
+    let mk block =
+      Option.map
+        (fun (v, rows, ci) -> Cand_view (v, rows, [ ci ]))
+        (Instrument.materialize_view env block)
     in
     let full = mk q in
     let spj_core =

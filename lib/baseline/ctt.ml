@@ -21,10 +21,6 @@ module Config = Relax_physical.Config
 module Catalog = Relax_catalog.Catalog
 module O = Relax_optimizer
 
-let src = Logs.Src.create "relax.ctt" ~doc:"bottom-up baseline tuner"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type options = {
   space_budget : float;
   with_views : bool;
@@ -248,7 +244,8 @@ let tune (catalog : Catalog.t) (workload : Query.workload) (opts : options) :
     recommended_cost = best_cost;
     recommended_size = size config;
     initial_cost;
-    improvement = 100.0 *. (1.0 -. (best_cost /. Float.max 1e-9 initial_cost));
+    improvement =
+      Relax_tuner.Tuner.improvement ~initial:initial_cost ~recommended:best_cost;
     candidate_count = List.length cands;
     trace = List.rev !trace;
     elapsed_s = Relax_obs.Clock.elapsed_s ~since:t0;

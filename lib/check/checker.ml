@@ -67,7 +67,7 @@ type t = {
   cat : Catalog.t;
   tol : tolerances;
   protected : Config.t;
-  selects : (string * float * Query.select_query) list;
+  selects : (string * float * Query.select_query) array;
   whatif : O.Whatif.t;  (** checker-private plan cache *)
   quiet : Obs.Recorder.t;
       (** oracle probes land here instead of the run's recorder *)
@@ -90,7 +90,7 @@ let create ?(tolerances = default_tolerances) cat ~workload ~protected () =
     cat;
     tol = tolerances;
     protected;
-    selects = prepared.selects;
+    selects = prepared.selects_arr;
     whatif = O.Whatif.create cat;
     quiet = Obs.Recorder.create ();
     db = lazy (Data.create cat);
@@ -203,7 +203,7 @@ let hook t (r : T.Search.iteration_report) =
          configuration, and its cost is no cost of it either. *)
       Option.iter
         (fun (n : T.Search.node) ->
-          List.iteri
+          Array.iteri
             (fun slot (qid, _, _) ->
               let missing = ref [] in
               O.Plan.iter_accesses
@@ -238,7 +238,7 @@ let hook t (r : T.Search.iteration_report) =
           T.Cost_bound.make_context t.cat ~cbv:(cbv t) ~new_config:config'
             [ (r.it_parent, r.it_transform) ]
         in
-        List.iter
+        Array.iter
           (fun (qid, _w, sq) ->
             let plan = O.Whatif.plan_select t.whatif r.it_parent ~qid sq in
             if T.Cost_bound.plan_affected ctx plan then begin

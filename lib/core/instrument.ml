@@ -44,6 +44,17 @@ type request_stats = {
 (* optimal structures per request                                      *)
 (* ------------------------------------------------------------------ *)
 
+let dedup cols =
+  let seen = Hashtbl.create 8 in
+  List.filter
+    (fun c ->
+      if Hashtbl.mem seen c then false
+      else begin
+        Hashtbl.add seen c ();
+        true
+      end)
+    cols
+
 (** Optimal index candidates for one index request (at most two: the
     seek-optimal index and, when an order is requested, the
     order-providing index). *)
@@ -59,18 +70,6 @@ let indexes_for_request env (r : O.Request.t) : Index.t list =
     List.map (fun (rg : Predicate.range) -> rg.rcol) eqs
     @ r.param_eq
     @ (match noneqs with [] -> [] | rg :: _ -> [ rg.rcol ])
-  in
-  (* dedup while keeping order *)
-  let dedup cols =
-    let seen = Hashtbl.create 8 in
-    List.filter
-      (fun c ->
-        if Hashtbl.mem seen c then false
-        else begin
-          Hashtbl.add seen c ();
-          true
-        end)
-      cols
   in
   let seek_keys = dedup seek_keys in
   let mk keys =
@@ -123,31 +122,28 @@ let indexes_for_request env (r : O.Request.t) : Index.t list =
   in
   List.filter_map Fun.id [ seek_index; order_index ] @ union_indexes
 
-(** Materialize a view request: the sub-query itself, with a clustered
+(** Materialize a block as a view: the block itself, with a clustered
     index (keyed on its grouping columns when it has any, so that
     compensating re-aggregations stream). *)
-let view_for_request env (block : Query.spjg) : (View.t * float * Index.t) option
+let materialize_view env (block : Query.spjg) : (View.t * float * Index.t) option
     =
+  let v = View.make block in
+  let rows = O.Cardinality.spjg env block in
+  match View.outputs v with
+  | [] -> None
+  | (_, first) :: _ ->
+    let keys =
+      match List.filter_map (View.view_column_of_base v) block.group_by with
+      | [] -> [ View.column_of_item v first ]
+      | ks -> ks
+    in
+    let ci = Index.make ~clustered:true ~keys ~suffix:Column_set.empty () in
+    Some (v, rows, ci)
+
+let view_for_request env (block : Query.spjg) =
   (* single-table ungrouped blocks are index territory, not view territory *)
   if List.length block.tables < 2 && block.group_by = [] then None
-  else begin
-    let v = View.make block in
-    let rows = O.Cardinality.spjg env block in
-    let outputs = View.outputs v in
-    match outputs with
-    | [] -> None
-    | (_, first) :: _ ->
-      let keys =
-        if block.group_by <> [] then
-          List.filter_map (View.view_column_of_base v) block.group_by
-        else []
-      in
-      let keys =
-        match keys with [] -> [ View.column_of_item v first ] | ks -> ks
-      in
-      let ci = Index.make ~clustered:true ~keys ~suffix:Column_set.empty () in
-      Some (v, rows, ci)
-  end
+  else materialize_view env block
 
 (* ------------------------------------------------------------------ *)
 (* the fixpoint loop                                                   *)

@@ -18,6 +18,10 @@ type request_stats = {
   view_requests : int;
 }
 
+val dedup : 'a list -> 'a list
+(** The list without repeats, each element at its first position: key
+    columns for instrumentation's indexes and CTT's candidates. *)
+
 val indexes_for_request :
   Relax_optimizer.Env.t -> Relax_optimizer.Request.t -> Index.t list
 (** Optimal index candidates for one request: the seek-optimal covering
@@ -26,11 +30,17 @@ val indexes_for_request :
     column) and, when an order is requested, the order-providing index
     (§2.1).  At most two. *)
 
+val materialize_view :
+  Relax_optimizer.Env.t -> Query.spjg -> (View.t * float * Index.t) option
+(** A block as a view: the view, its cardinality estimate, and a
+    clustered index keyed on its grouping columns (on its first output
+    when it has none).  [None] only for a block with no output.  The one
+    view builder of instrumentation and of the CTT baseline. *)
+
 val view_for_request :
   Relax_optimizer.Env.t -> Query.spjg -> (View.t * float * Index.t) option
-(** Materialize a view request: the sub-query itself, its cardinality
-    estimate, and a clustered index keyed on its grouping columns.  [None]
-    for single-table ungrouped blocks (index territory). *)
+(** Materialize a view request ({!materialize_view}); [None] for
+    single-table ungrouped blocks (index territory). *)
 
 type result = {
   optimal : Config.t;  (** the optimal configuration (§2.1) *)

@@ -1,29 +1,21 @@
-(** The relaxation-based search (§3.2–§3.6, Figure 5).
+(** The relaxation-based search (§3.2–§3.6, Figure 5): the loop.
 
     Starts from the optimal configuration of §2 and repeatedly relaxes
-    configurations from a pool.  Line 6 of the template picks the
-    transformation minimizing [penalty = ΔT / min(Space(C) − B, ΔS)] (with
-    skyline filtering and the ΔT-only denominator once under budget for
-    update workloads, §3.6); line 5 keeps relaxing the last configuration
-    until it fits, then revisits the chain at the largest realized penalty,
-    then falls back to the cheapest configuration with work left (§3.4).
-    Only queries whose plans used a replaced structure are re-optimized,
-    and shortcut evaluation aborts hopeless configurations early (§3.5). *)
+    configurations from a pool.  Line 6 of the template takes the head of
+    the node's {!Ranking.rank_candidates} (the transformation minimizing
+    [penalty = ΔT / min(Space(C) − B, ΔS)], with skyline filtering and the
+    ΔT-only denominator once under budget for update workloads, §3.6);
+    line 5 keeps relaxing the last configuration until it fits, then
+    revisits the chain at the largest realized penalty, then falls back to
+    the cheapest configuration with work left (§3.4).  Every node is
+    costed through one {!Costing.t} handle (§3.5: only queries whose plans
+    used a replaced structure are re-costed, and hopeless configurations
+    abort early), which at the end re-costs the closest contenders
+    honestly when a what-if budget left pseudo plans behind. *)
 
 module Query = Relax_sql.Query
 module Config = Relax_physical.Config
 module O = Relax_optimizer
-
-(** Fixed-size bitset over workload slots (see {!prepared}): the flat
-    representation of per-node pseudo-plan markers. *)
-module Bitset : sig
-  type t
-
-  val create : int -> t
-  val mem : t -> int -> bool
-  val add : t -> int -> unit
-  val is_empty : t -> bool
-end
 
 (** How line 6 picks among ranked candidates; [Penalty] is the paper's
     heuristic, the others exist for the ablation study. *)
@@ -33,43 +25,9 @@ type selection =
   | Space_greedy  (** maximize ΔS only *)
   | Random of int  (** uniformly random, seeded *)
 
-type candidate = {
-  tr : Transform.t;
-  penalty : float;
-  delta_cost : float;  (** ΔT: upper-bound cost increase *)
-  delta_space : float;  (** ΔS: space saved *)
-}
-
-(** A configuration in the pool, with its evaluated plans and costs.
-    Plans are held in a slot-indexed array (one slot per workload select,
-    in {!prepared.selects_arr} order) — the flat representation the
-    scoring loops scan; use {!plan_of} / {!is_pseudo} for qid-keyed
-    access. *)
-type node = {
-  id : int;
-  config : Config.t;
-  plans : O.Plan.t array;  (** slot-indexed *)
-  slots : (string, int) Hashtbl.t;
-      (** shared qid → slot table; never mutated after {!prepare} *)
-  select_cost : float;
-  shells : float array;
-      (** the unweighted §3.6 shell cost of each update statement under
-          [config], in {!prepared} [dmls] order *)
-  shell_cost : float;  (** their weighted sum *)
-  cost : float;  (** [select_cost] + [shell_cost] *)
-  size : float;
-  heap : float;  (** heap bytes of the base tables [config] leaves unclustered *)
-  parent : int option;
-  via : Transform.t list;
-      (** the transformations the step from [parent] applied, in order;
-          empty for a parentless node *)
-  actual_penalty : float;
-  pseudo : Bitset.t;
-      (** the select slots whose plan carries a bound-substituted (not
-          re-optimized) cost; always empty under the unbounded ledger *)
-  mutable untried : candidate list;
-  mutable candidates_ready : bool;
-}
+(** A configuration in the pool, with its evaluated plans and costs (see
+    {!Costing.node}). *)
+type node = Costing.node
 
 (** Everything a differential checker needs to replay one iteration of the
     search against independent oracles (see [Relax_check]).  [it_applied]
@@ -160,40 +118,11 @@ type options = {
           differential invariant checker ([Relax_check]). *)
 }
 
-(** Workload split into optimizable selects (including update select
-    components) and update shells.  [selects_arr] is [selects] as an
-    array; its indices are the plan slots of every {!node}. *)
-type prepared = {
-  selects : (string * float * Query.select_query) list;
-  selects_arr : (string * float * Query.select_query) array;
-  slots : (string, int) Hashtbl.t;  (** qid → slot *)
-  dmls : (float * Query.dml) list;
-  has_updates : bool;
-}
+type prepared = Costing.prepared
 
 val prepare : Query.workload -> prepared
-
-val plan_of : node -> qid:string -> O.Plan.t option
-(** The node's evaluated plan for a select qid (O(1) slot lookup). *)
-
-val is_pseudo : node -> qid:string -> bool
-(** Is the qid's plan bound-substituted on this node (bounded ledgers
-    only)? *)
-
-val skyline_filter : candidate list -> candidate list
-(** §3.6 dominance filter: drop candidates dominated by another with
-    [delta_cost] ≤ and [delta_space] ≥ (strict in at least one), keeping
-    the input order.  A sort-and-sweep, O(n log n).  Exposed for tests. *)
-
-val bound_memo_cap : int
-(** Entry cap of a search's bound memo (see {!Cost_bound.memo}): one memo
-    per {!run}, cleared when a merge finds it full. *)
-
-val remember : cap:int -> Cost_bound.memo -> Cost_bound.misses -> unit
-(** Merge a walk's misses into a bound memo, oldest first, clearing it
-    whenever it holds [cap] entries.  The search calls it with
-    {!bound_memo_cap} on its main domain between pool batches, in
-    candidate order.  Exposed for tests. *)
+(** {!Costing.prepare}: the workload's selects, slot by slot, and its
+    update shells. *)
 
 type outcome = {
   initial : node;  (** the optimal configuration's node *)

@@ -105,7 +105,7 @@ let tune_spanned recorder (catalog : Catalog.t) (workload : Query.workload)
   let initial_size = Config.total_bytes catalog options.base_config in
   let recommended, recommended_size =
     match outcome.best with
-    | Some n -> (n.Search.config, n.Search.size)
+    | Some n -> (n.Costing.config, n.Costing.size)
     | None ->
       (* nothing fit the budget: fall back to the base configuration *)
       (options.base_config, initial_size)
@@ -120,16 +120,16 @@ let tune_spanned recorder (catalog : Catalog.t) (workload : Query.workload)
            let dml, cost =
              match e.stmt with
              | Query.Select _ -> (
-               match Search.plan_of n ~qid:e.qid with
+               match Costing.plan_of n ~qid:e.qid with
                | Some (p : O.Plan.t) -> (dml, p.cost)
                | None -> invalid_arg ("entries_of_node: no plan for " ^ e.qid))
              | Query.Dml _ ->
                let select_cost =
-                 match Search.plan_of n ~qid:(Query.select_qid e.qid) with
+                 match Costing.plan_of n ~qid:(Query.select_qid e.qid) with
                  | Some (p : O.Plan.t) -> p.cost
                  | None -> 0.0
                in
-               (dml + 1, select_cost +. n.Search.shells.(dml))
+               (dml + 1, select_cost +. n.Costing.shells.(dml))
            in
            (dml, (e.qid, e.weight *. cost)))
          0 workload)
@@ -147,8 +147,8 @@ let tune_spanned recorder (catalog : Catalog.t) (workload : Query.workload)
         (fun (qid, c) (e : Query.entry) ->
           let is_pseudo =
             match e.stmt with
-            | Query.Select _ -> Search.is_pseudo n ~qid:e.qid
-            | Query.Dml _ -> Search.is_pseudo n ~qid:(Query.select_qid e.qid)
+            | Query.Select _ -> Costing.is_pseudo n ~qid:e.qid
+            | Query.Dml _ -> Costing.is_pseudo n ~qid:(Query.select_qid e.qid)
           in
           if is_pseudo then
             (qid, e.weight *. O.Whatif.entry_cost outcome.whatif recommended e)
@@ -166,18 +166,10 @@ let tune_spanned recorder (catalog : Catalog.t) (workload : Query.workload)
   (* §3.6 lower bound: optimal select cost plus base-configuration shell
      cost; with no updates this is simply the optimal configuration cost *)
   let lower_bound =
-    let prepared = Search.prepare workload in
-    if not prepared.has_updates then outcome.initial.cost
-    else begin
-      let base_env = O.Env.make catalog options.base_config in
-      outcome.initial.select_cost
-      +. List.fold_left
-           (fun acc (w, d) ->
-             acc
-             +. w
-                *. O.Update_cost.shell_cost base_env options.base_config d)
-           0.0 prepared.dmls
-    end
+    outcome.initial.select_cost
+    +. snd
+         (Costing.price_shells catalog (Search.prepare workload).dmls
+            options.base_config)
   in
   (* [metrics] is filled in only after the outermost span has closed, so
      the snapshot includes the "tuner.tune" timing itself. *)

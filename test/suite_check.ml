@@ -109,13 +109,13 @@ let tpch = lazy (
   let prepared = T.Search.prepare w in
   let whatif = O.Whatif.create cat in
   let plans =
-    List.map
+    Array.map
       (fun (qid, _, sq) ->
         (qid, sq, O.Whatif.plan_select whatif inst.optimal ~qid sq))
-      prepared.selects
+      prepared.selects_arr
   in
   let transforms = Array.of_list (T.Transform.enumerate inst.optimal) in
-  (cat, inst.optimal, whatif, Array.of_list plans, transforms))
+  (cat, inst.optimal, whatif, plans, transforms))
 
 let tpch_bound_context cat config config' tr =
   T.Cost_bound.make_context cat
@@ -191,10 +191,7 @@ let test_bound_survives_merge_join_order () =
   let cat, _, _, _, _ = Lazy.force tpch in
   let prepared = T.Search.prepare (W.Tpch.workload_subset [ 3; 10; 12 ]) in
   let whatif = O.Whatif.create cat in
-  let plans =
-    Array.of_list
-      (List.map (fun (qid, _, sq) -> (qid, sq, ())) prepared.selects)
-  in
+  let plans = Array.map (fun (qid, _, sq) -> (qid, sq, ())) prepared.selects_arr in
   let i1 =
     Index.on "orders" [ "o_orderdate" ]
       ~suffix:[ "o_custkey"; "o_orderkey"; "o_shippriority" ]
@@ -260,7 +257,7 @@ let test_bound_survives_swapped_merge () =
   | None -> Alcotest.fail "merge unexpectedly inapplicable"
   | Some config' ->
     let checked = ref 0 in
-    List.iter
+    Array.iter
       (fun (qid, _, sq) ->
         let plan = O.Whatif.plan_select whatif config ~qid sq in
         let ctx = tpch_bound_context cat config config' tr in
@@ -276,7 +273,7 @@ let test_bound_survives_swapped_merge () =
             Alcotest.failf "%s: bound %.3f below re-optimized cost %.3f" qid
               bound actual
         end)
-      prepared.selects;
+      prepared.selects_arr;
     Alcotest.(check bool) "at least one plan affected" true (!checked > 0)
 
 (* An access's output cardinality must be a function of the request alone,

@@ -155,15 +155,15 @@ let test_whatif_concurrent_domains () =
         "SELECT r.a FROM r, s WHERE r.sid = s.id AND s.x < 50";
       ]
   in
-  let selects = (T.Search.prepare w).selects in
-  let n = List.length selects in
+  let selects = (T.Search.prepare w).selects_arr in
+  let n = Array.length selects in
   let whatif = O.Whatif.create cat in
   let rounds = 5 and domains = 4 in
   let workers =
     Array.init domains (fun _ ->
         Domain.spawn (fun () ->
             for _ = 1 to rounds do
-              List.iter
+              Array.iter
                 (fun (qid, _, q) ->
                   ignore (O.Whatif.plan_select whatif Config.empty ~qid q))
                 selects
@@ -190,12 +190,12 @@ let test_whatif_deterministic_plans () =
 (* --- skyline sweep ------------------------------------------------------ *)
 
 (* the seed's O(n²) pairwise definition, kept as the oracle *)
-let skyline_naive (raw : T.Search.candidate list) =
+let skyline_naive (raw : T.Ranking.candidate list) =
   List.filter
-    (fun (c : T.Search.candidate) ->
+    (fun (c : T.Ranking.candidate) ->
       not
         (List.exists
-           (fun (c' : T.Search.candidate) ->
+           (fun (c' : T.Ranking.candidate) ->
              c' != c
              && c'.delta_cost <= c.delta_cost
              && c'.delta_space >= c.delta_space
@@ -206,14 +206,14 @@ let skyline_naive (raw : T.Search.candidate list) =
 let mk_candidate =
   let tr = T.Transform.Remove_index (Index.on "r" [ "a" ]) in
   fun delta_cost delta_space ->
-    { T.Search.tr; penalty = 0.0; delta_cost; delta_space }
+    { T.Ranking.tr; penalty = 0.0; delta_cost; delta_space }
 
 let check_skyline msg cands =
-  let project (c : T.Search.candidate) = (c.delta_cost, c.delta_space) in
+  let project (c : T.Ranking.candidate) = (c.delta_cost, c.delta_space) in
   Alcotest.(check (list (pair (float 0.0) (float 0.0))))
     msg
     (List.map project (skyline_naive cands))
-    (List.map project (T.Search.skyline_filter cands))
+    (List.map project (T.Ranking.skyline_filter cands))
 
 let test_skyline_matches_naive () =
   check_skyline "empty" [];
@@ -251,8 +251,8 @@ let test_skyline_preserves_order () =
   let cands =
     [ mk_candidate 1.0 5.0; mk_candidate 0.5 6.0; mk_candidate 0.3 2.0 ]
   in
-  let kept = T.Search.skyline_filter cands in
-  let projected = List.map (fun (c : T.Search.candidate) -> c.delta_cost) kept in
+  let kept = T.Ranking.skyline_filter cands in
+  let projected = List.map (fun (c : T.Ranking.candidate) -> c.delta_cost) kept in
   Alcotest.(check (list (float 0.0))) "input order kept" [ 0.5; 0.3 ] projected
 
 (* --- determinism across jobs -------------------------------------------- *)

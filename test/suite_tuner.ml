@@ -429,12 +429,12 @@ let test_shrink_prices_kept_shells () =
       (Printf.sprintf "node %d: shell cost of the kept configuration" n.id)
       shells n.shell_cost;
     let selects =
-      List.fold_left
+      Array.fold_left
         (fun acc (qid, w, _) ->
-          match T.Search.plan_of n ~qid with
+          match T.Costing.plan_of n ~qid with
           | Some (p : O.Plan.t) -> acc +. (w *. p.cost)
           | None -> Alcotest.failf "no plan for %s" qid)
-        0.0 prepared.selects
+        0.0 prepared.selects_arr
     in
     Fixtures.check_float
       (Printf.sprintf "node %d: cost = plans + shells" n.id)
