@@ -10,7 +10,15 @@
     tune --db tpch --queries 1,3,6,10 --budget-mb 40
     tune --db ds1 --generate 12 --seed 7 --updates 0.3 --tool ctt
     tune --db tpch --file workload.sql --mode indexes --iterations 500
-    v} *)
+    v}
+
+    Exit codes: 0 after a tune; 1 when [--check=strict] finds a violation;
+    2 on an input file that cannot be used (unreadable, a malformed
+    CREATE TABLE or SQL script, or a statement naming a table or column
+    the catalog lacks) or an output file that cannot be written; 124 on a
+    malformed or out-of-range flag value, a [--queries] number outside
+    1–22 included, or [--queries] on a database other than TPC-H;
+    128+N on signal N (SIGINT, SIGTERM) after closing the trace. *)
 
 module Query = Relax_sql.Query
 module Config = Relax_physical.Config
@@ -19,60 +27,15 @@ module B = Relax_baseline
 module W = Relax_workloads
 open Cmdliner
 
-type db = Tpch | Ds1 | Bench
-
-let schema_of_db ~scale = function
-  | Tpch -> W.Bench_db.tpch_schema ~scale ()
-  | Ds1 -> W.Star.schema ~scale ()
-  | Bench -> W.Bench_db.schema ~scale ()
-
-let read_file path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg ->
-    Fmt.epr "tune: cannot read %s: %s@." path msg;
-    exit 2
-
-let load_workload ~db ~scale ~schema_file ~queries ~file ~generate ~seed
-    ~updates =
-  let schema =
-    match schema_file with
-    | None -> schema_of_db ~scale db
-    | Some path ->
-      let catalog, joins = Relax_catalog.Schema_parser.parse (read_file path) in
-      { W.Generator.catalog; joins }
-  in
-  let workload =
-    match (file, queries, db) with
-    | Some path, _, _ -> Relax_sql.Parser.workload (read_file path)
-    | None, Some nums, Tpch when schema_file = None ->
-      W.Tpch.workload_subset nums
-    | None, Some _, _ ->
-      failwith "--queries only applies to --db tpch (the 22 fixed queries)"
-    | None, None, Tpch when generate = 0 && schema_file = None ->
-      W.Tpch.workload ()
-    | None, None, _ ->
-      let n = if generate = 0 then 10 else generate in
-      let profile =
-        { W.Generator.default_profile with update_fraction = updates }
-      in
-      W.Generator.workload ~seed ~profile schema ~n
-  in
-  (schema.catalog, workload)
-
-let run db scale schema_file queries file generate seed updates tool mode
-    budget_mb iterations time_s jobs whatif_budget ddl
+let run load tool mode budget iterations time_s jobs whatif_budget ddl
     do_compress explain analyze verbose log_level trace_file
     trace_chrome_file metrics frontier_csv_file check check_jsonl =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else log_level);
+  Cli.setup_logs ~verbose log_level;
   (* a SIGINT/SIGTERM mid-run unwinds through the [Fun.protect] around
      the tuner, closing the trace sink before the process exits 128+N *)
   Relax_obs.Shutdown.install ();
   Relax_obs.Shutdown.protect @@ fun () ->
-  let catalog, workload =
-    load_workload ~db ~scale ~schema_file ~queries ~file ~generate ~seed
-      ~updates
-  in
+  let catalog, workload = load () in
   let workload =
     if do_compress then begin
       let before, after = W.Compress.compression_ratio workload in
@@ -88,16 +51,10 @@ let run db scale schema_file queries file generate seed updates tool mode
       Fmt.pr "  %s: %s@." e.qid
         (Relax_sql.Pretty.statement_to_string e.stmt))
     workload;
-  let budget =
-    match budget_mb with
-    | None -> infinity
-    | Some m -> m *. 1024.0 *. 1024.0
-  in
   match tool with
   | `Ptt ->
-    let mode =
-      if mode = "indexes" then T.Tuner.Indexes_only
-      else T.Tuner.Indexes_and_views
+    let check =
+      if check = None && check_jsonl <> None then Some `On else check
     in
     let checker =
       match check with
@@ -112,7 +69,7 @@ let run db scale schema_file queries file generate seed updates tool mode
         (T.Tuner.default_options ~mode ~space_budget:budget ()) with
         max_iterations = iterations;
         time_budget_s = time_s;
-        jobs = Option.value jobs ~default:(Relax_parallel.Pool.default_jobs ());
+        jobs;
         whatif_budget;
         on_iteration =
           Option.map (fun c -> Relax_check.Checker.hook c) checker;
@@ -120,9 +77,7 @@ let run db scale schema_file queries file generate seed updates tool mode
     in
     let open_out_checked ~what path f =
       try f path
-      with Sys_error msg ->
-        Fmt.epr "tune: cannot write %s %s: %s@." what path msg;
-        exit 2
+      with Sys_error msg -> Cli.fail "cannot write %s %s: %s" what path msg
     in
     let sink =
       Option.map
@@ -218,7 +173,7 @@ let run db scale schema_file queries file generate seed updates tool mode
     end
   | `Ctt ->
     let opts =
-      B.Ctt.default_options ~with_views:(mode <> "indexes")
+      B.Ctt.default_options ~with_views:(mode = T.Tuner.Indexes_and_views)
         ~space_budget:budget ()
     in
     let r = B.Ctt.tune catalog workload opts in
@@ -236,60 +191,18 @@ let run db scale schema_file queries file generate seed updates tool mode
 
 (* --- cmdliner wiring ----------------------------------------------------- *)
 
-(* Numeric flags are range-checked where they are parsed: a value out of
-   range is a command-line error (exit 124), like a malformed one. *)
-let int_from lo =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= lo -> Ok n
-    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= %d, got %s" lo s))
-  in
-  Arg.conv (parse, Fmt.int)
-
-let float_where ~expected ok =
-  let parse s =
-    match float_of_string_opt s with
-    | Some f when ok f -> Ok f
-    | _ -> Error (`Msg (Printf.sprintf "expected %s, got %s" expected s))
-  in
-  Arg.conv (parse, Fmt.float)
-
-let positive = float_where ~expected:"a number > 0" (fun f -> f > 0.0)
-
-let db =
-  let parse = function
-    | "tpch" -> Ok Tpch
-    | "ds1" -> Ok Ds1
-    | "bench" -> Ok Bench
-    | s -> Error (`Msg ("unknown database: " ^ s))
-  in
-  let print ppf d =
-    Fmt.string ppf (match d with Tpch -> "tpch" | Ds1 -> "ds1" | Bench -> "bench")
-  in
-  Arg.(
-    value
-    & opt (conv (parse, print)) Tpch
-    & info [ "db" ] ~docv:"DB" ~doc:"Database: tpch, ds1 or bench.")
-
-let scale =
-  Arg.(
-    value & opt positive 0.02
-    & info [ "scale" ] ~docv:"S"
-        ~doc:"Database scale factor (1.0 = TPC-H SF-1 row counts).")
-
-let schema_file =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "schema" ] ~docv:"PATH"
-        ~doc:
-          "Use a custom database described by a CREATE TABLE script \
-           (overrides --db).")
-
 let queries =
   let parse s =
-    try Ok (Some (List.map int_of_string (String.split_on_char ',' s)))
-    with _ -> Error (`Msg "expected a comma-separated list of query numbers")
+    match
+      let nums = List.map int_of_string (String.split_on_char ',' s) in
+      ignore (W.Tpch.workload_subset nums);
+      nums
+    with
+    | nums -> Ok (Some nums)
+    | exception (Failure _ | Invalid_argument _) ->
+      Error
+        (`Msg
+          ("expected a comma-separated list of query numbers in 1-22, got " ^ s))
   in
   let print ppf = function
     | None -> Fmt.string ppf "all"
@@ -309,7 +222,7 @@ let file =
 
 let generate =
   Arg.(
-    value & opt (int_from 0) 0
+    value & opt (Cli.int_from 0) 0
     & info [ "generate" ] ~docv:"N" ~doc:"Generate N random statements.")
 
 let seed =
@@ -319,11 +232,34 @@ let updates =
   Arg.(
     value
     & opt
-        (float_where ~expected:"a fraction in [0, 1]" (fun f ->
+        (Cli.float_where ~expected:"a fraction in [0, 1]" (fun f ->
              f >= 0.0 && f <= 1.0))
         0.0
     & info [ "updates" ] ~docv:"F"
         ~doc:"Fraction of generated statements that are updates.")
+
+(* The catalog and workload, loaded when called: the --file script, else
+   the TPC-H queries, else a generated workload.  --queries without
+   --file on any other database is a command-line error (exit 124). *)
+let inputs =
+  let pick (src : Cli.source) file queries generate seed updates =
+    let tpch = src.db = Cli.Tpch && src.schema_file = None in
+    let load default = `Ok (fun () -> Cli.load ?file src default) in
+    match queries with
+    | Some _ when file = None && not tpch ->
+      `Error
+        (true, "--queries only applies to --db tpch (the 22 fixed queries)")
+    | Some nums -> load (fun _ -> W.Tpch.workload_subset nums)
+    | None when tpch && generate = 0 -> load (fun _ -> W.Tpch.workload ())
+    | None ->
+      let n = if generate = 0 then 10 else generate in
+      let profile =
+        { W.Generator.default_profile with update_fraction = updates }
+      in
+      load (fun schema -> W.Generator.workload ~seed ~profile schema ~n)
+  in
+  Term.(
+    ret (const pick $ Cli.source $ file $ queries $ generate $ seed $ updates))
 
 let tool =
   Arg.(
@@ -332,56 +268,11 @@ let tool =
     & info [ "tool" ] ~docv:"TOOL"
         ~doc:"Tuner: ptt (relaxation-based) or ctt (bottom-up baseline).")
 
-let mode =
-  Arg.(
-    value
-    & opt (enum [ ("indexes", "indexes"); ("views", "views") ]) "views"
-    & info [ "mode" ] ~docv:"MODE"
-        ~doc:"What to recommend: indexes only, or indexes and views.")
-
-let budget_mb =
-  Arg.(
-    value
-    & opt (some positive) None
-    & info [ "budget-mb" ] ~docv:"MB"
-        ~doc:"Storage budget in megabytes (absent = unconstrained).")
-
-let iterations =
-  Arg.(
-    value & opt (int_from 0) 400
-    & info [ "iterations" ] ~docv:"N" ~doc:"Relaxation iteration cap (ptt).")
-
 let time_s =
   Arg.(
     value
-    & opt (some positive) None
+    & opt (some Cli.positive) None
     & info [ "time" ] ~docv:"SECONDS" ~doc:"Wall-clock tuning budget (ptt).")
-
-let jobs =
-  Arg.(
-    value
-    & opt (some (int_from 1)) None
-    & info [ "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains for the parallel search (ptt only): the caller plus \
-           N-1 worker domains; 1 = sequential.  Defaults to \
-           \\$(b,RELAX_JOBS) or the machine's domain count (capped at 8).  \
-           The recommendation is identical whatever the value.")
-
-let whatif_budget =
-  Arg.(
-    value
-    & opt (some (int_from 0)) None
-    & info [ "whatif-budget" ] ~docv:"N"
-        ~doc:
-          "Frugal costing (ptt only): cap the what-if optimizer calls the \
-           relaxation ranking may spend; candidate decisions come from \
-           cost-bound intervals and the budget is spent only on candidates \
-           the bounds cannot decide.  Absent = unbounded: every plan a \
-           relaxation touches is re-optimized.  0 = bounds only; a \
-           negative N is an error.  See the whatif.bound_accepts, \
-           whatif.bound_rejects and whatif.budget_spent counters in \
-           --metrics.")
 
 let ddl =
   Arg.(
@@ -408,12 +299,6 @@ let analyze =
         ~doc:"Generate rows matching the statistics and measure the chosen \
               plans: estimated vs actual (ptt only).")
 
-let verbose =
-  Arg.(
-    value & flag
-    & info [ "v"; "verbose" ]
-        ~doc:"Enable debug logging (same as --log-level debug).")
-
 let log_level =
   let levels =
     [
@@ -439,7 +324,7 @@ let trace_file =
         ~doc:
           "Write a JSON-lines search trace (ptt only): one event per \
            relaxation iteration with the chosen transformation, predicted \
-           \\$(b,delta_cost)/\\$(b,delta_space), penalty, realized \
+           $(b,delta_cost)/$(b,delta_space), penalty, realized \
            cost/size and the cost-bound drift ratio, plus one event per \
            what-if optimizer call.")
 
@@ -486,8 +371,8 @@ let check =
            against a packing simulation, every configuration against the \
            structural invariants, and realized ΔT/ΔS against the \
            predictions.  Violations are printed, counted in the metrics \
-           and emitted as \\$(b,check.violation) trace events.  With \
-           \\$(b,--check=strict) any violation makes the exit status \
+           and emitted as $(b,check.violation) trace events.  With \
+           $(b,--check=strict) any violation makes the exit status \
            non-zero.")
 
 let check_jsonl =
@@ -497,19 +382,42 @@ let check_jsonl =
     & info [ "check-jsonl" ] ~docv:"FILE.jsonl"
         ~doc:
           "Write the checker's violations and drift histograms as JSON \
-           lines (implies nothing about --trace; the two files are \
-           independent).")
+           lines.  Implies $(b,--check=on) when $(b,--check) is absent; \
+           implies nothing about --trace (the two files are independent).")
 
 let cmd =
   let doc = "automatic physical database tuning (relaxation-based)" in
+  let iterations =
+    Cli.iterations ~default:400 ~doc:"Relaxation iteration cap (ptt)."
+  in
+  let jobs =
+    Cli.jobs ~default:Relax_parallel.Pool.default_jobs
+      ~doc:
+        "Domains for the parallel search (ptt only): the caller plus N-1 \
+         worker domains; 1 = sequential.  Defaults to $(b,RELAX_JOBS) or \
+         the machine's domain count (capped at 8).  The recommendation is \
+         identical whatever the value."
+  in
+  let whatif_budget =
+    Cli.whatif_budget
+      ~doc:
+        "Frugal costing (ptt only): cap the what-if optimizer calls the \
+         relaxation ranking may spend; candidate decisions come from \
+         cost-bound intervals and the budget is spent only on candidates \
+         the bounds cannot decide.  Absent = unbounded: every plan a \
+         relaxation touches is re-optimized.  0 = bounds only; a negative N \
+         is an error.  See the whatif.bound_accepts, whatif.bound_rejects \
+         and whatif.budget_spent counters in --metrics."
+  in
+  let verbose =
+    Cli.verbose ~doc:"Enable debug logging (same as --log-level debug)."
+  in
   Cmd.v
     (Cmd.info "tune" ~doc)
     Term.(
-      const run $ db $ scale $ schema_file $ queries $ file $ generate
-      $ seed $ updates $ tool $ mode $ budget_mb $ iterations $ time_s
-      $ jobs $ whatif_budget $ ddl $ do_compress $ explain
-      $ analyze
-      $ verbose $ log_level $ trace_file $ trace_chrome_file $ metrics
+      const run $ inputs $ tool $ Cli.mode $ Cli.budget $ iterations $ time_s
+      $ jobs $ whatif_budget $ ddl $ do_compress $ explain $ analyze $ verbose
+      $ log_level $ trace_file $ trace_chrome_file $ metrics
       $ frontier_csv_file $ check $ check_jsonl)
 
 let () = exit (Cmd.eval cmd)

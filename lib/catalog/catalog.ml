@@ -130,6 +130,22 @@ let column_set t name = (entry_exn t name).column_set
 
 let mem_table t name = String_map.mem name t.tables
 
+let unknown_names t stmt =
+  let tables =
+    List.filter
+      (fun tbl -> not (mem_table t tbl))
+      (Relax_sql.Query.statement_tables stmt)
+  in
+  let columns =
+    Column_set.fold
+      (fun c acc ->
+        if Column_tbl.mem t.stats c || List.mem c.tbl tables then acc
+        else ("column " ^ Column.to_string c) :: acc)
+      (Relax_sql.Query.statement_columns stmt)
+      []
+  in
+  List.map (fun tbl -> "table " ^ tbl) tables @ List.rev columns
+
 let col_stats t (c : column) : col_stats =
   match Column_tbl.find_opt t.stats c with
   | Some s -> s

@@ -55,6 +55,13 @@ val table_names : t -> string list
 val find_table : t -> string -> table_def option
 val table_exn : t -> string -> table_def
 val mem_table : t -> string -> bool
+
+val unknown_names : t -> Relax_sql.Query.statement -> string list
+(** The names [stmt] uses that the catalog lacks: each unknown table as
+    ["table T"], then each other unknown column as ["column T.C"].  Empty
+    when every name resolves.  The one check of user-supplied statements,
+    for [tune]'s workload files and the daemon's stream alike. *)
+
 val rows : t -> string -> float
 val columns_of : t -> string -> column list
 

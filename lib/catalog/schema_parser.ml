@@ -184,9 +184,26 @@ let parse ?(seed = 42) (src : string) :
     | _ -> tables (parse_table st :: acc)
   in
   let pending = tables [] in
-  let rows_of name =
+  if pending = [] then fail "no CREATE TABLE statement";
+  let check_unique what names =
+    let rec dup = function
+      | a :: (b :: _ as rest) ->
+        if a = b then fail "duplicate %s %s" what a else dup rest
+      | _ -> ()
+    in
+    dup (List.sort compare names)
+  in
+  check_unique "table" (List.map (fun t -> t.pt_name) pending);
+  List.iter
+    (fun t ->
+      check_unique "column"
+        (List.map (fun c -> t.pt_name ^ "." ^ c.pc_name) t.pt_cols))
+    pending;
+  let rows_of name col =
     match List.find_opt (fun t -> t.pt_name = name) pending with
-    | Some t -> t.pt_rows
+    | Some t when List.exists (fun c -> c.pc_name = col) t.pt_cols ->
+      t.pt_rows
+    | Some _ -> fail "REFERENCES unknown column %s.%s" name col
     | None -> fail "REFERENCES unknown table %s" name
   in
   let joins = ref [] in
@@ -200,7 +217,7 @@ let parse ?(seed = 42) (src : string) :
             | None, Some (t, c) ->
               joins :=
                 (Column.make pt.pt_name pc.pc_name, Column.make t c) :: !joins;
-              Some (Distribution.Uniform (0.0, float_of_int (max 1 (rows_of t) - 1)))
+              Some (Distribution.Uniform (0.0, float_of_int (max 1 (rows_of t c) - 1)))
             | None, None -> None
           in
           Catalog.column ?dist pc.pc_name pc.pc_type)

@@ -25,5 +25,7 @@ val parse :
   ?seed:int ->
   string ->
   Catalog.t * (Relax_sql.Types.column * Relax_sql.Types.column) list
-(** @raise Schema_error on malformed input.
+(** @raise Schema_error on malformed input: a syntax error, no table, a
+    duplicate table or column, or a [REFERENCES] to a table or column the
+    script does not define.
     @raise Relax_sql.Lexer.Lex_error on invalid tokens. *)

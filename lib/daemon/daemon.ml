@@ -376,18 +376,14 @@ let record_malformed t ~line ~reason =
   None
 
 let ingest t (e : Query.entry) =
-  (* a parse-clean statement can still name tables this database does not
-     have; a long-running service counts that as malformed input instead
-     of letting the re-tune die on it *)
-  match
-    List.filter
-      (fun tbl -> not (Catalog.mem_table t.catalog tbl))
-      (Query.statement_tables e.stmt)
-  with
+  (* a parse-clean statement can still name tables or columns this
+     database does not have; a long-running service counts that as
+     malformed input instead of letting the re-tune die on it *)
+  match Catalog.unknown_names t.catalog e.stmt with
   | _ :: _ as unknown ->
     record_malformed t
       ~line:(Relax_sql.Pretty.statement_to_string e.stmt)
-      ~reason:("unknown table(s): " ^ String.concat ", " unknown)
+      ~reason:("unknown " ^ String.concat ", " unknown)
   | [] ->
     t.arrivals <- t.arrivals + 1;
     t.since_retune <- t.since_retune + 1;

@@ -104,8 +104,9 @@ val create : ?recorder:Relax_obs.Recorder.t -> Relax_catalog.Catalog.t ->
 
 val ingest : t -> Query.entry -> retune option
 (** Feed one statement; [Some cycle] when this arrival triggered a
-    re-tune.  Statements naming tables the catalog does not have are
-    counted as malformed and ignored instead of poisoning the window. *)
+    re-tune.  Statements naming tables or columns the catalog does not
+    have ({!Relax_catalog.Catalog.unknown_names}) are counted as malformed
+    and ignored instead of poisoning the window. *)
 
 val ingest_event : t -> Stream.event -> retune option
 (** {!ingest} for well-formed events; malformed lines are counted and

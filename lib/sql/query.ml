@@ -222,3 +222,16 @@ let updated_columns = function
       Column_set.empty u.assignments
   | Insert _ | Delete _ -> Column_set.empty
   (* inserts and deletes touch every index on the table *)
+
+let statement_columns = function
+  | Select q ->
+    List.fold_left
+      (fun acc (c, _) -> Column_set.add c acc)
+      (spjg_columns q.body) q.order_by
+  | Dml d ->
+    let read =
+      match split_update d with
+      | Some q, _ -> spjg_columns q.body
+      | None, _ -> Column_set.empty
+    in
+    Column_set.union read (updated_columns d)

@@ -106,3 +106,8 @@ val plannable_selects : workload -> (string * float * select_query) list
 val updated_columns : dml -> Column_set.t
 (** Columns assigned by an UPDATE (empty for insert/delete, which maintain
     every index on the table). *)
+
+val statement_columns : statement -> Column_set.t
+(** Every column the statement names: a select's SPJG columns and its
+    ORDER BY, an update's WHERE columns, the columns its assignments read
+    and the columns they assign. *)

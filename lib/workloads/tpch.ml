@@ -274,6 +274,12 @@ let workload () : Relax_sql.Query.workload =
 
 (** A subset of the workload by query numbers (1-based). *)
 let workload_subset numbers : Relax_sql.Query.workload =
+  let n = List.length query_texts in
+  List.iter
+    (fun q ->
+      if q < 1 || q > n then
+        invalid_arg (Printf.sprintf "Tpch.workload_subset: no query %d" q))
+    numbers;
   workload ()
   |> List.filteri (fun i _ -> List.mem (i + 1) numbers)
 

@@ -19,7 +19,8 @@ val workload : unit -> Relax_sql.Query.workload
 (** All 22 queries, parsed. *)
 
 val workload_subset : int list -> Relax_sql.Query.workload
-(** Subset by 1-based query number. *)
+(** Subset by 1-based query number, in query order.
+    @raise Invalid_argument on a number outside 1–22. *)
 
 val refresh_workload : ?scale:float -> unit -> Relax_sql.Query.workload
 (** The dbgen-style refresh functions RF1/RF2 (batch order/lineitem inserts

@@ -101,6 +101,11 @@ let test_schema_errors () =
       "CREATE TABLE t (id INT SERIAL)";
       "CREATE TABLE t ROWS 5 (id INT REFERENCES missing(id))";
       "CREATE TABLE t ROWS 5 (id WIBBLE)";
+      "";
+      "CREATE TABLE t ROWS 5 (id INT); CREATE TABLE t ROWS 5 (id INT)";
+      "CREATE TABLE t ROWS 5 (id INT, id INT)";
+      "CREATE TABLE t ROWS 5 (id INT); \
+       CREATE TABLE u ROWS 5 (t_id INT REFERENCES t(missing))";
     ]
   in
   List.iter

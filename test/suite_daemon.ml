@@ -9,7 +9,8 @@
     workload, a spawned [relaxd] process signalled mid-stream (clean
     SIGTERM exit, well-formed JSONL), and a spawned [relaxd] refusing
     out-of-range flags (a negative what-if budget, an empty window, a
-    re-tune every 0 statements). *)
+    re-tune every 0 statements), and stream lines naming an unknown
+    table or column counted as malformed. *)
 
 module Query = Relax_sql.Query
 module Index = Relax_physical.Index
@@ -671,6 +672,25 @@ let test_relaxd_refuses flag () =
     | Unix.WSIGNALED n | Unix.WSTOPPED n ->
       Alcotest.failf "relaxd %s stopped by signal %d" flag n)
 
+(* A stream line that parses but names a column (or table) the catalog
+   lacks is malformed input: counted and skipped, never in the window,
+   so no re-tune ends rejected on it. *)
+let test_daemon_unknown_names () =
+  let d = D.Daemon.create (W.Bench_db.catalog ()) (daemon_opts ()) in
+  List.iter
+    (fun line ->
+      match D.Stream.parse_line line with
+      | Ok e -> ignore (D.Daemon.ingest d e)
+      | Error msg -> Alcotest.failf "line does not parse: %s" msg)
+    [
+      {|{"qid":"q1","sql":"SELECT onek.nosuch FROM onek"}|};
+      {|{"qid":"q2","sql":"SELECT nosuch.value FROM nosuch"}|};
+      {|{"qid":"q3","sql":"SELECT onek.value FROM onek ORDER BY onek.nosuch"}|};
+      {|{"qid":"q4","sql":"SELECT onek.value FROM onek"}|};
+    ];
+  Alcotest.(check int) "malformed" 3 (D.Daemon.malformed d);
+  Alcotest.(check int) "accepted" 1 (D.Daemon.statements_seen d)
+
 (* --- shutdown plumbing ---------------------------------------------------- *)
 
 let test_shutdown_exit_codes () =
@@ -728,4 +748,6 @@ let suite =
     Alcotest.test_case "relaxd: negative scale" `Quick
       (test_relaxd_refuses "--scale=-1");
     Alcotest.test_case "shutdown: exit codes" `Quick test_shutdown_exit_codes;
+    Alcotest.test_case "daemon: unknown table or column is malformed" `Quick
+      test_daemon_unknown_names;
   ]

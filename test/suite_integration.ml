@@ -1,6 +1,7 @@
 (** End-to-end integration tests: the whole pipeline (instrument -> relax
-    -> recommend) on realistic workloads, cross-tool invariants, and
-    randomized checks of the central correctness properties. *)
+    -> recommend) on realistic workloads, cross-tool invariants,
+    randomized checks of the central correctness properties, and a
+    spawned [tune] refusing unusable input files and [--queries]. *)
 
 module Query = Relax_sql.Query
 module Index = Relax_physical.Index
@@ -191,6 +192,78 @@ let prop_relaxation_never_beats_optimal =
       let r = tpch_tune ~budget:(mb (float_of_int budget_mb)) ~iters:60 [ 3; 6; 14 ] in
       List.for_all (fun (_, c) -> c >= r.optimal_cost -. 1e-6) r.frontier)
 
+(* --- the tune front end ---------------------------------------------------- *)
+
+(* cwd is _build/default/test under `dune runtest`, the workspace root
+   under `dune exec test/test_main.exe` *)
+let tune_exe () =
+  List.find_opt Sys.file_exists
+    [ "../bin/tune.exe"; "_build/default/bin/tune.exe" ]
+
+(* tune's exit status and stderr on [args], stdin and stdout on /dev/null *)
+let tune_status exe args =
+  let err = Filename.temp_file "tune" ".err" in
+  let null_in = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let null_out = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let err_fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0 in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) null_in null_out
+      err_fd
+  in
+  List.iter Unix.close [ null_in; null_out; err_fd ];
+  let status = snd (Unix.waitpid [] pid) in
+  let stderr = In_channel.with_open_bin err In_channel.input_all in
+  Sys.remove err;
+  (status, stderr)
+
+(* an input file that cannot be used is exit 2 with one line naming the
+   file and the reason, never an uncaught exception (exit 125) or a
+   recommendation for a column that does not exist *)
+let test_tune_refuses_input () =
+  match tune_exe () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    List.iter
+      (fun (flag, contents, reason) ->
+        let path = Filename.temp_file "tune_input" ".sql" in
+        Out_channel.with_open_bin path (fun oc ->
+            Out_channel.output_string oc contents);
+        let status, stderr = tune_status exe [ flag; path ] in
+        Sys.remove path;
+        (match status with
+        | Unix.WEXITED 2 -> ()
+        | Unix.WEXITED n -> Alcotest.failf "tune %s %S exited %d" flag contents n
+        | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+          Alcotest.failf "tune %s stopped by signal %d" flag n);
+        Alcotest.(check bool)
+          (Printf.sprintf "stderr names %s and %S: %s" path reason stderr)
+          true
+          (Astring_contains.contains stderr (path ^ ": ")
+          && Astring_contains.contains stderr reason))
+      [
+        ("--file", "SELECT lineitem.nosuch FROM lineitem", "unknown column lineitem.nosuch");
+        ("--file", "SELECT nosuch.x FROM nosuch", "unknown table nosuch");
+        ("--file", "SELECT FROM WHERE", "unexpected token");
+        ("--schema", "CREATE TABLE t ROWS abc (x INT)", "expected number");
+        ("--schema", "CREATE TABLE t ROWS 5 (x INT, x INT)", "duplicate column t.x");
+      ]
+
+(* a --queries number outside 1-22, or --queries on a database without the
+   TPC-H queries, is a command-line error (exit 124) *)
+let test_tune_refuses_queries () =
+  match tune_exe () with
+  | None -> Alcotest.skip ()
+  | Some exe ->
+    List.iter
+      (fun args ->
+        match fst (tune_status exe args) with
+        | Unix.WEXITED 124 -> ()
+        | Unix.WEXITED n ->
+          Alcotest.failf "tune %s exited %d, expected 124" (String.concat " " args) n
+        | Unix.WSIGNALED n | Unix.WSTOPPED n ->
+          Alcotest.failf "tune stopped by signal %d" n)
+      [ [ "--queries=0" ]; [ "--queries=1,23" ]; [ "--db"; "ds1"; "--queries"; "1" ] ]
+
 let suite =
   [
     Alcotest.test_case "pipeline: TPC-H with views" `Quick test_pipeline_tpch_views;
@@ -206,4 +279,8 @@ let suite =
       test_ddl_mentions_every_structure;
     QCheck_alcotest.to_alcotest prop_cost_bound_dominates;
     QCheck_alcotest.to_alcotest prop_relaxation_never_beats_optimal;
+    Alcotest.test_case "tune: unusable input files exit 2" `Quick
+      test_tune_refuses_input;
+    Alcotest.test_case "tune: bad --queries exits 124" `Quick
+      test_tune_refuses_queries;
   ]

@@ -36,6 +36,37 @@ let test_tpch_cardinality_ratios () =
 let test_tpch_subset () =
   Alcotest.(check int) "subset" 3 (List.length (W.Tpch.workload_subset [ 1; 5; 9 ]))
 
+let test_tpch_subset_range () =
+  List.iter
+    (fun nums ->
+      match W.Tpch.workload_subset nums with
+      | _ -> Alcotest.failf "subset [%s] accepted" (String.concat "; " (List.map string_of_int nums))
+      | exception Invalid_argument _ -> ())
+    [ [ 0 ]; [ 23 ]; [ 1; 3; 99 ]; [ -1 ] ]
+
+(* the check tune's loader runs on a --file workload: a statement on a
+   column TPC-H does not have is refused, not tuned into an index on it *)
+let test_unknown_names_tpch () =
+  let cat = W.Tpch.catalog ~scale:0.02 () in
+  let names sql =
+    List.concat_map
+      (fun (e : Relax_sql.Query.entry) -> Catalog.unknown_names cat e.stmt)
+      (Relax_sql.Parser.workload sql)
+  in
+  Alcotest.(check (list string))
+    "lineitem.nosuch" [ "column lineitem.nosuch" ]
+    (names "SELECT lineitem.nosuch FROM lineitem");
+  Alcotest.(check (list string))
+    "unknown table" [ "table nosuch" ] (names "SELECT nosuch.x FROM nosuch");
+  Alcotest.(check (list string))
+    "update" [ "column lineitem.nosuch"; "column lineitem.zz" ]
+    (names "UPDATE lineitem SET nosuch = 1 WHERE lineitem.zz < 3");
+  Alcotest.(check (list string))
+    "the 22 queries resolve" []
+    (List.concat_map
+       (fun (e : Relax_sql.Query.entry) -> Catalog.unknown_names cat e.stmt)
+       (W.Tpch.workload ()))
+
 let test_star_schema_optimizes () =
   let schema = W.Star.schema ~scale:0.01 () in
   let w = W.Generator.workload ~seed:3 schema ~n:10 in
@@ -218,4 +249,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_reparameterize_preserves_signature;
     QCheck_alcotest.to_alcotest prop_compress_idempotent;
     QCheck_alcotest.to_alcotest prop_compress_preserves_total_weight;
+    Alcotest.test_case "tpch: subset refuses numbers outside 1-22" `Quick
+      test_tpch_subset_range;
+    Alcotest.test_case "unknown names: a --file workload on TPC-H" `Quick
+      test_unknown_names_tpch;
   ]
